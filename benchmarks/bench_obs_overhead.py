@@ -27,12 +27,7 @@ from repro import context, obs
 from repro.algorithms import bc_update
 from repro.io import rmat
 
-# repro.execution re-exports the `trace` context manager under the same
-# name as the module; go through sys.modules for the module itself
-import repro.execution.trace  # noqa: F401
-import sys
-
-trace_mod = sys.modules["repro.execution.trace"]
+from repro.execution.planner import driver
 
 from conftest import header, row
 
@@ -96,7 +91,7 @@ def test_obs_disabled_overhead(bc_workload, monkeypatch):
     # interleave the two sides so frequency drift hits both equally
     disarmed = [float("inf")] * K
     stripped = [float("inf")] * K
-    identity_wrap = lambda thunk, label, deferred=False, provenance=None: thunk
+    identity = lambda fn, label, prov=None, rids=(), deferred=True: fn
     for i in range(K):
         assert obs.spans.current() is None
         for _ in range(INNER):
@@ -104,9 +99,9 @@ def test_obs_disabled_overhead(bc_workload, monkeypatch):
             run()
             disarmed[i] = min(disarmed[i], time.perf_counter() - t0)
         with pytest.MonkeyPatch.context() as mp:
-            # seed-equivalent: no wrap_thunk seam at all
-            mp.setattr(trace_mod, "wrap_thunk", identity_wrap)
-            mp.setattr(context, "_trace_wrap", identity_wrap)
+            # seed-equivalent: no instrumentation seam at all
+            mp.setattr(driver, "instrument", identity)
+            mp.setattr(context, "_instrument", identity)
             for _ in range(INNER):
                 t0 = time.perf_counter()
                 run()

@@ -6,23 +6,17 @@ benchmark prints the paper-style row(s) it regenerates, so running
     pytest benchmarks/ --benchmark-only -s
 
 reproduces the content of each table/figure alongside the timings
-(EXPERIMENTS.md records a captured run).
-
-When ``REPRO_BENCH_JSON`` is set, every pytest-benchmark measurement is
-also funnelled through :class:`repro.obs.BenchRecorder` and written to
-that path at session end (the ``repro-bench/1`` schema the CI
-bench-smoke job and ``python -m repro.obs.bench`` share).
+(EXPERIMENTS.md records a captured run).  The gated benchmark is
+``bench/run.py``; these regenerate the paper's tables and figures.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 import repro as grb
-from repro import context, obs
+from repro import context
 from repro.io import erdos_renyi, grid_2d, rmat
 from repro.reference import RefMatrix, RefVector
 
@@ -71,22 +65,3 @@ def header(title: str) -> None:
 
 def row(label: str, *cols) -> None:
     print(f"  {label:<38}" + "".join(f"{c!s:>16}" for c in cols))
-
-
-# --- machine-readable baseline (REPRO_BENCH_JSON=path) -----------------
-
-def pytest_sessionfinish(session, exitstatus):
-    path = os.environ.get("REPRO_BENCH_JSON")
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return
-    rec = obs.BenchRecorder(meta={"suite": "benchmarks", "exitstatus": int(exitstatus)})
-    for bench in getattr(bench_session, "benchmarks", []):
-        data = getattr(getattr(bench, "stats", None), "data", None)
-        if data:
-            rec.record(bench.name, list(data), group=bench.group or "")
-    if rec.entries:
-        rec.write(path)
-        print(f"\nrepro-bench baseline: wrote {len(rec.entries)} entries to {path}")

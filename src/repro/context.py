@@ -37,7 +37,7 @@ import threading
 from typing import Any, Callable
 
 from .execution.sequence import DeferredOp, SequenceQueue
-from .execution.trace import wrap_thunk as _trace_wrap
+from .execution.planner.driver import instrument as _instrument
 from .obs.tracing import current_trace as _current_trace
 from .info import (
     ExecutionError,
@@ -335,7 +335,7 @@ def submit(
         return
     if len(ctx.queue):
         _drain(ctx)
-    _trace_wrap(thunk, label, deferred=False)()
+    _instrument(thunk, label, deferred=False)()
 
 
 def _poison(ops) -> None:

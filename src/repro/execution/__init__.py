@@ -2,14 +2,10 @@
 nonblocking mode (see :mod:`repro.context` for the public entry points)."""
 
 from .sequence import DeferredOp, OpSpec, QueueStats, SequenceQueue
-from .trace import OpRecord, Tracer, trace
 
 __all__ = [
     "DeferredOp",
     "OpSpec",
     "SequenceQueue",
     "QueueStats",
-    "trace",
-    "Tracer",
-    "OpRecord",
 ]

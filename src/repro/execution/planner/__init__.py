@@ -16,7 +16,7 @@ dataflow DAG (:mod:`.graph`) and run through a pass pipeline (:mod:`.passes`):
 
 Every pass can be toggled via :func:`configure` / :func:`override`
 (``repro.planner.configure(fusion=False)``); per-pass counters surface in
-``QueueStats`` and :class:`repro.execution.trace.Tracer`.
+``QueueStats`` and ``repro.obs.Capture.queue_delta()``.
 """
 
 from .config import PlannerOptions, configure, options, override, reset_options

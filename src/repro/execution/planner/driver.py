@@ -3,7 +3,8 @@
 :func:`build_plan` is the queue's drain-time entry point: it runs the pass
 pipeline (dead-op → fusion → CSE, each individually switchable via
 :mod:`.config`) and returns an :class:`ExecutionPlan` whose :meth:`run`
-executes the surviving nodes level by level.  Nodes within a level share no
+executes the surviving nodes level by level (with the planner off: the ops
+themselves, one per level, in program order).  Nodes within a level share no
 hazards, so when the parallel pass is on and :func:`repro.parallel.
 get_num_threads` allows it, a level's nodes are dispatched concurrently on
 the shared thread pool — with nested kernel parallelism suppressed via
@@ -13,19 +14,75 @@ the pool they occupy.
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
+from ...obs import diag as _diag
+from ...obs import metrics as _metrics
+from ...obs import tracing as _tracing
+from ...obs.diag import explain as _explain
+from ...obs.spans import wrap_thunk
 from ...parallel import get_backend, get_num_threads, serial_section, thread_pool
 from ..sequence import DeferredOp, QueueStats
 from .config import options
-from .graph import Graph, OpNode, build_graph
+from .graph import OpNode, build_graph
 from .passes import cse_pass, dead_op_pass, fusion_pass
 
-__all__ = ["build_plan", "ExecutionPlan"]
+__all__ = ["build_plan", "ExecutionPlan", "instrument"]
 
 
-def _node_provenance(g: Graph) -> dict[int, tuple[list, list]]:
-    """(request_ids, trace_ids) per live node — provenance merge, not loss.
+def instrument(
+    fn: Callable[[], None],
+    label: str,
+    prov: dict | None = None,
+    rids=(),
+    deferred: bool = True,
+) -> Callable[[], None]:
+    """Wrap one op body in everything that observes it — the only place the
+    span / anomaly / accounting sequence is written.
+
+    *fn* becomes an op span under *label* with *prov* (rewrite provenance,
+    originating request ids) in its attrs; with an anomaly detector
+    installed it is timed for the per-kernel latency baselines; with a
+    :class:`repro.obs.tracing.DrainAccounting` installed on the calling
+    thread its wall time and realized flops are tallied under *rids* (bound
+    by closure, so nodes dispatched to pool threads still report back).
+    With none of the three armed *fn* comes back unchanged.
+    """
+    runner = wrap_thunk(fn, label, deferred, prov or None)
+    if _diag.detector() is not None:
+        runner = _anomaly_wrap(runner, label, _kernel_backend_name())
+    acct = _tracing.current_accounting()
+    return acct.wrap(runner, rids) if acct is not None else runner
+
+
+def _anomaly_wrap(runner, label: str, backend: str):
+    """Time *runner* for the installed anomaly detector (nested tallies
+    propagate, so this composes with :meth:`DrainAccounting.wrap`)."""
+
+    def observed():
+        token = _tracing._tally_begin()
+        t0 = time.perf_counter()
+        try:
+            runner()
+        finally:
+            _diag.observe_kernel(
+                label, backend,
+                seconds=time.perf_counter() - t0,
+                flops=_tracing._tally_end(token),
+            )
+
+    return observed
+
+
+def _kernel_backend_name() -> str:
+    from ...kernels.interface import active_backend
+
+    return active_backend().name
+
+
+def _node_provenance(nodes: list[OpNode]) -> dict[int, tuple[list, list]]:
+    """(request_ids, trace_ids) per node — provenance merge, not loss.
 
     A node's ids are the union over its member ops' enqueue-time stamps, so
     a pair fused *across requests* carries both originators.  A CSE source
@@ -35,11 +92,11 @@ def _node_provenance(g: Graph) -> dict[int, tuple[list, list]]:
     """
     rids: dict[int, set] = {}
     tids: dict[int, set] = {}
-    for node in g.alive_nodes():
+    for node in nodes:
         traces = [op.trace for op in node.ops if op.trace is not None]
         rids[node.index] = {str(t.request_id) for t in traces}
         tids[node.index] = {t.trace_id for t in traces}
-    for node in g.alive_nodes():
+    for node in nodes:
         src = node.cse_source
         if src is not None and src in rids:
             rids[src] |= rids[node.index]
@@ -49,30 +106,22 @@ def _node_provenance(g: Graph) -> dict[int, tuple[list, list]]:
     }
 
 
-def _attach_runners(g: Graph) -> None:
-    """Give every live node its executable.
+def _attach_runners(nodes: list[OpNode], provenance: dict) -> None:
+    """Give every node its executable: pick where T comes from, then
+    :func:`instrument` it.
 
-    Every runner is span-wrapped *now* — drain time — so a scheduled node
-    records exactly one op span, under a label that makes planner rewrites
-    visible (``mxm+apply[fused]``, ``mxm[cse]``) and with the rewrite's
-    provenance (member labels, CSE source, originating request ids) in the
-    span attrs.  With no capture armed ``wrap_thunk`` hands the runner back
-    unchanged; with a :class:`repro.obs.tracing.DrainAccounting` installed
-    on the draining thread, runners are additionally timed and their
-    realized flops tallied per request id (bound by closure, so nodes
-    dispatched to pool threads still report back).
+    A node computes its internal result T from one of four sources — its
+    own kernel (plain / capture nodes), the CSE cache, a fused chain, or
+    (decided later, per level, by the shard scheduler) the worker pool —
+    and every source ends in the same write pipeline.  Runners are
+    instrumented *now*, at drain time, so a scheduled node records exactly
+    one op span, under a label that makes planner rewrites visible
+    (``mxm+apply[fused]``, ``mxm[cse]``).
     """
-    from ...obs import diag as _diag
-    from ...obs import tracing as _tracing
     from ...operations.common import execute_chain, execute_standard
-    from ..trace import wrap_thunk
 
-    acct = _tracing.current_accounting()
-    detector = _diag.detector()
-    backend_name = _kernel_backend_name() if detector is not None else ""
-    provenance = _node_provenance(g)
     cache: dict[int, tuple] = {}
-    for node in g.alive_nodes():
+    for node in nodes:
         rids, t_ids = provenance[node.index]
         prov: dict = {}
         if rids:
@@ -80,92 +129,41 @@ def _attach_runners(g: Graph) -> None:
             prov["trace_ids"] = t_ids
         if node.fused_chain is not None:
 
-            def fused_run(specs=tuple(node.fused_chain)):
+            def run(specs=tuple(node.fused_chain)):
                 execute_chain(list(specs))
 
             prov["fused_of"] = [op.label for op in node.ops]
-            runner = wrap_thunk(
-                fused_run, node.label, deferred=True, provenance=prov
-            )
         elif node.cse_source is not None:
 
-            def cse_run(spec=node.ops[0].spec, src=node.cse_source):
-                execute_standard(spec, precomputed=cache[src])
+            def run(spec=node.ops[0].spec, src=node.cse_source):
+                _metrics.registry.inc("op.cse_reuses")
+                execute_standard(spec, t=cache[src])
 
             prov["cse_of"] = node.cse_source
-            runner = wrap_thunk(
-                cse_run, node.label, deferred=True, provenance=prov
-            )
         elif node.capture:
 
-            def capture_run(spec=node.ops[0].spec, idx=node.index):
+            def run(spec=node.ops[0].spec, idx=node.index):
                 execute_standard(
                     spec, capture=lambda k, v: cache.__setitem__(idx, (k, v))
                 )
 
-            runner = wrap_thunk(
-                capture_run, node.label, deferred=True, provenance=prov or None
-            )
         else:
-            runner = wrap_thunk(
-                node.ops[0].thunk, node.label, deferred=True,
-                provenance=prov or None,
-            )
-            # plain single-op nodes are candidates for the sharded backend;
-            # the shard scheduler re-wraps its own completion with the same
-            # provenance/accounting, so stash them here
-            node.shard = {
-                "spec": node.ops[0].spec,
-                "prov": prov or None,
-                "rids": rids,
-            }
-        if detector is not None:
-            runner = _anomaly_wrap(runner, node.label, backend_name)
-        node.runner = acct.wrap(runner, rids) if acct is not None else runner
+            run = node.ops[0].thunk
+            # plain single-op nodes are candidates for the sharded backend,
+            # whose completion is instrumented with the same provenance
+            node.shard = {"spec": node.ops[0].spec, "prov": prov, "rids": rids}
+        node.runner = instrument(run, node.label, prov, rids)
 
 
-def _kernel_backend_name() -> str:
-    from ...kernels.interface import active_backend
-
-    try:
-        return active_backend().name
-    except Exception:
-        return "interpreter"
-
-
-def _anomaly_wrap(runner, label: str, backend: str):
-    """Time *runner* for the installed anomaly detector (nested tallies
-    propagate, so this composes with :meth:`DrainAccounting.wrap`)."""
-    import time as _time
-
-    from ...obs import diag as _diag
-    from ...obs.tracing import _tally_begin, _tally_end
-
-    def observed():
-        token = _tally_begin()
-        t0 = _time.perf_counter()
-        try:
-            runner()
-        finally:
-            _diag.observe_kernel(
-                label, backend,
-                seconds=_time.perf_counter() - t0,
-                flops=_tally_end(token),
-            )
-
-    return observed
-
-
-def _explain_record(g: Graph, levels: list, elided: int) -> dict:
-    """One EXPLAIN entry for a built plan: every surviving node with its
-    rewrite kind, hazard predecessors, provenance, and backend choice."""
-    from ...parallel import get_backend as _get_backend
-
+def _explain_record(
+    levels: list[list[OpNode]], provenance: dict, optimize: bool, elided: int
+) -> dict:
+    """One EXPLAIN entry for a built plan: every node with its rewrite
+    kind, hazard predecessors, provenance, and backend choice."""
     kb = _kernel_backend_name()
-    provenance = _node_provenance(g)
-    nodes: list[dict] = []
+    entries: list[dict] = []
     fused = cse = 0
-    for node in sorted(g.alive_nodes(), key=lambda n: (n.level, n.index)):
+    for node in (n for level in levels for n in level):
         rids, tids = provenance[node.index]
         entry: dict = {
             "index": node.index,
@@ -189,26 +187,26 @@ def _explain_record(g: Graph, levels: list, elided: int) -> dict:
             cse += 1
         elif node.capture:
             entry["kind"] = "capture"
-        nodes.append(entry)
+        entries.append(entry)
     return {
-        "optimize": True,
+        "optimize": optimize,
         "kernel_backend": kb,
-        "exec_backend": _get_backend(),
+        "exec_backend": get_backend(),
         "levels": len(levels),
         "elided": elided,
         "fused_chains": fused,
         "cse_merged": cse,
-        "nodes": nodes,
+        "nodes": entries,
     }
 
 
 def _compile_eligible(chain) -> bool:
     """Would the codegen backend compile this fused chain's signature?"""
-    try:
-        from ...kernels.codegen import chain_signature
+    from ...kernels.codegen import chain_signature
 
+    try:
         return chain_signature(list(chain)) is not None
-    except Exception:
+    except Exception:  # user-shaped specs: EXPLAIN must never kill a drain
         return False
 
 
@@ -238,9 +236,6 @@ class ExecutionPlan:
         ]
 
     def run(self) -> None:
-        if self._levels:
-            width = max(len(level) for level in self._levels)
-            self._stats.max_width = max(self._stats.max_width, width)
         sharded = self._parallel and get_backend() == "processes"
         for lvl, level in enumerate(self._levels):
             if sharded:
@@ -308,95 +303,45 @@ class ExecutionPlan:
             raise failures[0][1]
 
 
-class _SerialPlan:
-    """Planner-off fallback: plain program order, no graph, no passes."""
-
-    def __init__(self, ops: list[DeferredOp], stats: QueueStats):
-        self._ops = ops
-        self._stats = stats
-        self.failed_ops: list[DeferredOp] = []
-
-    def run(self) -> None:
-        from ...obs import tracing as _tracing
-        from ..trace import wrap_thunk
-
-        acct = _tracing.current_accounting()
-        for pos, op in enumerate(self._ops):
-            prov = None
-            rids: list = []
-            if op.trace is not None:
-                rids = [str(op.trace.request_id)]
-                prov = {"request_ids": rids, "trace_ids": [op.trace.trace_id]}
-            runner = wrap_thunk(op.thunk, op.label, deferred=True, provenance=prov)
-            if acct is not None:
-                runner = acct.wrap(runner, rids)
-            try:
-                runner()
-            except BaseException:
-                self.failed_ops = self._ops[pos:]
-                raise
-            self._stats.executed += 1
-
-
 def build_plan(
     ops: list[DeferredOp], stats: QueueStats, optimize: bool = True
-):
-    """Lift *ops* into the DAG, run the enabled passes, attach runners."""
-    from ...obs.diag import explain as _explain
+) -> ExecutionPlan:
+    """Turn *ops* into an :class:`ExecutionPlan`.
 
+    With the planner on, lift them into the DAG, run the enabled passes and
+    level the survivors; with it off, the plan is the ops themselves — one
+    singleton level each, in program order, no graph and no passes.  Either
+    way the nodes get their runners, and their EXPLAIN record, from the
+    same code.
+    """
     opts = options()
-    col = _explain.current_explain()
-    if not optimize or not opts.enabled:
-        if col is not None:
-            col.record_plan(_serial_explain_record(ops))
-        return _SerialPlan(ops, stats)
-
-    if opts.dead_op:
-        live, elided = dead_op_pass(ops)
-        stats.elided += len(elided)
-        n_elided = len(elided)
-    else:
+    optimize = optimize and opts.enabled
+    n_elided = 0
+    if optimize:
         live = ops
-        n_elided = 0
-
-    g = build_graph(live)
-    owner = list(range(len(live)))
-    if opts.fusion:
-        stats.fused += fusion_pass(g, live, owner)
-    if opts.cse:
-        stats.cse += cse_pass(g, live, owner)
-    _attach_runners(g)
-    levels = g.assign_levels()
+        if opts.dead_op:
+            live, elided = dead_op_pass(ops)
+            n_elided = len(elided)
+            stats.elided += n_elided
+        g = build_graph(live)
+        owner = list(range(len(live)))
+        if opts.fusion:
+            stats.fused += fusion_pass(g, live, owner)
+        if opts.cse:
+            stats.cse += cse_pass(g, live, owner)
+        levels = g.assign_levels()
+        # the widest level the DAG scheduler has seen; program-order plans
+        # have no DAG and leave the high-water mark alone
+        stats.max_width = max([stats.max_width, *map(len, levels)])
+    else:
+        levels = [
+            [OpNode(i, [op], preds={i - 1} if i else set(), level=i)]
+            for i, op in enumerate(ops)
+        ]
+    nodes = [n for level in levels for n in level]
+    provenance = _node_provenance(nodes)
+    _attach_runners(nodes, provenance)
+    col = _explain.current_explain()
     if col is not None:
-        col.record_plan(_explain_record(g, levels, n_elided))
-    return ExecutionPlan(levels, stats, parallel=opts.parallel)
-
-
-def _serial_explain_record(ops: list[DeferredOp]) -> dict:
-    """The planner-off EXPLAIN: plain program order, one node per op."""
-    nodes = []
-    for i, op in enumerate(ops):
-        rids = [str(op.trace.request_id)] if op.trace is not None else []
-        tids = [op.trace.trace_id] if op.trace is not None else []
-        nodes.append(
-            {
-                "index": i,
-                "label": op.label,
-                "ops": [op.label],
-                "level": i,
-                "preds": [i - 1] if i else [],
-                "request_ids": rids,
-                "trace_ids": tids,
-                "kind": "plain",
-                "backend": _kernel_backend_name(),
-            }
-        )
-    return {
-        "optimize": False,
-        "kernel_backend": _kernel_backend_name(),
-        "levels": len(ops),
-        "elided": 0,
-        "fused_chains": 0,
-        "cse_merged": 0,
-        "nodes": nodes,
-    }
+        col.record_plan(_explain_record(levels, provenance, optimize, n_elided))
+    return ExecutionPlan(levels, stats, parallel=optimize and opts.parallel)

@@ -30,9 +30,8 @@ __all__ = [
 class KernelBackend:
     """Base/protocol of a kernel suite.
 
-    Subclasses override :meth:`run_chain` (and, for a full replacement
-    suite, :meth:`run_standard`).  Both take planner OpSpecs and must leave
-    every output bit-identical to the interpreter.
+    Subclasses override :meth:`run_chain`, which takes planner OpSpecs and
+    must leave every output bit-identical to the interpreter.
     """
 
     #: the name ``repro.parallel.set_kernel_backend`` selects this suite by
@@ -43,13 +42,6 @@ class KernelBackend:
         stream the producer's T through every link and run the tail's
         write pipeline."""
         raise NotImplementedError
-
-    def run_standard(self, spec) -> None:
-        """Execute one standard (unfused) op.  The base implementation is
-        the interpreter path; replacement suites may override per-kind."""
-        from ..operations.common import execute_standard
-
-        execute_standard(spec)
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

@@ -4,9 +4,8 @@
 chains.  The head's result streams through every middle link — each one a
 mask filter plus its transform, then a cast into the intermediate's domain
 (exactly what an overwrite-shaped write would have stored) — and the tail
-runs the full write pipeline against the real output.  For a two-element
-chain this executes the identical kernel sequence the original
-``execute_fused`` did.
+runs the full write pipeline against the real output
+(``operations.common.execute_chain`` is the only caller).
 
 Both backends lean on this module: codegen falls back here per chain when
 a signature is ineligible or a generated kernel misbehaves.

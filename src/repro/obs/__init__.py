@@ -6,8 +6,8 @@ this package is that tool, generalized: structured spans from every
 execution path (eager blocking ops, drained-queue ops, planner-fused
 nodes, kernel invocations, thread-pool blocks), a process-wide
 :mod:`metrics <repro.obs.metrics>` registry, and :mod:`exporters
-<repro.obs.export>` — Chrome ``chrome://tracing`` JSON, flat per-label
-reports, and the machine-readable bench recorder behind ``BENCH_*.json``.
+<repro.obs.export>` — Chrome ``chrome://tracing`` JSON and flat per-label
+reports.
 
 Typical use::
 
@@ -21,15 +21,14 @@ Typical use::
     cap.export_chrome("trace.json")  # load in chrome://tracing / Perfetto
 
 Cost: with no capture armed and metrics disabled, the instrumented paths
-do a single global read and nothing else (``execution.trace.wrap_thunk``
-returns the raw thunk unchanged, kernels skip all measurement).
+do a single global read and nothing else (``spans.wrap_thunk`` returns the
+raw thunk unchanged, kernels skip all measurement).
 """
 
 from __future__ import annotations
 
 from . import export, metrics, spans, tracing
 from .export import (
-    BenchRecorder,
     chrome_trace,
     per_label_report,
     prometheus_text,
@@ -48,7 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "SLOTracker",
     "registry",
-    "BenchRecorder",
     "chrome_trace",
     "per_label_report",
     "prometheus_text",
@@ -156,10 +154,9 @@ class Capture:
 class capture:
     """Context manager arming span collection + metrics for one window.
 
-    One capture at a time (``InvalidValue`` otherwise — same discipline the
-    legacy ``trace()`` imposed).  Arming is exception-safe: if reading the
-    baseline counters fails, the global sink is disarmed before the error
-    propagates, so a later capture still works.
+    One capture at a time (``InvalidValue`` otherwise).  Arming is
+    exception-safe: if reading the baseline counters fails, the global sink
+    is disarmed before the error propagates, so a later capture still works.
     """
 
     def __init__(self):
@@ -179,8 +176,8 @@ class capture:
             metrics.registry.enable()
             cap._metrics_before = metrics.registry.snapshot()
         except BaseException:
-            # never leak the armed sink — the original tracer did, leaving
-            # every later trace() failing with "already active"
+            # never leak the armed sink: every later capture would fail
+            # with "already active"
             spans.disarm(cap._sink)
             metrics.registry._enabled = self._prev_metrics
             raise

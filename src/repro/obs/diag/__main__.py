@@ -6,7 +6,7 @@ Subcommands:
   :class:`repro.fuzz.program.Program` JSON schema) under the full planner
   and print its plan EXPLAIN;
 * ``validate-dump <flight.json>`` — sanity-check a flight-recorder dump
-  against the Chrome trace-event shape (used by the CI diag-smoke job).
+  against the Chrome trace-event shape (used by the CI ``diag`` smoke leg).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Online kernel-latency anomaly detection: EWMA baselines with MAD-style
 deviation scoring, per (kernel signature, backend, shard worker).
 
-Static bench baselines (``BENCH_*.json``) catch regressions between PRs;
+The gated benchmark (``bench/``) catches regressions between PRs;
 they cannot catch a *drift in production* — a kernel whose cost is
 input-dependent going quadratic on a new workload shape, one shard worker
 on a sick host, a codegen kernel silently falling back to the

@@ -1,15 +1,14 @@
 """Exporters: Chrome trace-event JSON, flat per-label reports, Prometheus
-text exposition, the per-request timeline HTML, and the machine-readable
-bench recorder behind the repo's ``BENCH_*.json`` perf-trajectory files.
+text exposition, and the per-request timeline HTML.
 
 * :func:`chrome_trace` renders a span list into the Trace Event Format
   that ``chrome://tracing`` / Perfetto load: one complete ("X") event per
   span with its attrs in ``args``, plus process/thread-name metadata
   events so service workers and pool threads show up labelled, not as
   bare TIDs.
-* :func:`per_label_report` is the human-readable successor of the old
-  ``Tracer.summary()``: per-label counts and totals, estimated vs realized
-  flops, nnz written, and the planner's fusion/CSE provenance.
+* :func:`per_label_report` is the human-readable table: per-label counts
+  and totals, estimated vs realized flops, nnz written, and the planner's
+  fusion/CSE provenance.
 * :func:`prometheus_text` renders a metrics snapshot as the Prometheus
   text exposition format (counters → ``_total``, histograms → cumulative
   ``_bucket``/``_sum``/``_count``) — the body of the server's plaintext
@@ -19,20 +18,12 @@ bench recorder behind the repo's ``BENCH_*.json`` perf-trajectory files.
   op attributed to it, fused and CSE'd included) and a per-thread
   flamegraph of the raw spans.  No external assets — CI uploads it as an
   artifact that opens anywhere.
-* :class:`BenchRecorder` measures named workloads and writes a stable JSON
-  schema (``repro-bench/1``) so successive PRs' baselines are diffable by
-  machine.
 """
 
 from __future__ import annotations
 
 import html as _html
-import json
-import platform
-import statistics
-import sys
-import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .metrics import BUCKET_BOUNDS
 from .spans import Span
@@ -42,7 +33,6 @@ __all__ = [
     "per_label_report",
     "prometheus_text",
     "timeline_html",
-    "BenchRecorder",
 ]
 
 
@@ -432,87 +422,3 @@ def timeline_html(
         out.append("</div>")
     out.append("</body></html>")
     return "\n".join(out)
-
-
-class BenchRecorder:
-    """Measure named workloads and emit the ``repro-bench/1`` JSON schema.
-
-    Entries carry min/median/mean/max over the measured runs plus free-form
-    metadata (nnz, flops, planner counters), so downstream tooling can
-    diff successive ``BENCH_prN.json`` files without parsing prose.
-    """
-
-    SCHEMA = "repro-bench/1"
-
-    def __init__(self, meta: dict | None = None):
-        self.meta = dict(meta or {})
-        self.entries: list[dict] = []
-
-    def record(self, name: str, seconds: list[float], **extra) -> dict:
-        if not seconds:
-            raise ValueError(f"bench entry {name!r} has no measurements")
-        entry = {
-            "name": name,
-            "runs": len(seconds),
-            "min_s": min(seconds),
-            "median_s": statistics.median(seconds),
-            "mean_s": statistics.fmean(seconds),
-            "max_s": max(seconds),
-        }
-        if extra:
-            entry.update({k: _jsonable(v) for k, v in extra.items()})
-        self.entries.append(entry)
-        return entry
-
-    def measure(
-        self,
-        name: str,
-        fn: Callable[[], object],
-        repeat: int = 5,
-        warmup: int = 1,
-        **extra,
-    ):
-        """Time ``fn()`` *repeat* times (after *warmup* unrecorded runs)."""
-        result = None
-        for _ in range(warmup):
-            result = fn()
-        times = []
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - t0)
-        self.record(name, times, **extra)
-        return result
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "env": {
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-                "numpy": _numpy_version(),
-                "argv": list(sys.argv),
-                **self.meta,
-            },
-            "benchmarks": sorted(self.entries, key=lambda e: e["name"]),
-        }
-
-    def write(self, path) -> dict:
-        """Serialize to *path*; refuses to write an empty baseline."""
-        if not self.entries:
-            raise ValueError("refusing to write an empty bench baseline")
-        doc = self.to_dict()
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        return doc
-
-
-def _numpy_version() -> str:
-    try:
-        import numpy
-
-        return numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dependency
-        return "unknown"

@@ -39,6 +39,7 @@ __all__ = [
     "current_ring",
     "annotate",
     "annotate_add",
+    "wrap_thunk",
 ]
 
 _lock = threading.Lock()
@@ -244,3 +245,40 @@ def annotate_add(key: str, value) -> None:
     if stack:
         attrs = stack[-1].attrs
         attrs[key] = attrs.get(key, 0) + value
+
+
+def wrap_thunk(thunk, label: str, deferred: bool, provenance: dict | None = None):
+    """Instrument *thunk* as an op-body span when a sink is armed.
+
+    *provenance* carries the planner's fusion/CSE/shard rewrite info into
+    the span attrs.  With nothing armed the thunk is returned unchanged —
+    the zero-overhead fast path.
+    """
+    sink = current()
+    if sink is None:
+        return thunk
+
+    fast = getattr(sink, "fast_append", None)
+    if fast is not None:
+        # ring-only retention: no capture is watching, so skip the full
+        # span machinery and retain a raw timing tuple
+        def timed_ring():
+            t0 = time.perf_counter()
+            try:
+                thunk()
+            finally:
+                fast(label, "op", t0, time.perf_counter(), provenance,
+                     deferred)
+
+        return timed_ring
+
+    def timed():
+        sp = sink.open(label, "op", deferred=deferred)
+        if provenance:
+            sp.attrs.update(provenance)
+        try:
+            thunk()
+        finally:
+            sink.close(sp)
+
+    return timed

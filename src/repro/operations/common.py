@@ -40,9 +40,7 @@ __all__ = [
     "run_write_pipeline",
     "submit_standard_op",
     "execute_standard",
-    "execute_sharded",
     "execute_chain",
-    "execute_fused",
     "check_output",
     "check_input",
 ]
@@ -220,14 +218,19 @@ def run_write_pipeline(
 
 def execute_standard(
     spec: OpSpec,
-    precomputed: tuple[np.ndarray, np.ndarray] | None = None,
+    t: tuple[np.ndarray, np.ndarray] | None = None,
     capture: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
-    """Run a standard op from its :class:`OpSpec` (the planner's entry point).
+    """Run one standard op from its :class:`OpSpec` — the only single-op
+    executor: eager calls, planned nodes, CSE reuses and shard completions
+    all end here.
 
-    *precomputed* supplies T from a CSE cache (the kernel is skipped);
-    *capture* receives T after the kernel runs so a later duplicate can
-    reuse it.  Either way the write pipeline runs against the spec's own
+    *t* is a precomputed ``(t_keys, t_vals)`` — from the CSE cache or the
+    shard pool — and skips the kernel.  A shard's T arrives *unmasked*;
+    that is value-identical, because mask push-down only ever drops whole
+    output cells and the write pipeline filters T again.  *capture*
+    receives T after the kernel runs so a later duplicate can reuse it.
+    Whatever the source, the write pipeline runs against the spec's own
     output/mask/accum/descriptor.
     """
     d = spec.desc
@@ -237,40 +240,12 @@ def execute_standard(
             nnz_in=int(sum(len(x._content()[0]) for x in spec.inputs)),
         )
     mask_view = build_mask_view(spec.mask, d.mask_complement, d.mask_structure)
-    if precomputed is not None:
-        t_keys, t_vals = precomputed
-        _metrics.registry.inc("op.cse_reuses")
-    else:
-        t_keys, t_vals = spec.kernel(mask_view)
+    if t is None:
+        t = spec.kernel(mask_view)
         if capture is not None:
-            capture(t_keys, t_vals)
+            capture(*t)
     run_write_pipeline(
-        spec.out, spec.mask, spec.accum, d, t_keys, t_vals, spec.t_type,
-        mask_view=mask_view,
-    )
-
-
-def execute_sharded(
-    spec: OpSpec, t_keys: np.ndarray, t_vals: np.ndarray
-) -> None:
-    """Complete a standard op whose T was computed by the shard pool.
-
-    The workers produced T *unmasked* (mask push-down only ever drops
-    whole output cells, never individual products of a surviving cell, so
-    filtering after the fact is value-identical); everything stateful —
-    mask, accumulator, replace/merge write — runs here in the parent,
-    through the very same pipeline the local path uses.
-    """
-    d = spec.desc
-    if _obs_spans.current() is not None:
-        _obs_spans.annotate(
-            kind=spec.kind,
-            sharded=True,
-            nnz_in=int(sum(len(x._content()[0]) for x in spec.inputs)),
-        )
-    mask_view = build_mask_view(spec.mask, d.mask_complement, d.mask_structure)
-    run_write_pipeline(
-        spec.out, spec.mask, spec.accum, d, t_keys, t_vals, spec.t_type,
+        spec.out, spec.mask, spec.accum, d, t[0], t[1], spec.t_type,
         mask_view=mask_view,
     )
 
@@ -312,12 +287,6 @@ def execute_chain(specs: list[OpSpec]) -> None:
     backend.run_chain(specs)
 
 
-def execute_fused(p_spec: OpSpec, q_spec: OpSpec) -> None:
-    """Back-compat entry for a two-element chain (the pre-chain planner's
-    producer→consumer contraction)."""
-    execute_chain([p_spec, q_spec])
-
-
 def submit_standard_op(
     C,
     mask,
@@ -344,8 +313,8 @@ def submit_standard_op(
     *op_token* (the operator's identity), *post* (an apply-style value map),
     *reducer* (a row-reduction monoid) and *selector* (a select predicate
     with its thunk) are planner metadata: they make the op eligible for
-    common-subexpression elimination and for fusion as a consumer.  Ops without them still join the dataflow DAG via the
-    generic spec.
+    common-subexpression elimination and for fusion as a consumer.  Ops
+    without them still join the dataflow DAG via the generic spec.
     """
     d = effective(desc)
     spec = OpSpec(

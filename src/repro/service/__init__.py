@@ -15,7 +15,7 @@ Entry points
 * :class:`TCPClient` — JSON-lines client for the TCP front-end;
 * ``python -m repro.service`` — threaded JSON-lines TCP server;
 * ``python -m repro.service.loadgen`` — deterministic load generator with
-  serial-replay divergence checking and ``repro-bench/1`` output.
+  serial-replay divergence checking.
 """
 
 from __future__ import annotations

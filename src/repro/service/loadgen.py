@@ -16,12 +16,11 @@ live.  That keeps the diff sound even under ``--zipf-s`` mixes where
 concurrent writers stream updates into the shared graph while readers
 hammer a zipf-skewed pool of repeated (memoizable) requests.
 
-Two transports: direct in-process (default; also measures planner
-batching on vs off — or cache on vs off under ``--zipf-s`` — and writes
-a ``repro-bench/1`` baseline) and ``--connect HOST:PORT`` against a
-running ``python -m repro.service`` (CI's service-smoke job).  Exit
-status is non-zero on any request error, divergence, or a cache hit
-rate below ``--min-hit-rate``.
+Two transports: direct in-process (default) and ``--connect HOST:PORT``
+against a running ``python -m repro.service`` (CI's service smoke leg).
+Exit status is non-zero on any request error, divergence, or a cache hit
+rate below ``--min-hit-rate``.  Timing is ``bench/``'s job, not this
+tool's.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from collections import deque
 import math
 
 from .. import obs
-from ..obs import metrics
-from ..obs.export import BenchRecorder, timeline_html
-from ..obs.metrics import percentile
+from ..obs.export import timeline_html
 from .errors import QueueFull
 from .service import Service, ServiceConfig
 from .session import SHARED_PREFIX, SHARED_SESSION
@@ -354,7 +351,6 @@ def run_direct(
         slo_p99_ms=slo_p99_ms, backend=backend, shard_workers=shard_workers,
         cache=cache, diag_dir=diag_dir,
     ))
-    before = metrics.registry.snapshot()
     try:
         _setup_shared(svc, seed)
         results: list[list] = [[] for _ in streams]
@@ -402,17 +398,12 @@ def run_direct(
         diag_st = svc.diag_stats()
     finally:
         svc.shutdown()
-    delta = metrics.MetricsRegistry.delta(before, metrics.registry.snapshot())
-    lat = delta["histograms"].get("service.latency_us")
     return {
         "results": results,
         "errors": errors,
         "elapsed_s": elapsed,
         "stats": stats,
         "diag": diag_st,
-        "counters": delta["counters"],
-        "latency_p50_us": percentile(lat, 0.50) if lat else None,
-        "latency_p99_us": percentile(lat, 0.99) if lat else None,
     }
 
 
@@ -706,12 +697,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--queue-capacity", type=int, default=64)
     p.add_argument("--pipeline", type=int, default=8,
                    help="per-client in-flight request window (direct mode)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timed repetitions per bench entry (direct mode)")
     p.add_argument("--connect", metavar="HOST:PORT", default=None,
                    help="drive a running TCP server instead of in-process")
-    p.add_argument("--bench-out", default=None,
-                   help="write a repro-bench/1 JSON baseline here")
     p.add_argument("--trace-out", default=None,
                    help="write a Chrome trace of one serving window here")
     p.add_argument("--timeline-out", default=None,
@@ -879,65 +866,6 @@ def main(argv: list[str] | None = None) -> int:
         for ci, oi, what in divergences[:10]:
             print(f"  DIVERGENCE client {ci} op {oi}: {what}")
         print(f"  {len(divergences)} divergences", flush=True)
-
-    if args.bench_out and not args.connect:
-        rec = BenchRecorder(meta={
-            "workload": "service.loadgen",
-            "seed": args.seed,
-            "clients": args.clients,
-            "requests": total,
-            "backend": args.backend,
-            "mix": mix,
-        })
-
-        def timed(name: str, bench_streams: list[list], **kw) -> None:
-            times, extra = [], {}
-            for _ in range(args.repeat):
-                run = run_direct(
-                    bench_streams, seed=args.seed, workers=args.workers,
-                    queue_capacity=args.queue_capacity,
-                    pipeline=args.pipeline, backend=args.backend,
-                    shard_workers=args.shard_workers, **kw,
-                )
-                times.append(run["elapsed_s"])
-                cache_stats = run["stats"].get("cache")
-                extra = {
-                    "qps": total / run["elapsed_s"],
-                    "batches": run["counters"].get("service.batches", 0),
-                    "mean_batch": (
-                        run["counters"].get("service.batch_size", 0)
-                        / max(1, run["counters"].get("service.batches", 0))
-                    ),
-                    "p50_us": run["latency_p50_us"],
-                    "p99_us": run["latency_p99_us"],
-                    "errors": len(run["errors"]),
-                    "hit_rate": (cache_stats or {}).get("hit_rate", 0.0),
-                }
-            rec.record(name, times, **extra)
-
-        if zipf_mode:
-            # cache on vs off on the skewed (memoizable) mix, plus the
-            # 0%-hit-rate unique control: the cache must win the former
-            # and stay out of the way on the latter
-            for on in (True, False):
-                timed(f"service.loadgen.zipf_cache_{'on' if on else 'off'}",
-                      streams, cache=on)
-            unique_streams = build_zipf_streams(
-                args.seed, args.clients, args.requests,
-                zipf_s=args.zipf_s if args.zipf_s is not None else 1.2,
-                write_rate=args.write_rate, unique=True,
-            )
-            for on in (True, False):
-                timed(f"service.loadgen.unique_cache_{'on' if on else 'off'}",
-                      unique_streams, cache=on)
-        else:
-            for batching in (True, False):
-                timed(
-                    f"service.loadgen.batching_{'on' if batching else 'off'}",
-                    streams, batching=batching,
-                )
-        rec.write(args.bench_out)
-        print(f"bench baseline -> {args.bench_out}", flush=True)
 
     if (args.trace_out or args.timeline_out) and not args.connect:
         with obs.capture() as cap:

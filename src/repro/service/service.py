@@ -68,14 +68,10 @@ class ServiceConfig:
     batching: bool = True
     #: default per-request timeout in seconds (None → no deadline)
     default_timeout: float | None = None
-    #: execution mode of newly opened session contexts
-    session_mode: context.Mode = context.Mode.NONBLOCKING
     #: start the worker pool in __init__ (tests may start manually)
     autostart: bool = True
     #: rolling-window p99 latency target in milliseconds (None → no SLO)
     slo_p99_ms: float | None = None
-    #: width of the SLO observation window in seconds
-    slo_window_s: float = 60.0
     #: kernel execution backend for drained batches
     #: (``serial`` | ``threads`` | ``processes`` — see :mod:`repro.parallel`)
     backend: str = "threads"
@@ -88,18 +84,10 @@ class ServiceConfig:
     #: cross-request result cache (memoization of cacheable reads on
     #: shared graphs, keyed by snapshot version + canonical program hash)
     cache: bool = True
-    #: LRU byte budget of the result cache
-    cache_bytes: int = 64 * 1024 * 1024
     #: install the diagnostics layer (flight recorder + anomaly detector)
     diag: bool = True
     #: flight-recorder dump directory (None → $REPRO_DIAG_DIR or tmpdir)
     diag_dir: str | None = None
-    #: flight-recorder ring capacity (spans retained)
-    diag_capacity: int = 4096
-    #: dump horizon: only spans younger than this many seconds are written
-    diag_horizon_s: float = 30.0
-    #: rate limit between *automatic* dumps (explicit ``dump`` bypasses)
-    diag_min_dump_interval_s: float = 5.0
 
     def worker_count(self) -> int:
         if self.workers:
@@ -137,21 +125,17 @@ class Service:
         # a new version per mutating request
         self.snapshots = SnapshotStore()
         self.memo: ResultCache | None = (
-            ResultCache(config.cache_bytes) if config.cache else None
+            ResultCache() if config.cache else None
         )
         # incremental-algorithm handles over shared graphs, advanced in
         # lock-step with snapshot publications by streaming edge deltas
         self.streams = StreamState()
         # mutations to shared graphs queue through the shared session — the
         # only path that sees (and builds) unpublished working state
-        self._shared = Session(
-            SHARED_SESSION,
-            capacity=config.queue_capacity,
-            mode=config.session_mode,
-        )
+        self._shared = Session(SHARED_SESSION, capacity=config.queue_capacity)
         self._sessions[SHARED_SESSION] = self._shared
         self.slo: SLOTracker | None = (
-            SLOTracker(config.slo_p99_ms * 1e3, window_s=config.slo_window_s)
+            SLOTracker(config.slo_p99_ms * 1e3)
             if config.slo_p99_ms is not None
             else None
         )
@@ -164,10 +148,7 @@ class Service:
         self.last_explain: dict | None = None
         if config.diag:
             self.diag_recorder, self.diag_detector = diag.install(
-                dump_dir=config.diag_dir,
-                capacity=config.diag_capacity,
-                horizon_s=config.diag_horizon_s,
-                min_dump_interval_s=config.diag_min_dump_interval_s,
+                dump_dir=config.diag_dir
             )
         parallel.set_backend(config.backend)
         parallel.set_kernel_backend(config.kernel_backend)
@@ -243,7 +224,10 @@ class Service:
 
     # ------------------------------------------------------------- sessions
     def open_session(
-        self, name: str | None = None, *, mode: context.Mode | None = None
+        self,
+        name: str | None = None,
+        *,
+        mode: context.Mode = context.Mode.NONBLOCKING,
     ) -> str:
         """Create a session; returns its name (generated when omitted)."""
         with self._mu:
@@ -259,9 +243,7 @@ class Service:
                     return name  # reopening an open session is a no-op
                 raise SessionNotFound(f"session {name!r} was closed")
             self._sessions[name] = Session(
-                name,
-                capacity=self.config.queue_capacity,
-                mode=mode or self.config.session_mode,
+                name, capacity=self.config.queue_capacity, mode=mode
             )
             return name
 

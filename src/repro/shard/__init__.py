@@ -19,7 +19,6 @@ Modules
 ``pool``       persistent spawn pool, master/worker dispatch, crash → Panic
 ``merge``      stripe concat + k-tile monoid merge rules
 ``scheduler``  per-DAG-level orchestration, publication cache, obs wiring
-``bench``      serial vs processes scaling benchmark (BENCH_pr6.json)
 """
 
 from .layout import BlockLayout, attach_csr, publish_csr

@@ -14,11 +14,12 @@ Called by :class:`repro.execution.planner.driver.ExecutionPlan` when the
    the unshippable nodes locally meanwhile-ordered, and merges each node's
    partials back into the canonical flat-key stream
    (:mod:`repro.shard.merge`);
-4. completes each node through the ordinary write pipeline
-   (``execute_sharded``: mask, accumulator, replace/merge semantics all
-   run in the parent), under the same span/accounting wrapping local
-   runners get — so request attribution and Chrome-trace export keep
-   working, now with per-worker lanes.
+4. completes each node through the one executor
+   (``execute_standard(spec, t=...)``: mask, accumulator, replace/merge
+   semantics all run in the parent), instrumented by the same
+   :func:`~repro.execution.planner.driver.instrument` local runners get —
+   so request attribution and Chrome-trace export keep working, now with
+   per-worker lanes.
 
 Failure semantics mirror the thread scheduler: a failing node is recorded
 and its siblings still run; the first failure in program order is re-raised
@@ -156,8 +157,8 @@ def run_level(nodes) -> list:
     """Execute one level; returns ``[(node, exc), ...]`` sorted in program
     order (empty when everything succeeded).  Raises ``Panic`` if the pool
     dies — the driver treats that as failing the entire level."""
-    from ..execution.trace import wrap_thunk
-    from ..operations.common import execute_sharded
+    from ..execution.planner.driver import instrument
+    from ..operations.common import execute_standard
 
     plans = []
     local_nodes = []
@@ -238,7 +239,6 @@ def run_level(nodes) -> list:
                         seconds=r.seconds, flops=r.flops,
                     )
 
-        acct = _tracing.current_accounting()
         for plan in plans:
             node = plan.node
             node_results = [
@@ -260,13 +260,16 @@ def run_level(nodes) -> list:
 
             def completion(plan=plan, t=t, flops=flops):
                 _tracing.tally_flops(flops)
-                execute_sharded(plan.spec, t[0], t[1])
+                execute_standard(plan.spec, t=t)
 
-            prov = dict(node.shard.get("prov") or {})
-            prov["shard"] = {
-                "tasks": len(plan.tasks),
-                "merge": plan.merge,
-                "flops": flops,
+            prov = {
+                **node.shard["prov"],
+                "sharded": True,
+                "shard": {
+                    "tasks": len(plan.tasks),
+                    "merge": plan.merge,
+                    "flops": flops,
+                },
             }
             col = _explain.current_explain()
             if col is not None:
@@ -276,13 +279,10 @@ def run_level(nodes) -> list:
                     merge=plan.merge,
                     workers=sorted({r.worker_id for r in node_results}),
                 )
-            runner = wrap_thunk(
-                completion, node.label, deferred=True, provenance=prov
+            attempt(
+                node,
+                instrument(completion, node.label, prov, node.shard["rids"]),
             )
-            rids = node.shard.get("rids") or []
-            if acct is not None:
-                runner = acct.wrap(runner, rids)
-            attempt(node, runner)
 
         if lv_sp is not None:
             lv_sp.attrs.update(pool_seconds=round(pool_wall, 6))

@@ -55,6 +55,12 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("exec_mode", list(EXEC_MODES), indirect=True)
 
 
+def op_count(cap, label: str | None = None) -> int:
+    """Op-body spans an ``obs.capture()`` recorded (all, or under *label*)."""
+    ops = cap.spans_of("op")
+    return len(ops) if label is None else sum(sp.label == label for sp in ops)
+
+
 def random_matrix(
     rng,
     nrows: int,

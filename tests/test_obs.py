@@ -2,7 +2,7 @@
 
 Covers the obs core (arming discipline, span nesting, counter deltas),
 the Chrome trace-event exporter's structural contract, the per-label
-report's fusion/CSE provenance lines, the BenchRecorder schema, and —
+report's fusion/CSE provenance lines, and —
 the acceptance scenario — the paper's betweenness-centrality example
 running under ``obs.capture()`` end to end.
 """
@@ -16,7 +16,6 @@ import pytest
 
 import repro as grb
 from repro import context, obs
-from repro.execution.trace import trace
 from repro.info import InvalidValue
 
 from tests.conftest import random_matrix
@@ -58,10 +57,8 @@ class TestArming:
             obs.metrics.registry.disable()
 
     def test_wrap_thunk_identity_when_disarmed(self):
-        from repro.execution.trace import wrap_thunk
-
         thunk = lambda: None
-        assert wrap_thunk(thunk, "x", deferred=False) is thunk
+        assert obs.spans.wrap_thunk(thunk, "x", deferred=False) is thunk
 
     def test_exception_inside_capture_still_disarms(self):
         with pytest.raises(RuntimeError):
@@ -72,11 +69,9 @@ class TestArming:
 
 
 class TestTraceLeakRegression:
-    """Satellite: ``trace.__enter__`` must not leak its armed state.
-
-    The pre-obs tracer set the global tracer *before* reading
-    ``context.queue_stats()``; a raise there left the global armed and
-    every later ``trace()`` died with InvalidValue forever.
+    """``capture.__enter__`` must not leak its armed state: a raise while
+    reading ``context.queue_stats()`` once left the global sink armed and
+    every later capture died with InvalidValue forever.
     """
 
     def test_enter_failure_disarms(self, monkeypatch):
@@ -85,14 +80,14 @@ class TestTraceLeakRegression:
 
         monkeypatch.setattr(context, "queue_stats", explode)
         with pytest.raises(RuntimeError, match="stats backend"):
-            with trace():
+            with obs.capture():
                 pass
         monkeypatch.undo()
 
-        # the regression: this second trace() raised InvalidValue
-        with trace() as t:
+        # the regression: this second capture raised InvalidValue
+        with obs.capture() as cap:
             pass
-        assert t.count() == 0
+        assert cap.spans_of("op") == []
         assert obs.spans.current() is None
 
     def test_enter_failure_restores_metrics_flag(self, monkeypatch):
@@ -304,44 +299,6 @@ class TestReport:
         assert "spgemm" in report and "kernel" in report
         assert "kernel.flops_realized" in report
         assert "flops est/real" in report
-
-
-# --------------------------------------------------------------------------
-# Bench recorder
-# --------------------------------------------------------------------------
-
-class TestBenchRecorder:
-    def test_schema_and_stats(self, tmp_path):
-        rec = obs.BenchRecorder(meta={"suite": "unit"})
-        rec.record("w1", [0.2, 0.1, 0.3], nnz=42)
-        path = tmp_path / "bench.json"
-        rec.write(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro-bench/1"
-        (e,) = doc["benchmarks"]
-        assert e["name"] == "w1" and e["runs"] == 3
-        assert e["min_s"] == pytest.approx(0.1)
-        assert e["median_s"] == pytest.approx(0.2)
-        assert e["max_s"] == pytest.approx(0.3)
-        assert e["nnz"] == 42
-        assert "python" in doc["env"]
-
-    def test_measure_runs_and_records(self):
-        calls = []
-        rec = obs.BenchRecorder()
-        rec.measure("m", lambda: calls.append(1), repeat=3, warmup=1)
-        assert len(calls) == 4  # 1 warmup + 3 measured
-        (e,) = rec.entries
-        assert e["runs"] == 3 and e["min_s"] >= 0
-
-    def test_empty_write_refused(self, tmp_path):
-        rec = obs.BenchRecorder()
-        with pytest.raises(ValueError):
-            rec.write(tmp_path / "empty.json")
-
-    def test_empty_record_refused(self):
-        with pytest.raises(ValueError):
-            obs.BenchRecorder().record("w", [])
 
 
 # --------------------------------------------------------------------------

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import repro as grb
-from repro import context, parallel, planner
-from repro.execution import trace
+from repro import context, obs, parallel, planner
 from repro.execution.planner.passes import dead_op_pass
 from repro.execution.sequence import DeferredOp, SequenceQueue
 
-from tests.conftest import random_matrix, random_vector
+from tests.conftest import op_count, random_matrix, random_vector
 
 
 def _op(log, name, reads=(), writes=None, overwrites=False):
@@ -76,12 +75,12 @@ class TestFusion:
 
         context._reset()
         grb.init(grb.Mode.NONBLOCKING)
-        with trace() as t:
+        with obs.capture() as cap:
             C = build()
             grb.wait()
-        assert t.fused == 1
-        assert t.count("mxm+apply[fused]") == 1
-        assert t.count("mxm") == 0 and t.count("apply") == 0
+        assert cap.queue_delta()["fused"] == 1
+        assert op_count(cap, "mxm+apply[fused]") == 1
+        assert op_count(cap, "mxm") == 0 and op_count(cap, "apply") == 0
         r2, c2, v2 = C.extract_tuples()
         assert np.array_equal(rows, r2) and np.array_equal(cols, c2)
         assert np.array_equal(vals, v2) and vals.dtype == v2.dtype
@@ -105,12 +104,12 @@ class TestFusion:
 
         context._reset()
         grb.init(grb.Mode.NONBLOCKING)
-        with trace() as t:
+        with obs.capture() as cap:
             T, delta = build()
             grb.wait()
-        assert t.fused == 1
-        assert t.count("eWiseMult+reduce[fused]") == 1
-        assert t.count("eWiseAdd") == 1
+        assert cap.queue_delta()["fused"] == 1
+        assert op_count(cap, "eWiseMult+reduce[fused]") == 1
+        assert op_count(cap, "eWiseAdd") == 1
         for got, want in zip((T.extract_tuples(), delta.extract_tuples()), snap_b):
             for g, w in zip(got, want):
                 assert np.array_equal(g, w) and g.dtype == w.dtype
@@ -122,38 +121,38 @@ class TestFusion:
         A = random_matrix(rng, 8, 8, 0.5)
         T = grb.Matrix(grb.INT64, 8, 8)
         delta = grb.Vector(grb.INT64, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(T, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.reduce(delta, None, None, grb.PLUS[grb.INT64], T)
             grb.wait()
-        assert t.fused == 0
-        assert t.count("mxm") == 1 and t.count("reduce") == 1
+        assert cap.queue_delta()["fused"] == 0
+        assert op_count(cap, "mxm") == 1 and op_count(cap, "reduce") == 1
 
     def test_no_fusion_with_second_reader(self, rng):
         grb.init(grb.Mode.NONBLOCKING)
         A = random_matrix(rng, 8, 8, 0.5)
         T = grb.Matrix(grb.INT64, 8, 8)
         C2 = grb.Matrix(grb.INT64, 8, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(T, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.apply(T, None, None, grb.AINV[grb.INT64], T)
             grb.apply(C2, None, None, grb.ABS[grb.INT64], T)
             grb.wait()
         # first apply rewrites T in place, but T is then read again — the
         # in-place pair is still fusable (case a: readers see apply's result)
-        assert t.fused == 1
+        assert cap.queue_delta()["fused"] == 1
 
     def test_fusion_knob_disables(self, rng):
         grb.init(grb.Mode.NONBLOCKING)
         planner.configure(fusion=False)
         A = random_matrix(rng, 8, 8, 0.4)
         C = grb.Matrix(grb.INT64, 8, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.apply(C, None, None, grb.AINV[grb.INT64], C)
             grb.wait()
-        assert t.fused == 0
-        assert t.count("mxm") == 1 and t.count("apply") == 1
+        assert cap.queue_delta()["fused"] == 0
+        assert op_count(cap, "mxm") == 1 and op_count(cap, "apply") == 1
 
 
 class TestCSE:
@@ -176,11 +175,11 @@ class TestCSE:
 
         context._reset()
         grb.init(grb.Mode.NONBLOCKING)
-        with trace() as t:
+        with obs.capture() as cap:
             C1, C2 = build()
             grb.wait()
-        assert t.cse_hits == 1
-        assert t.count("mxm") == 1 and t.count("mxm[cse]") == 1
+        assert cap.queue_delta()["cse"] == 1
+        assert op_count(cap, "mxm") == 1 and op_count(cap, "mxm[cse]") == 1
         for M in (C1, C2):
             got = M.extract_tuples()
             for g, w in zip(got, want):
@@ -193,13 +192,13 @@ class TestCSE:
         B = random_matrix(rng, 8, 8, 0.4)
         C1 = grb.Matrix(grb.INT64, 8, 8)
         C2 = grb.Matrix(grb.INT64, 8, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C1, None, None, s, A, B)
             grb.apply(B, None, None, grb.AINV[grb.INT64], B)  # B changes
             grb.mxm(C2, None, None, s, A, B)
             grb.wait()
-        assert t.cse_hits == 0
-        assert t.count("mxm") == 2
+        assert cap.queue_delta()["cse"] == 0
+        assert op_count(cap, "mxm") == 2
 
     def test_different_accum_still_shares_kernel(self, rng):
         # CSE reuses T; each duplicate runs its own write pipeline, so the
@@ -209,11 +208,11 @@ class TestCSE:
         A = random_matrix(rng, 8, 8, 0.4)
         C1 = grb.Matrix(grb.INT64, 8, 8)
         C2 = grb.Matrix.from_coo(grb.INT64, 8, 8, [0], [0], [100])
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C1, None, None, s, A, A)
             grb.mxm(C2, None, grb.PLUS[grb.INT64], s, A, A)
             grb.wait()
-        assert t.cse_hits == 1
+        assert cap.queue_delta()["cse"] == 1
         # blocking oracle
         context._reset()
         A2 = grb.Matrix.from_coo(grb.INT64, 8, 8, *A.extract_tuples())
@@ -229,11 +228,11 @@ class TestCSE:
         A = random_matrix(rng, 8, 8, 0.4)
         C1 = grb.Matrix(grb.INT64, 8, 8)
         C2 = grb.Matrix(grb.INT64, 8, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C1, None, None, s, A, A)
             grb.mxm(C2, None, None, s, A, A)
             grb.wait()
-        assert t.cse_hits == 0 and t.count("mxm") == 2
+        assert cap.queue_delta()["cse"] == 0 and op_count(cap, "mxm") == 2
 
 
 class TestScheduler:
@@ -244,11 +243,11 @@ class TestScheduler:
         B = random_matrix(rng, 8, 8, 0.4)
         C1 = grb.Matrix(grb.INT64, 8, 8)
         C2 = grb.Matrix(grb.INT64, 8, 8)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C1, None, None, s, A, B)
             grb.mxm(C2, None, None, s, B, A)
             grb.wait()
-        assert t.max_schedule_width >= 2
+        assert cap.queue_delta()["max_width"] >= 2
 
     def test_parallel_dispatch_matches_serial(self):
         s = grb.PLUS_TIMES[grb.INT64]
@@ -319,13 +318,13 @@ class TestKnobs:
         planner.configure(enabled=False)
         A = random_matrix(rng, 6, 6, 0.5)
         C = grb.Matrix(grb.INT64, 6, 6)
-        with trace() as t:
+        with obs.capture() as cap:
             # dead op: would be elided with the planner on
             grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.ewise_add(C, None, None, grb.PLUS[grb.INT64], A, A)
             grb.wait()
-        assert t.elided == 0
-        assert t.count("mxm") == 1 and t.count("eWiseAdd") == 1
+        assert cap.queue_delta()["elided"] == 0
+        assert op_count(cap, "mxm") == 1 and op_count(cap, "eWiseAdd") == 1
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,11 @@ a fused pair.  Each scenario is checked for bit-equality against the
 blocking-mode result."""
 
 import numpy as np
+import pytest
 
 import repro as grb
-from repro import context, planner
-from repro.execution import trace
+from repro import context, obs, parallel, planner
+from repro.obs.diag import explain as diag_explain
 
 from tests.conftest import random_matrix
 
@@ -74,10 +75,10 @@ class TestCseAcrossMutatingAssign:
         want = tuple(_snap(o) for o in self._build())
         context._reset()
         grb.init(grb.Mode.NONBLOCKING)
-        with trace() as t:
+        with obs.capture() as cap:
             objs = self._build()
             grb.wait()
-        assert t.cse_hits == 0, "CSE merged across a mutated input"
+        assert cap.queue_delta()["cse"] == 0, "CSE merged across a mutated input"
         for o, w in zip(objs, want):
             _assert_same(_snap(o), w)
 
@@ -90,11 +91,11 @@ class TestCseAcrossMutatingAssign:
         A = random_matrix(rng, 6, 6, 0.6)
         C1 = grb.Matrix(grb.INT64, 6, 6)
         C2 = grb.Matrix(grb.INT64, 6, 6)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C1, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.mxm(C2, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.wait()
-        assert t.cse_hits == 1
+        assert cap.queue_delta()["cse"] == 1
         _assert_same(_snap(C2), _snap(C1))
 
 
@@ -138,3 +139,107 @@ class TestReplaceMaskOnFusedPair:
             C = self._build()
             grb.wait()
             _assert_same(_snap(C), want)
+
+
+class TestOneExecutor:
+    """Planner-on, planner-off, CSE reuses and shard completions all run
+    ``ExecutionPlan`` nodes through ``execute_standard``: what differs is
+    where T comes from, never the failure contract or the accounting."""
+
+    def _failing_chain(self):
+        def boom(x, y):
+            raise grb.info.OutOfMemory("simulated allocation failure")
+
+        bad = grb.binary_op_new(boom, grb.INT64, grb.INT64, grb.INT64)
+        A = random_matrix(np.random.default_rng(29), 6, 6, 0.5)
+        outs = [grb.Matrix(grb.INT64, 6, 6) for _ in range(4)]
+        grb.mxm(outs[0], None, None, grb.PLUS_TIMES[grb.INT64], A, A)
+        grb.ewise_mult(outs[1], None, None, bad, outs[0], A)  # fails
+        grb.apply(outs[2], None, None, grb.AINV[grb.INT64], outs[1])
+        grb.ewise_add(outs[3], None, None, grb.PLUS[grb.INT64], outs[2], A)
+        return outs
+
+    def _drain_failing(self, **knobs):
+        context._reset()
+        grb.init(grb.Mode.NONBLOCKING)
+        planner.configure(**knobs)
+        outs = self._failing_chain()
+        with pytest.raises(grb.GraphBLASError) as raised:
+            grb.wait()
+        failed = context.current_context().queue.failed_tail
+        poisoned = []
+        for C in outs:
+            try:
+                C.nvals()
+                poisoned.append(False)
+            except grb.InvalidObject:
+                poisoned.append(True)
+        return (
+            type(raised.value),
+            [op.label for op in failed],
+            [outs.index(op.writes) for op in failed],
+            poisoned,
+            context.queue_stats()["executed"],
+        )
+
+    def test_failure_contract_same_with_planner_on_and_off(self):
+        on = self._drain_failing()
+        off = self._drain_failing(enabled=False)
+        assert on == off
+        info, labels, written, poisoned, executed = off
+        assert info is grb.info.OutOfMemory
+        # the failing op first, then everything after it in program order
+        assert labels == ["eWiseMult", "apply", "eWiseAdd"]
+        assert written == [1, 2, 3]
+        assert poisoned == [False, True, True, True]
+        assert executed == 1
+
+    def test_cse_reuse_counts_and_sharded_completion_does_not(self, rng):
+        s = grb.PLUS_TIMES[grb.INT64]
+        A = random_matrix(rng, 24, 24, 0.3)
+        B = random_matrix(rng, 24, 24, 0.3)
+        grb.init(grb.Mode.NONBLOCKING)
+
+        C1, C2 = (grb.Matrix(grb.INT64, 24, 24) for _ in range(2))
+        with obs.capture() as cap:
+            grb.mxm(C1, None, None, s, A, B)
+            grb.mxm(C2, None, None, s, A, B)
+            grb.wait()
+        assert cap.queue_delta()["cse"] == 1
+        assert cap.counters["op.cse_reuses"] == 1
+
+        # a shard completion also hands execute_standard a precomputed T,
+        # but nothing was reused: the counter belongs to the CSE runner
+        parallel.set_backend("processes")
+        parallel.set_parallel_threshold(0)
+        parallel.set_shard_workers(2)
+        C3 = grb.Matrix(grb.INT64, 24, 24)
+        with obs.capture() as cap:
+            grb.mxm(C3, None, None, s, A, B)
+            grb.wait()
+        (sp,) = cap.spans_of("op")
+        assert sp.label == "mxm" and sp.attrs["sharded"] is True
+        assert sp.attrs["kind"] == "mxm" and "nnz_out" in sp.attrs
+        assert cap.counters.get("op.cse_reuses", 0) == 0
+        _assert_same(_snap(C3), _snap(C1))
+
+    def test_planner_off_explain_is_one_plain_node_per_op(self, rng):
+        grb.init(grb.Mode.NONBLOCKING)
+        planner.configure(enabled=False)
+        A = random_matrix(rng, 6, 6, 0.5)
+        C = grb.Matrix(grb.INT64, 6, 6)
+        with diag_explain.collect() as col:
+            # a dead op, a fusable pair and a CSE duplicate: all survive
+            grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
+            grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
+            grb.apply(C, None, None, grb.AINV[grb.INT64], C)
+            grb.wait()
+        (plan,) = col.record()["plans"]
+        assert plan["optimize"] is False
+        assert plan["levels"] == 3 and plan["elided"] == 0
+        assert plan["fused_chains"] == 0 and plan["cse_merged"] == 0
+        assert [n["label"] for n in plan["nodes"]] == ["mxm", "mxm", "apply"]
+        assert [n["kind"] for n in plan["nodes"]] == ["plain"] * 3
+        assert [n["level"] for n in plan["nodes"]] == [0, 1, 2]
+        assert [n["preds"] for n in plan["nodes"]] == [[], [0], [1]]
+        assert context.queue_stats()["max_width"] == 0  # no DAG was built

@@ -1,10 +1,10 @@
-"""Convenience helpers (equality, norms, symmetry) and the execution tracer."""
+"""Convenience helpers (equality, norms, symmetry) and the op-span capture."""
 
 import numpy as np
 import pytest
 
 import repro as grb
-from repro.execution import trace
+from repro import obs
 from repro.utils import (
     is_symmetric,
     matrices_equal,
@@ -14,7 +14,7 @@ from repro.utils import (
     vectors_equal,
 )
 
-from tests.conftest import random_matrix, random_vector
+from tests.conftest import op_count, random_matrix, random_vector
 
 
 class TestEquality:
@@ -101,60 +101,59 @@ class TestNormsAndSymmetry:
         assert not is_symmetric(grb.Matrix(grb.INT64, 2, 3))
 
 
-class TestTracer:
+class TestCapture:
     def test_records_blocking_ops(self, rng):
         A = random_matrix(rng, 6, 6, 0.5)
         C = grb.Matrix(grb.INT64, 6, 6)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
             grb.transpose(C, None, None, C)
-        assert t.count("mxm") == 1
-        assert t.count("transpose") == 1
-        assert t.count() == 2
-        assert all(not r.deferred for r in t.records)
-        assert t.total_seconds() > 0
+        assert op_count(cap, "mxm") == 1
+        assert op_count(cap, "transpose") == 1
+        assert op_count(cap) == 2
+        assert all(not sp.deferred for sp in cap.spans_of("op"))
+        assert sum(sp.seconds for sp in cap.spans_of("op")) > 0
 
     def test_records_deferred_ops_and_elisions(self, rng):
         grb.init(grb.Mode.NONBLOCKING)
         A = random_matrix(rng, 6, 6, 0.5)
         C = grb.Matrix(grb.INT64, 6, 6)
-        with trace() as t:
+        with obs.capture() as cap:
             grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)  # dead
             grb.ewise_add(C, None, None, grb.PLUS[grb.INT64], A, A)
             grb.wait()
-        assert t.count("eWiseAdd") == 1
-        assert t.count("mxm") == 0  # elided: its thunk never ran
-        assert t.elided == 1
-        assert t.drains == 1
-        assert all(r.deferred for r in t.records)
+        assert op_count(cap, "eWiseAdd") == 1
+        assert op_count(cap, "mxm") == 0  # elided: its thunk never ran
+        assert cap.queue_delta()["elided"] == 1
+        assert cap.queue_delta()["drains"] == 1
+        assert all(sp.deferred for sp in cap.spans_of("op"))
 
-    def test_untraced_ops_not_recorded(self, rng):
+    def test_uncaptured_ops_not_recorded(self, rng):
         A = random_matrix(rng, 4, 4, 0.5)
         C = grb.Matrix(grb.INT64, 4, 4)
         grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, A)
-        with trace() as t:
+        with obs.capture() as cap:
             pass
-        assert t.count() == 0
+        assert op_count(cap) == 0
 
-    def test_by_label_and_summary(self, rng):
+    def test_report_aggregates_by_label(self, rng):
         A = random_matrix(rng, 4, 4, 0.5)
         C = grb.Matrix(grb.INT64, 4, 4)
-        with trace() as t:
+        with obs.capture() as cap:
             for _ in range(3):
                 grb.apply(C, None, None, grb.IDENTITY[grb.INT64], A)
-        agg = t.by_label()
-        assert agg["apply"][0] == 3
-        assert "apply" in t.summary() and "x3" in t.summary()
+        assert op_count(cap, "apply") == 3
+        assert "apply" in cap.report()
 
-    def test_nested_trace_rejected(self):
-        with trace():
+    def test_nested_capture_rejected(self):
+        with obs.capture():
             with pytest.raises(grb.InvalidValue):
-                with trace():
+                with obs.capture():
                     pass
 
-    def test_trace_is_reentrant_after_exit(self):
-        with trace() as t1:
+    def test_capture_is_reentrant_after_exit(self):
+        with obs.capture() as c1:
             pass
-        with trace() as t2:
+        with obs.capture() as c2:
             pass
-        assert t1.count() == 0 and t2.count() == 0
+        assert op_count(c1) == 0 and op_count(c2) == 0
