@@ -16,15 +16,11 @@ errors.  Each thread holds a *thread-local activation stack*: pushing a
 context with :func:`activate` makes every module-level function
 (:func:`submit`, :func:`wait`, :func:`complete`, ...) route to it on this
 thread only, so concurrent sessions cannot corrupt each other's mode or
-sequence state.  Cross-thread handoff is explicit and two-part: the
-context object is the routing token (create it on one thread, ``with
-activate(ctx):`` on another), and a *pending sequence* moves between
-threads only through :func:`handoff` / :func:`adopt` — the sending thread
-detaches its deferred ops and pending error as a :class:`Handoff` token,
-the receiving thread splices them ahead of its own.  Without that explicit
-step the paper's per-thread-sequence discipline applies verbatim: each
-thread gets its own queue inside the context, and sequences must not share
-non-read-only objects.
+sequence state.  The context object is the routing token (create it on
+one thread, ``with activate(ctx):`` on another); a *pending sequence*
+belongs to the thread that queued it.  The paper's per-thread-sequence
+discipline applies verbatim: each thread gets its own queue inside the
+context, and sequences must not share non-read-only objects.
 
 :func:`_reset` restores the pristine pre-init state — it is not part of the
 GraphBLAS API and exists for test isolation only.
@@ -57,9 +53,6 @@ __all__ = [
     "current_mode",
     "current_context",
     "activate",
-    "handoff",
-    "adopt",
-    "Handoff",
     "error",
     "submit",
     "complete",
@@ -110,57 +103,10 @@ class Context:
     def pending_error(self, exc: GraphBLASError | None) -> None:
         self._tls.pending_error = exc
 
-    def handoff(self) -> "Handoff":
-        """Detach the calling thread's pending sequence as a handoff token.
-
-        The thread's queue and pending error are removed (it continues
-        with a fresh, empty sequence); the returned :class:`Handoff` is
-        meant to be passed to :meth:`adopt` on exactly one other thread.
-        """
-        token = Handoff(self.queue, self.pending_error)
-        self._tls.queue = SequenceQueue()
-        self._tls.pending_error = None
-        return token
-
-    def adopt(self, token: "Handoff") -> None:
-        """Splice a detached sequence ahead of this thread's own.
-
-        The handed-off ops happened-before anything this thread has queued
-        in program order, so they drain first; a handed-off pending error
-        likewise takes precedence over a local one.
-        """
-        if not isinstance(token, Handoff):
-            raise InvalidValue(
-                f"adopt() needs a Handoff token, got {type(token).__name__}"
-            )
-        self.queue.splice_front(token.queue)
-        if token.error is not None and self.pending_error is None:
-            self.pending_error = token.error
-        token.error = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or hex(id(self))
         return f"<Context {tag} {self.mode.value}>"
 
-
-class Handoff:
-    """A detached sequence in flight between threads.
-
-    Produced by :meth:`Context.handoff` (or the module-level
-    :func:`handoff`), consumed once by :meth:`Context.adopt`
-    (:func:`adopt`).  Carries the pending deferred ops and any
-    not-yet-raised execution error of the sending thread's sequence.
-    """
-
-    __slots__ = ("queue", "error")
-
-    def __init__(self, queue: SequenceQueue, error: GraphBLASError | None):
-        self.queue = queue
-        self.error = error
-
-
-#: Backward-compatible alias — tests and old callers know ``_Context``.
-_Context = Context
 
 _lifecycle_lock = threading.Lock()
 _ctx = Context(Mode.BLOCKING)  # the process-wide default context
@@ -190,11 +136,10 @@ def current_context() -> Context:
 class activate:
     """Make *ctx* the current context on this thread for the ``with`` body.
 
-    This is the cross-thread handoff API: a :class:`Context` built on one
-    thread can be activated on any other — the object itself is the
-    handoff token.  Activations nest (a per-thread stack), so a service
-    worker can run a session's sequence without disturbing whatever the
-    thread's surrounding code had active.
+    A :class:`Context` built on one thread can be activated on any other —
+    the object itself is the routing token.  Activations nest (a per-thread
+    stack), so a service worker can run a session's sequence without
+    disturbing whatever the thread's surrounding code had active.
     """
 
     __slots__ = ("_ctx",)
@@ -218,26 +163,6 @@ class activate:
             s.pop()
         elif self._ctx in s:
             s.remove(self._ctx)
-
-
-def handoff() -> Handoff:
-    """Detach this thread's pending sequence from the current context.
-
-    The explicit half of cross-thread handoff: sequences are per-thread
-    (section IV), so deferred work queued here is otherwise invisible to
-    every other thread — even one activating the same context.  The
-    returned token should be adopted by exactly one receiving thread.
-    """
-    ctx = _current()
-    _check_usable(ctx)
-    return ctx.handoff()
-
-
-def adopt(token: Handoff) -> None:
-    """Adopt a sequence detached by :func:`handoff` on another thread."""
-    ctx = _current()
-    _check_usable(ctx)
-    ctx.adopt(token)
 
 
 def is_initialized() -> bool:

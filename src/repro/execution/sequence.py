@@ -119,6 +119,7 @@ class SequenceQueue:
         self._ops: list[DeferredOp] = []
         self.optimize = optimize
         self.stats = QueueStats()
+        self._failed_tail: list[DeferredOp] = []
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -126,19 +127,6 @@ class SequenceQueue:
     def push(self, op: DeferredOp) -> None:
         self._ops.append(op)
         self.stats.enqueued += 1
-
-    def splice_front(self, other: "SequenceQueue") -> None:
-        """Move *other*'s pending ops ahead of this queue's own.
-
-        Supports explicit cross-thread sequence handoff: the handed-off
-        ops happened-before anything the adopting thread queued, so they
-        run first when the merged sequence drains.
-        """
-        if other is self or not other._ops:
-            return
-        self._ops[:0] = other._ops
-        self.stats.enqueued += len(other._ops)
-        other._ops.clear()
 
     def pending_for(self, obj: Any) -> bool:
         """Is *obj* written by any queued op (i.e. not yet *complete*)?"""
@@ -197,4 +185,4 @@ class SequenceQueue:
 
     @property
     def failed_tail(self) -> list[DeferredOp]:
-        return getattr(self, "_failed_tail", [])
+        return self._failed_tail

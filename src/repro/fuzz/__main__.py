@@ -53,7 +53,7 @@ def _parse_args(argv):
                    help="all 16 planner-pass combinations (slower)")
     p.add_argument("--processes", action="store_true",
                    help="add the sharded multi-process backend to the "
-                        "differential pair (2-worker pool, 2x2 grid)")
+                        "differential pair (2-worker pool)")
     p.add_argument("--codegen", action="store_true",
                    help="run every planner ablation again under the codegen "
                         "kernel backend (generated fused kernels must stay "

@@ -59,7 +59,7 @@ class ExecMode:
     planner: tuple = ()
     #: execution backend for the run ("serial" | "threads" | "processes");
     #: "processes" drops the parallel threshold to 0 and forces a small
-    #: 2-worker / (2, 2)-grid pool so every shippable op actually shards
+    #: 2-worker pool so every shippable op actually shards
     backend: str = "threads"
     #: kernel backend for the run ("interpreter" | "codegen")
     kernel_backend: str = "interpreter"
@@ -548,7 +548,6 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         parallel.get_backend(),
         parallel.parallel_threshold(),
         parallel.shard_workers(),
-        parallel.shard_grid(),
         parallel.get_kernel_backend(),
     )
     try:
@@ -562,12 +561,10 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         if mode.kernel_backend != "interpreter":
             parallel.set_kernel_backend(mode.kernel_backend)
         if mode.backend == "processes":
-            # make sharding bite on fuzz-sized programs: no threshold, a
-            # 2-worker pool, and a forced 2×2 grid so the tile-merge path
-            # (exact domains) is exercised, not just stripes
+            # make sharding bite on fuzz-sized programs: no threshold
+            # and a 2-worker pool
             parallel.set_parallel_threshold(0)
             parallel.set_shard_workers(2)
-            parallel.set_shard_grid((2, 2))
         env = Env()
         dtypes = {d.name: d.dtype for d in program.decls}
         scalars: list[Any] = []
@@ -598,8 +595,7 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         parallel.set_backend(prior[0])
         parallel.set_parallel_threshold(prior[1])
         parallel.set_shard_workers(prior[2])
-        parallel.set_shard_grid(prior[3])
-        parallel.set_kernel_backend(prior[4])
+        parallel.set_kernel_backend(prior[3])
         context._reset()
 
 

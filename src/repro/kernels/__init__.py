@@ -6,8 +6,8 @@ package decides *how* the result T of each planned node is computed.  Two
 suites register at import:
 
 * ``interpreter`` — the hand-written numpy kernels (default);
-* ``codegen`` — compiles eligible fused chains to generated kernels with
-  an on-disk source cache, falling back to the interpreter per chain.
+* ``codegen`` — compiles eligible fused chains to generated kernels (once
+  per process per chain shape), falling back to the interpreter per chain.
 
 Select with ``repro.parallel.set_kernel_backend("codegen")`` (or the
 service's ``kernel_backend`` config field).  Out-of-tree suites — e.g. a
@@ -17,7 +17,7 @@ SuiteSparse binding — subclass :class:`KernelBackend` and call
 
 from __future__ import annotations
 
-from .chain import chain_key, chain_signature, is_stream_link, overwrite_shaped
+from .chain import chain_signature, is_stream_link, overwrite_shaped
 from .codegen import CodegenBackend
 from .interface import (
     KernelBackend,
@@ -35,7 +35,6 @@ __all__ = [
     "active_backend",
     "available_backends",
     "chain_signature",
-    "chain_key",
     "is_stream_link",
     "overwrite_shaped",
 ]

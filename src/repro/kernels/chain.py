@@ -20,11 +20,10 @@ Two layers of eligibility live here:
   operators or domains, bind-style applies, binop reducers) and the
   interpreter must run it.
 
-The signature doubles as the cache identity: :func:`chain_key` feeds it —
-with the cache schema version and the kernel flavor — through
-:func:`repro.execution.planner.canonical.digest`, so alpha-renaming
+The signature is also the identity of a compiled kernel (codegen keys its
+map on the flavor plus the signature's fields), so alpha-renaming
 temporaries or reordering independent ops (which leave the chain's own
-structure untouched) share a key, while any change to an operator,
+structure untouched) share a kernel, while any change to an operator,
 accumulator, mask kind, REPLACE bit, or dtype splits it.
 """
 
@@ -33,17 +32,11 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = [
-    "CACHE_VERSION",
     "is_stream_link",
     "overwrite_shaped",
     "chain_signature",
-    "chain_key",
     "numba_eligible",
 ]
-
-#: bumped whenever generated source would change shape — stale on-disk
-#: entries from older versions are ignored and rewritten
-CACHE_VERSION = 1
 
 
 def is_stream_link(spec) -> bool:
@@ -216,14 +209,6 @@ def chain_signature(specs) -> dict | None:
         },
         "links": links,
     }
-
-
-def chain_key(sig: dict, flavor: str) -> str:
-    """Cache identity of one compiled chain (canonical digest — see
-    :mod:`repro.execution.planner.canonical`)."""
-    from ..execution.planner.canonical import digest
-
-    return digest("repro-kernel", CACHE_VERSION, flavor, sig)
 
 
 # --------------------------------------------------------------------------

@@ -13,20 +13,18 @@ Two flavors, chosen per chain:
   by construction — each generated statement is the interpreter's own
   statement with the link's bindings inlined.
 
-Generated source is cached on disk (:mod:`repro.kernels.cache`) and
-compiled once per process.  Every failure mode — ineligible signature,
-corrupt cache entry, compile error, runtime exception inside a generated
+Each chain shape is generated and compiled once per process and kept in
+one in-memory map; nothing is written to disk.  Every failure mode —
+ineligible signature, compile error, runtime exception inside a generated
 kernel — lands on the interpreter, which is always correct; the codegen
 backend can be slower than the interpreter, never wrong.
 """
 
 from __future__ import annotations
 
-from . import cache
 from .chain import (
     NUMBA_SCALAR_EXPRS,
     _split_op,
-    chain_key,
     chain_signature,
     numba_eligible,
 )
@@ -41,14 +39,9 @@ __all__ = [
     "clear_kernels",
 ]
 
-#: compiled fused_chain callables (or False = known-bad) per cache key
+#: (flavor, frozen signature) → compiled fused_chain callable, or False
+#: for a chain shape known not to compile or to have failed at run time
 _compiled: dict = {}
-
-#: hot-path index: (flavor, frozen signature) → (fn | None, key).  Repeat
-#: dispatches of the same chain shape skip the canonical digest entirely —
-#: the digest stays the *identity* (disk names, cross-process sharing),
-#: this is only a per-process shortcut to it.
-_by_sig: dict = {}
 
 _numba_probe: bool | None = None
 
@@ -68,19 +61,19 @@ def _numba_available() -> bool:
 def clear_kernels() -> None:
     """Drop every per-process compiled kernel (test isolation helper)."""
     _compiled.clear()
-    _by_sig.clear()
 
 
 def _freeze(sig: dict) -> tuple:
     """A hashable flat mirror of a signature — field order is fixed by
-    construction in :func:`chain_signature`, so a straight tuple is enough
-    (and much cheaper than canonicalizing)."""
+    construction in :func:`chain_signature`, so a straight tuple is enough.
+    The thunk enters as the ``repr`` the generated source bakes in: ``1``,
+    ``1.0`` and ``True`` render differently, and a NaN equals itself."""
     p = sig["producer"]
     return (
         p["kind"], p["op"], p["out"], p["mask"], p["replace"],
         tuple(
             (l["role"], l["op"], l["in"], l["t"], l["out"],
-             l["mask"], l["replace"], l["accum"], l.get("thunk"))
+             l["mask"], l["replace"], l["accum"], repr(l.get("thunk")))
             for l in sig["links"]
         ),
     )
@@ -212,8 +205,7 @@ def build_numba_source(sig: dict) -> str:
     commute with the value maps and combine into one up-front AND.
 
     The plain ``import numba`` is deliberate: in a process without numba
-    the module fails to exec, the cache layer reports a failed compile,
-    and the chain is rebuilt under the stitch flavor's own key.
+    the module fails to exec and the chain is marked known-bad.
     """
     dtype = _split_op(sig["links"][0]["in"])[1]
     np_name = _NP_OF[dtype]
@@ -259,13 +251,13 @@ def build_numba_source(sig: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# Compile + cache
+# Compile
 # --------------------------------------------------------------------------
 
-def _compile(source: str, key: str):
+def _compile(source: str):
     ns: dict = {}
     try:
-        exec(compile(source, f"<repro-kernel:{key[:12]}>", "exec"), ns)
+        exec(compile(source, "<repro-kernel>", "exec"), ns)
     except Exception:
         return None
     fn = ns.get("fused_chain")
@@ -273,51 +265,24 @@ def _compile(source: str, key: str):
 
 
 def load_or_build(sig: dict):
-    """``(fused_chain, key)`` for a signature — memory, then disk, then
-    fresh generation (which also rewrites the disk entry).  ``(None, key)``
-    means this chain cannot compile here; run the interpreter."""
-    flavor = (
-        "numba" if _numba_available() and numba_eligible(sig) else "stitch"
-    )
-    fkey = (flavor, _freeze(sig))
-    hit = _by_sig.get(fkey)
-    if hit is not None:
-        return hit
-    key = chain_key(sig, flavor)
+    """``(fused_chain, key)`` for a signature, compiled on first use.
+    ``(None, key)`` means this chain cannot compile here (or its kernel
+    failed at run time); run the interpreter."""
+    if _numba_available() and numba_eligible(sig):
+        flavor, build = "numba", build_numba_source
+    else:
+        flavor, build = "stitch", build_stitch_source
+    key = (flavor, _freeze(sig))
     fn = _compiled.get(key)
-    if fn is not None:
-        out = (None, key) if fn is False else (fn, key)
-        _by_sig[fkey] = out
-        return out
-    source = cache.load_source(key)
-    if source is not None:
-        fn = _compile(source, key)
-        if fn is not None:
-            _compiled[key] = fn
-            _by_sig[fkey] = (fn, key)
-            return fn, key
-        # a well-formed entry with broken source: regenerate and rewrite
-    build = build_numba_source if flavor == "numba" else build_stitch_source
-    source = build(sig)
-    fn = _compile(source, key)
     if fn is None:
-        _compiled[key] = False
-        _by_sig[fkey] = (None, key)
-        return None, key
-    _compiled[key] = fn
-    _by_sig[fkey] = (fn, key)
-    cache.store_source(key, flavor, source)
-    return fn, key
+        fn = _compiled[key] = _compile(build(sig)) or False
+    return fn or None, key
 
 
-def _discard(key: str) -> None:
+def _discard(key: tuple) -> None:
     """A generated kernel misbehaved at run time: never run it again in
-    this process, and drop the disk entry so other processes regenerate."""
+    this process."""
     _compiled[key] = False
-    for fkey, (_, k) in list(_by_sig.items()):
-        if k == key:
-            _by_sig[fkey] = (None, key)
-    cache.invalidate(key)
 
 
 _RT = None

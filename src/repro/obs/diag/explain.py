@@ -142,11 +142,9 @@ def _node_line(node: dict) -> list[str]:
     shard = node.get("shard")
     if shard:
         details.append(
-            "sharded: {tasks} block task(s) on workers {workers}, "
-            "merge={merge}".format(
+            "sharded: {tasks} block task(s) on workers {workers}".format(
                 tasks=shard.get("tasks", "?"),
                 workers=shard.get("workers", "?"),
-                merge=shard.get("merge", "?"),
             )
         )
     return [head] + ["    " + d for d in details]

@@ -5,18 +5,10 @@ the (already shared-memory-attached) CSR, producing *absolute* flat keys —
 so stripe partials concatenate, in stripe order, into exactly the sorted
 key stream the serial kernel emits.  That is the whole bit-identity
 argument, and it is the same one the thread pool relies on in
-:func:`repro.operations._kernels._spgemm_impl`:
-
-* **stripes** (row windows): a window slice of a row-major CSR is the same
-  elements in the same order the full kernel would visit, so every per-row
-  fold is the identical ``segment_reduce`` call.  Holds for *all* domains,
-  floats included.
-* **tiles** (row window × inner-dimension split, SpGEMM only): within one
-  output cell, a k-split cuts the serial product sequence into contiguous
-  sub-runs (CSR column indices are sorted, so products arrive k-ascending);
-  folding the per-tile partials in k order with the additive monoid equals
-  the serial fold whenever the add is exactly associative — hence tiles are
-  gated to bool/integer add-domains and floats stay on stripes.
+:func:`repro.operations._kernels._spgemm_impl`: a row-window slice of a
+row-major CSR is the same elements in the same order the full kernel would
+visit, so every per-row fold is the identical ``segment_reduce`` call.
+Holds for *all* domains, floats included.
 
 Workers always run these *unmasked*: mask push-down only ever drops whole
 output cells (every product of a forbidden destination, never a subset of
@@ -28,14 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._sparseutil import group_starts, ranges_concat, segment_reduce
+from .._sparseutil import group_starts, segment_reduce
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
 from ._kernels import _empty
 
 __all__ = [
     "spgemm_stripe",
-    "spgemm_tile",
     "spmv_stripe",
     "reduce_rows_stripe",
 ]
@@ -58,61 +49,6 @@ def spgemm_stripe(
         a_view, a_vals, b_view, b_vals, semiring, slice(lo, hi), None, acc
     )
     return keys, vals, int(sum(acc))
-
-
-def spgemm_tile(
-    a_view: CSRView,
-    a_vals: np.ndarray,
-    b_view: CSRView,
-    b_vals: np.ndarray,
-    semiring: Semiring,
-    lo: int,
-    hi: int,
-    klo: int,
-    khi: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One 2D tile: rows [lo, hi) of A restricted to inner dim [klo, khi).
-
-    Keys are absolute; partials for the same output cell across k-tiles are
-    merged by :func:`repro.shard.merge.merge_tiles` with the additive
-    monoid, in k order.
-    """
-    out_dtype = semiring.d_out.np_dtype
-    a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
-    if a_lo == a_hi:
-        return (*_empty(out_dtype), 0)
-
-    cols_w = a_view.indices[a_lo:a_hi]
-    sel = (cols_w >= klo) & (cols_w < khi)
-    if not sel.any():
-        return (*_empty(out_dtype), 0)
-    a_cols = cols_w[sel]
-    a_rows = np.repeat(
-        np.arange(lo, hi, dtype=np.int64),
-        np.diff(a_view.indptr[lo : hi + 1]),
-    )[sel]
-    a_v = a_vals[a_lo:a_hi][sel]
-
-    counts = np.diff(b_view.indptr)[a_cols]
-    total = int(counts.sum())
-    if total == 0:
-        return (*_empty(out_dtype), 0)
-    gather = ranges_concat(b_view.indptr[a_cols], counts)
-    out_rows = np.repeat(a_rows, counts)
-    out_cols = b_view.indices[gather]
-    left = np.repeat(a_v, counts)
-    right = b_vals[gather]
-
-    keys = out_rows * np.int64(b_view.ncols) + out_cols
-    prods = semiring.mul.apply_arrays(left, right)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    prods = prods[order]
-    uniq, starts = group_starts(keys)
-    vals = segment_reduce(prods, starts, semiring.add)
-    if not semiring.d_out.is_udt and vals.dtype != out_dtype:
-        vals = vals.astype(out_dtype)
-    return uniq, vals, total
 
 
 def spmv_stripe(

@@ -23,9 +23,7 @@ from .config import (
     set_kernel_backend,
     set_num_threads,
     set_parallel_threshold,
-    set_shard_grid,
     set_shard_workers,
-    shard_grid,
     shard_workers,
     shutdown_pools,
     thread_pool,
@@ -43,8 +41,6 @@ __all__ = [
     "set_parallel_threshold",
     "shard_workers",
     "set_shard_workers",
-    "shard_grid",
-    "set_shard_grid",
     "row_blocks",
     "thread_pool",
     "serial_section",

@@ -43,8 +43,6 @@ __all__ = [
     "set_parallel_threshold",
     "shard_workers",
     "set_shard_workers",
-    "shard_grid",
-    "set_shard_grid",
     "row_blocks",
     "thread_pool",
     "serial_section",
@@ -61,7 +59,7 @@ BACKENDS = ("serial", "threads", "processes")
 KERNEL_BACKENDS = ("interpreter", "codegen")
 DEFAULT_THRESHOLD = 200_000
 #: hard cap on shard workers — deliberately *not* clamped to cpu_count():
-#: oversubscription is how the 2-worker CI grid runs on 1-core runners
+#: oversubscription is how the 2-worker CI leg runs on 1-core runners
 _MAX_SHARD_WORKERS = 64
 
 _backend = "threads"
@@ -71,7 +69,6 @@ _shard_workers = max(1, min(
     int(os.environ.get("REPRO_SHARD_WORKERS", 0) or (os.cpu_count() or 1)),
     _MAX_SHARD_WORKERS,
 ))
-_shard_grid: tuple[int, int] | None = None
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 _handle: "_PoolHandle | None" = None
@@ -138,31 +135,12 @@ def set_shard_workers(n: int) -> None:
 
     Unlike :func:`set_num_threads` this is *not* clamped to the host core
     count: process workers escape the GIL, and CI deliberately runs a
-    2-worker grid on single-core runners to exercise the protocol.
+    2-worker pool on single-core runners to exercise the protocol.
     """
     global _shard_workers
     if n < 1:
         raise InvalidValue("shard worker count must be >= 1")
     _shard_workers = int(min(n, _MAX_SHARD_WORKERS))
-
-
-def shard_grid() -> tuple[int, int] | None:
-    return _shard_grid
-
-
-def set_shard_grid(grid: tuple[int, int] | None) -> None:
-    """Force the 2D (row-stripes × column-splits) block grid for sharded
-    SpGEMM; ``None`` restores the automatic policy (stripes only).  Column
-    splits apply only to exact add-domains (bool/integer), where the
-    semiring-add merge of partial products is bitwise associative."""
-    global _shard_grid
-    if grid is None:
-        _shard_grid = None
-        return
-    pr, pc = int(grid[0]), int(grid[1])
-    if pr < 1 or pc < 1:
-        raise InvalidValue("shard grid dimensions must be >= 1")
-    _shard_grid = (pr, pc)
 
 
 def get_num_threads() -> int:

@@ -46,7 +46,7 @@ from ..obs.diag import explain as diag_explain
 from ..stream import EdgeBuffer
 from ..types.grb_type import lookup_type
 from .errors import BadRequest, DeadlineExceeded, ObjectNotFound
-from .memo import analyze_request, build_entry, materialize
+from .memo import build_entry, materialize
 from .session import SHARED_PREFIX, Session
 from .streams import STREAMABLE_ALGOS
 
@@ -662,8 +662,6 @@ def run_batch(service, session: Session, batch: list) -> None:
                         decision = None
                         if memo is not None and not is_writer and req.version is not None:
                             decision = req.memo_decision
-                            if decision is None:  # admitted before the cache
-                                decision = analyze_request(req.kind, req.payload)
                             if decision.cacheable:
                                 entry = memo.lookup(
                                     req.version.vid, decision.digest

@@ -239,18 +239,18 @@ class ResultCache:
         metrics.registry.inc(f"service.cache.bypass.{reason}")
 
     # ---------------------------------------------------------- invalidation
-    def on_publish(self, new_vid: int, changed: set | None = None) -> None:
+    def on_publish(self, new_vid: int, changed: set) -> None:
         """Reclaim or carry over entries of superseded versions.
 
         Stale entries are already unreachable (readers pin the new
-        version, and the version id is in the key).  Without *changed*
-        (the delta-blind legacy path) every superseded entry is dropped.
-        With *changed* — the set of bare shared names whose objects this
-        publication replaced — entries reading only *untouched* names are
-        **re-keyed** to the new version instead: their result is
-        observationally identical there (copy-on-write keeps untouched
-        objects byte-for-byte the same object), so the cache survives a
-        stream of publishes that never touch what it holds.
+        version, and the version id is in the key).  *changed* is the set
+        of bare shared names whose objects this publication replaced:
+        entries reading any of them are dropped, entries reading only
+        *untouched* names are **re-keyed** to the new version instead —
+        their result is observationally identical there (copy-on-write
+        keeps untouched objects byte-for-byte the same object), so the
+        cache survives a stream of publishes that never touch what it
+        holds.
         """
         reg = metrics.registry
         with self._mu:
@@ -259,7 +259,7 @@ class ResultCache:
             for k, e in self._entries.items():
                 if k[0] >= new_vid:
                     continue
-                if changed is not None and not (e.shared_reads & changed):
+                if not (e.shared_reads & changed):
                     moves.append((k, e))
                 else:
                     dead.append(k)

@@ -2,9 +2,9 @@
 
 Escapes the GIL the way distributed GraphBLAS implementations escape the
 node: data lives in a block distribution (here: shared-memory CSR
-segments, CombBLAS-style 2D in spirit), computation is described by tiny
-shipped descriptors (OpSpecs → :class:`~repro.shard.opspec.ShardTask`),
-and partial results are merged back under the algebra's own monoids.  The
+segments cut into row stripes), computation is described by tiny shipped
+descriptors (OpSpecs → :class:`~repro.shard.opspec.ShardTask`), and the
+stripe partials concatenate back into the serial kernel's key order.  The
 paper's opaque-object design (section III) is what makes the whole
 backend a drop-in: no API surface changes, containers simply complete
 with bit-identical content.
@@ -17,7 +17,7 @@ Modules
 ``opspec``     shippability gate + block task planning
 ``worker``     spawned worker loop (attach → blockwise kernel → reply)
 ``pool``       persistent spawn pool, master/worker dispatch, crash → Panic
-``merge``      stripe concat + k-tile monoid merge rules
+``merge``      stripe concatenation
 ``scheduler``  per-DAG-level orchestration, publication cache, obs wiring
 """
 

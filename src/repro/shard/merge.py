@@ -1,62 +1,27 @@
 """Merging block partials back into the canonical flat-key stream.
 
-Two merge rules, matching the two block shapes:
-
-* **stripes** — partials cover disjoint, ascending row windows with
-  absolute keys, so concatenation in stripe order *is* the globally sorted
-  result.  No arithmetic happens at merge time, hence bitwise identity for
-  every domain (the same argument the thread pool's block concat uses).
-* **tiles** — k-split SpGEMM partials overlap on output cells; the merge
-  folds same-key partials with the semiring's additive monoid, in k order
-  (a stable sort on the concatenation preserves it).  Per output cell the
-  serial kernel folds products in k-ascending order too — CSR column
-  indices are sorted — so the fold-of-contiguous-subfolds equals the
-  serial fold exactly when the add is associative *in machine arithmetic*:
-  the planner only cuts tiles for bool/integer add-domains.
-
-Reductions (matrix→vector) are stripes over row ids; vector keys
-concatenate the same way.
+Partials cover disjoint, ascending row windows with absolute keys, so
+concatenation in stripe order *is* the globally sorted result.  No
+arithmetic happens at merge time, hence bitwise identity for every domain
+(the same argument the thread pool's block concat uses).  Reductions
+(matrix→vector) are stripes over row ids; vector keys concatenate the same
+way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._sparseutil import group_starts, segment_reduce
-
-__all__ = ["concat_stripes", "merge_tiles"]
-
-
-def _empty(out_dtype) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=out_dtype)
+__all__ = ["concat_stripes"]
 
 
 def concat_stripes(parts, out_dtype) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate (keys, vals) partials of ascending disjoint windows."""
     parts = [p for p in parts if len(p[0])]
     if not parts:
-        return _empty(out_dtype)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=out_dtype)
     if len(parts) == 1:
         return parts[0][0], parts[0][1]
     keys = np.concatenate([p[0] for p in parts])
     vals = np.concatenate([p[1] for p in parts])
     return keys, vals
-
-
-def merge_tiles(parts, add_monoid, out_dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Fold same-key partials (given in k order) with the additive monoid."""
-    parts = [p for p in parts if len(p[0])]
-    if not parts:
-        return _empty(out_dtype)
-    if len(parts) == 1:
-        return parts[0][0], parts[0][1]
-    keys = np.concatenate([p[0] for p in parts])
-    vals = np.concatenate([p[1] for p in parts])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    uniq, starts = group_starts(keys)
-    out = segment_reduce(vals, starts, add_monoid)
-    if out.dtype != out_dtype:
-        out = out.astype(out_dtype)
-    return uniq, out

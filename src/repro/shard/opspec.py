@@ -3,7 +3,7 @@
 :func:`plan_node` decides, per DAG node, whether the drain scheduler may
 ship its kernel to the worker pool, and if so cuts it into
 :class:`ShardTask` block tasks.  Tasks carry *descriptors only*: shared
-segment names, row/inner-dim windows, and operator *registry names* —
+segment names, row windows, and operator *registry names* —
 never data and never callables.  Workers rebuild the operator from
 :mod:`repro.algebra.predefined`'s registries, which is why the gate
 demands the spec's operator be the registry's own instance: a user-built
@@ -26,7 +26,7 @@ from ..algebra.monoid import Monoid
 from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
 from ..algebra.semiring import Semiring
 from ..operations._kernels import estimate_flops
-from ..parallel import parallel_threshold, shard_grid, shard_workers, row_blocks
+from ..parallel import parallel_threshold, shard_workers, row_blocks
 from ..types import cast_array
 
 __all__ = ["ShardTask", "NodePlan", "plan_node", "SHIPPABLE_KINDS"]
@@ -56,9 +56,6 @@ class ShardTask:
     v_vals: object | None = None
     #: vxm operand order: multiply runs as v ⊗ A
     swap: bool = False
-    #: inner-dimension window for 2D SpGEMM tiles (None = full stripe)
-    klo: int | None = None
-    khi: int | None = None
 
 
 @dataclass
@@ -68,13 +65,7 @@ class NodePlan:
     node: object
     spec: object
     tasks: list = field(default_factory=list)
-    #: "concat" (stripes, any domain) or "tiles" (k-split, exact domains)
-    merge: str = "concat"
-    #: additive monoid for the tile merge (None when merge == "concat")
-    add_monoid: object = None
     out_dtype: object = None
-    #: tasks-per-stripe (1 for stripes; pc for tiles, stripe-major order)
-    tiles_per_stripe: int = 1
     #: shared segments this plan reads (leased for the level's duration)
     seg_names: tuple = ()
     flops_estimated: int = 0
@@ -90,15 +81,6 @@ def _registry_monoid(op) -> Monoid | None:
     if isinstance(op, Monoid) and MONOID_REGISTRY.get(op.name) is op:
         return op
     return None
-
-
-def _kcuts(inner: int, pc: int) -> list[tuple[int, int]]:
-    bounds = sorted({inner * i // pc for i in range(pc + 1)} | {0, inner})
-    return [
-        (bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-        if bounds[i] < bounds[i + 1]
-    ] or [(0, inner)]
 
 
 def plan_node(node, publish) -> NodePlan | None:
@@ -119,8 +101,7 @@ def plan_node(node, publish) -> NodePlan | None:
         return None
     d = spec.desc
     threshold = parallel_threshold()
-    grid = shard_grid()
-    pr = grid[0] if grid is not None else shard_workers()
+    stripes = shard_workers()
 
     if kind == "mxm":
         sr = _registry_semiring(spec.op_token)
@@ -139,41 +120,28 @@ def plan_node(node, publish) -> NodePlan | None:
             np.add.at(
                 work, a_view.row_ids(), np.diff(b_view.indptr)[a_view.indices]
             )
-        stripes = row_blocks(work, pr)
-        # column (inner-dim) splits only where the semiring-add merge of
-        # partial products is exactly associative: bool/integer domains
-        pc = grid[1] if grid is not None else 1
-        if pc > 1 and spec.t_type.np_dtype.kind not in "biu":
-            pc = 1
         la = publish(A, "csc" if d.transpose0 else "csr", a_view)
         lb = publish(B, "csc" if d.transpose1 else "csr", b_view)
         plan = NodePlan(
             node=node,
             spec=spec,
-            merge="tiles" if pc > 1 else "concat",
-            add_monoid=sr.add if pc > 1 else None,
             out_dtype=spec.t_type.np_dtype,
             seg_names=tuple({la.seg_name, lb.seg_name}),
             flops_estimated=flops,
         )
-        kwins = _kcuts(b_view.nrows, pc) if pc > 1 else [(None, None)]
-        plan.tiles_per_stripe = len(kwins)
-        for blk in stripes:
-            for klo, khi in kwins:
-                plan.tasks.append(
-                    ShardTask(
-                        kind="mxm",
-                        op_name=sr.name,
-                        a=la,
-                        a_type=A.type.name,
-                        lo=blk.start,
-                        hi=blk.stop,
-                        b=lb,
-                        b_type=B.type.name,
-                        klo=klo,
-                        khi=khi,
-                    )
+        for blk in row_blocks(work, stripes):
+            plan.tasks.append(
+                ShardTask(
+                    kind="mxm",
+                    op_name=sr.name,
+                    a=la,
+                    a_type=A.type.name,
+                    lo=blk.start,
+                    hi=blk.stop,
+                    b=lb,
+                    b_type=B.type.name,
                 )
+            )
         return plan
 
     if kind in ("mxv", "vxm"):
@@ -205,7 +173,7 @@ def plan_node(node, publish) -> NodePlan | None:
             seg_names=(la.seg_name,),
             flops_estimated=a_view.nnz,
         )
-        for blk in row_blocks(np.diff(a_view.indptr), pr):
+        for blk in row_blocks(np.diff(a_view.indptr), stripes):
             plan.tasks.append(
                 ShardTask(
                     kind=kind,
@@ -239,7 +207,7 @@ def plan_node(node, publish) -> NodePlan | None:
         seg_names=(la.seg_name,),
         flops_estimated=a_view.nnz,
     )
-    for blk in row_blocks(np.diff(a_view.indptr), pr):
+    for blk in row_blocks(np.diff(a_view.indptr), stripes):
         plan.tasks.append(
             ShardTask(
                 kind="reduce",

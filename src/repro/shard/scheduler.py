@@ -41,7 +41,7 @@ from ..obs.diag import explain as _explain
 from ..parallel import shard_workers
 from . import pool as _pool_mod
 from .layout import publish_csr, stripe_cuts
-from .merge import concat_stripes, merge_tiles
+from .merge import concat_stripes
 from .opspec import plan_node
 from .protocol import Error, Task
 from .shm import registry
@@ -118,18 +118,6 @@ def publication_stats() -> dict:
         "bytes_published": _published_bytes,
         "shm": registry.stats(),
     }
-
-
-def _assemble(plan, parts):
-    """Partials (in task order) → the node's (t_keys, t_vals)."""
-    if plan.merge == "tiles":
-        tps = plan.tiles_per_stripe
-        stripes = [
-            merge_tiles(parts[i : i + tps], plan.add_monoid, plan.out_dtype)
-            for i in range(0, len(parts), tps)
-        ]
-        return concat_stripes(stripes, plan.out_dtype)
-    return concat_stripes(parts, plan.out_dtype)
 
 
 def _emit_task_spans(sink, results) -> None:
@@ -256,7 +244,7 @@ def run_level(nodes) -> list:
                 continue
             parts = [(r.keys, r.vals) for r in node_results]
             flops = sum(r.flops for r in node_results)
-            t = _assemble(plan, parts)
+            t = concat_stripes(parts, plan.out_dtype)
 
             def completion(plan=plan, t=t, flops=flops):
                 _tracing.tally_flops(flops)
@@ -267,7 +255,6 @@ def run_level(nodes) -> list:
                 "sharded": True,
                 "shard": {
                     "tasks": len(plan.tasks),
-                    "merge": plan.merge,
                     "flops": flops,
                 },
             }
@@ -276,7 +263,6 @@ def run_level(nodes) -> list:
                 col.note_shard(
                     node.index,
                     tasks=len(plan.tasks),
-                    merge=plan.merge,
                     workers=sorted({r.worker_id for r in node_results}),
                 )
             attempt(

@@ -42,13 +42,8 @@ def _run_task(task, seg_cache: dict, cast_cache: dict):
         b_view = attach_csr(task.b, seg_cache)
         a_vals = cast(a_view, task.a, task.a_type, sr.d_in1)
         b_vals = cast(b_view, task.b, task.b_type, sr.d_in2)
-        if task.klo is None:
-            return blockwise.spgemm_stripe(
-                a_view, a_vals, b_view, b_vals, sr, task.lo, task.hi
-            )
-        return blockwise.spgemm_tile(
-            a_view, a_vals, b_view, b_vals, sr,
-            task.lo, task.hi, task.klo, task.khi,
+        return blockwise.spgemm_stripe(
+            a_view, a_vals, b_view, b_vals, sr, task.lo, task.hi
         )
     if task.kind in ("mxv", "vxm"):
         sr = SEMIRING_REGISTRY[task.op_name]

@@ -21,7 +21,6 @@ def fresh_context():
     # defaults so ordering between test modules can never matter
     parallel.set_backend("threads")
     parallel.set_parallel_threshold(parallel.config.DEFAULT_THRESHOLD)
-    parallel.set_shard_grid(None)
     parallel.set_kernel_backend("interpreter")
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import repro as grb
 from repro import context, parallel
+from repro.kernels import codegen as cg
 
 
 def _mat(r, dom, n, density=0.35):
@@ -102,39 +103,95 @@ def _pipeline(seed: int, backend: str, nonblocking: bool):
     return snaps, fused
 
 
-@pytest.mark.parametrize(
-    "nonblocking", [False, True], ids=["blocking", "nonblocking"]
-)
-@pytest.mark.parametrize("seed", range(20))
-def test_codegen_bit_identity(seed, nonblocking, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
-    want, fused_i = _pipeline(seed, "interpreter", nonblocking)
-    got, fused_c = _pipeline(seed, "codegen", nonblocking)
-    # the planner is backend-independent: identical chains must form
-    assert fused_i == fused_c
-    if nonblocking:
-        assert fused_i > 0, "pipeline no longer exercises fusion"
+def _assert_same(want, got):
     for w_tup, g_tup in zip(want, got):
         for w_arr, g_arr in zip(w_tup, g_tup):
             assert np.array_equal(w_arr, g_arr, equal_nan=True)
             assert w_arr.dtype == g_arr.dtype
 
 
-def test_codegen_populates_and_reuses_disk_cache(tmp_path, monkeypatch):
-    from repro.kernels import cache as kc
-    from repro.kernels import codegen as cg
+@pytest.mark.parametrize(
+    "nonblocking", [False, True], ids=["blocking", "nonblocking"]
+)
+@pytest.mark.parametrize("seed", range(20))
+def test_codegen_bit_identity(seed, nonblocking):
+    want, fused_i = _pipeline(seed, "interpreter", nonblocking)
+    got, fused_c = _pipeline(seed, "codegen", nonblocking)
+    # the planner is backend-independent: identical chains must form
+    assert fused_i == fused_c
+    if nonblocking:
+        assert fused_i > 0, "pipeline no longer exercises fusion"
+    _assert_same(want, got)
 
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernels"))
-    cg.clear_kernels()
-    kc.clear_memory()
-    _pipeline(0, "codegen", nonblocking=True)
-    entries = list((tmp_path / "kernels").glob("*.json"))
-    assert entries, "no kernels were cached to disk"
-    assert kc.stats()["writes"] == len(entries)
 
-    # a fresh process-level state (memory cleared) must hit the disk cache
+@pytest.fixture
+def fresh_kernels():
+    """Pristine per-process compiled-kernel state around a test."""
     cg.clear_kernels()
-    kc.clear_memory()
+    yield
+    cg.clear_kernels()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Counts every source string handed to the compiler."""
+    calls = []
+    real = cg._compile
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cg, "_compile", counting)
+    return calls
+
+
+def test_codegen_compiles_once_and_writes_no_files(
+    tmp_path, monkeypatch, fresh_kernels, compiles
+):
+    # every place a kernel cache could plausibly land points at tmp_path
+    for var in ("HOME", "XDG_CACHE_HOME", "REPRO_KERNEL_CACHE"):
+        monkeypatch.setenv(var, str(tmp_path))
     _pipeline(0, "codegen", nonblocking=True)
-    assert kc.stats()["disk_hits"] > 0
-    assert kc.stats()["writes"] == 0
+    first = len(compiles)
+    assert first > 0, "pipeline no longer reaches the compiler"
+    _pipeline(0, "codegen", nonblocking=True)
+    assert len(compiles) == first, "a chain shape was compiled twice"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_uncompilable_source_falls_back_and_is_remembered(
+    monkeypatch, fresh_kernels, compiles
+):
+    want, _ = _pipeline(0, "interpreter", nonblocking=True)
+    monkeypatch.setattr(
+        cg, "build_stitch_source", lambda sig: "def fused_chain(:\n"
+    )
+    got, _ = _pipeline(0, "codegen", nonblocking=True)
+    _assert_same(want, got)
+    assert compiles, "no chain reached the compiler"
+    # every shape is now known-bad: the next run compiles nothing
+    assert cg._compiled and not any(cg._compiled.values())
+    del compiles[:]
+    got, _ = _pipeline(0, "codegen", nonblocking=True)
+    _assert_same(want, got)
+    assert compiles == []
+
+
+def test_runtime_exploding_kernel_is_retired(monkeypatch, fresh_kernels):
+    want, _ = _pipeline(0, "interpreter", nonblocking=True)
+    trap = (
+        "def fused_chain(keys, vals, masks, dims):\n"
+        "    raise RuntimeError('boom')\n"
+    )
+    # the trap compiles fine, detonates at run time: the chain must still
+    # complete (interpreter fallback) and the entry must be retired
+    with monkeypatch.context() as m:
+        m.setattr(cg, "build_stitch_source", lambda sig: trap)
+        got, _ = _pipeline(0, "codegen", nonblocking=True)
+    _assert_same(want, got)
+    assert cg._compiled and not any(cg._compiled.values())
+    # retired shapes stay retired even with the real generator back
+    got, _ = _pipeline(0, "codegen", nonblocking=True)
+    _assert_same(want, got)
+    assert not any(cg._compiled.values())

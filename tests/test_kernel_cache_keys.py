@@ -1,12 +1,13 @@
-"""Stability properties of the kernel-cache identity.
+"""Stability properties of the compiled-kernel identity.
 
-The cache key must be *exactly* as discriminating as the generated source:
-programs that differ only in temporary naming, input data, or the order of
-independent operations share a key (alpha-rename/reorder invariance), while
-any change that alters what the kernel computes — semiring, link operator,
+The key of codegen's in-memory kernel map, ``(flavor, _freeze(sig))``, must
+be *exactly* as discriminating as the generated source: programs that
+differ only in temporary naming, input data, or the order of independent
+operations share a key (alpha-rename/reorder invariance), while any change
+that alters what the kernel computes — semiring, link operator,
 accumulator, mask kind, REPLACE bit, dtype, select thunk, flavor — splits
-it.  Too coarse a key serves the wrong kernel; too fine a key defeats the
-cache.  Both directions are pinned here.
+it.  Too coarse a key serves the wrong kernel; too fine a key compiles the
+same kernel twice.  Both directions are pinned here.
 """
 
 from __future__ import annotations
@@ -16,8 +17,14 @@ import pytest
 
 import repro as grb
 from repro import context, parallel
-from repro.kernels import KernelBackend, chain_key, chain_signature, register_backend
+from repro.kernels import KernelBackend, chain_signature, register_backend
+from repro.kernels.codegen import _freeze
 from repro.kernels.interpreter import interpret_chain
+
+
+def _key(sig, flavor="stitch") -> tuple:
+    """The key :func:`repro.kernels.codegen.load_or_build` files *sig* under."""
+    return (flavor, _freeze(sig))
 
 
 class RecordingBackend(KernelBackend):
@@ -49,7 +56,7 @@ def _keys_for(program, seed=7) -> list[tuple]:
     grb.wait()
     sigs = [s for s in _RECORDER.sigs if s is not None]
     assert sigs, "program formed no codegen-eligible chain"
-    return [(s, chain_key(s, "stitch")) for s in sigs]
+    return [(s, _key(s)) for s in sigs]
 
 
 def _mat(r, dom, n=12, density=0.4):
@@ -103,12 +110,13 @@ class TestInvariance:
         )
 
     def test_signature_never_leaks_live_objects(self):
-        # the signature must be pure data (JSON-able), or the disk cache
-        # and cross-process sharing could not exist
+        # the signature must be pure data (JSON-able) and its key hashable:
+        # a live object in either would pin containers in the kernel map
         import json
 
-        for sig, _ in _keys_for(lambda r: _chain(r)):
+        for sig, key in _keys_for(lambda r: _chain(r)):
             json.dumps(sig)
+            hash(key)
 
 
 class TestSplitting:
@@ -150,18 +158,18 @@ class TestSplitting:
         a = {k for _, k in _keys_for(lambda r: _chain(r, thunk=0.25))}
         b = {k for _, k in _keys_for(lambda r: _chain(r, thunk=0.75))}
         assert a != b
+        # the key follows the thunk as the source renders it: 1 and 1.0
+        # hash alike but print differently; NaN differs from itself but
+        # must not file the same chain under a fresh key per dispatch
+        one = {k for _, k in _keys_for(lambda r: _chain(r, thunk=1))}
+        one_f = {k for _, k in _keys_for(lambda r: _chain(r, thunk=1.0))}
+        assert one != one_f
+        nan = lambda r: _chain(r, thunk=float("nan"))  # noqa: E731
+        assert [k for _, k in _keys_for(nan)] == [k for _, k in _keys_for(nan)]
 
     def test_flavor_splits_the_key(self):
         (sig, stitch_key), *_ = _keys_for(self.BASE)
-        assert chain_key(sig, "numba") != stitch_key
-
-    def test_cache_version_is_part_of_the_key(self, monkeypatch):
-        from repro.kernels import chain as chain_mod
-
-        (sig, key), *_ = _keys_for(self.BASE)
-        monkeypatch.setattr(chain_mod, "CACHE_VERSION",
-                            chain_mod.CACHE_VERSION + 1)
-        assert chain_key(sig, "stitch") != key
+        assert _key(sig, "numba") != stitch_key
 
 
 class TestOpNameSplitting:

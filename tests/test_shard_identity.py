@@ -3,8 +3,7 @@
 Mirrors the planner's randomized-sequence equivalence suite: the same
 data-only programs run once blocking (the oracle) and once nonblocking
 under the ``processes`` backend — 2-worker pool, threshold 0 so every
-shippable kernel actually ships, and a 2×2 grid so integer SpGEMM
-exercises the 2D tile merge.  Results must match the oracle
+shippable kernel actually ships.  Results must match the oracle
 bit-for-bit, dtypes included: sharding is an execution strategy, never
 a semantic (section III-B).
 """
@@ -25,13 +24,11 @@ def _run_processes(steps, seed: int):
     parallel.set_backend("processes")
     parallel.set_parallel_threshold(0)
     parallel.set_shard_workers(2)
-    parallel.set_shard_grid((2, 2))
     try:
         return _run_program(steps, seed, nonblocking=True)
     finally:
         parallel.set_backend("threads")
         parallel.set_parallel_threshold(parallel.config.DEFAULT_THRESHOLD)
-        parallel.set_shard_grid(None)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -47,7 +44,7 @@ def test_sharded_sequences_bit_identical(seed):
             assert w_arr.dtype == g_arr.dtype
 
 
-def _mxm_both_ways(rng, domain, grid):
+def _mxm_both_ways(rng, domain):
     """(blocking tuples, sharded tuples, tasks shipped) for one mxm."""
     from repro.shard import pool_stats
 
@@ -63,7 +60,6 @@ def _mxm_both_ways(rng, domain, grid):
             parallel.set_backend("processes")
             parallel.set_parallel_threshold(0)
             parallel.set_shard_workers(2)
-            parallel.set_shard_grid(grid)
         A = grb.Matrix.from_coo(domain, n, n, *At)
         B = grb.Matrix.from_coo(domain, n, n, *Bt)
         C = grb.Matrix(domain, n, n)
@@ -79,26 +75,24 @@ def _mxm_both_ways(rng, domain, grid):
     finally:
         parallel.set_backend("threads")
         parallel.set_parallel_threshold(parallel.config.DEFAULT_THRESHOLD)
-        parallel.set_shard_grid(None)
     shipped = pool_stats()["tasks_done"] - before
     return want, got, shipped
 
 
-def test_int_mxm_tile_merge_bit_identical(rng):
-    """Integer SpGEMM under a 2×2 grid takes the k-split tile-merge path
-    (4 tasks, semiring-add of partial products) and stays exact."""
-    want, got, shipped = _mxm_both_ways(rng, grb.INT64, (2, 2))
-    assert shipped == 4
+def test_int_mxm_stripes_bit_identical(rng):
+    """Integer SpGEMM ships as one row stripe per worker and stays exact."""
+    want, got, shipped = _mxm_both_ways(rng, grb.INT64)
+    assert shipped == 2
     for w_arr, g_arr in zip(want, got):
         assert np.array_equal(w_arr, g_arr)
         assert w_arr.dtype == g_arr.dtype
 
 
 def test_float_mxm_stays_stripes_and_bitwise(rng):
-    """FP64 SpGEMM must refuse the k-split (float add is not associative)
-    and still match blocking bitwise via row stripes alone."""
-    want, got, shipped = _mxm_both_ways(rng, grb.FP64, (2, 2))
-    assert shipped == 2  # the requested pc=2 collapses to stripes-only
+    """FP64 SpGEMM matches blocking bitwise via row stripes: no float
+    add happens at merge time, so associativity never comes into it."""
+    want, got, shipped = _mxm_both_ways(rng, grb.FP64)
+    assert shipped == 2
     for w_arr, g_arr in zip(want, got):
         assert np.array_equal(w_arr, g_arr)
         assert w_arr.dtype == g_arr.dtype

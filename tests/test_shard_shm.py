@@ -45,7 +45,6 @@ def _enable_processes() -> None:
     parallel.set_backend("processes")
     parallel.set_parallel_threshold(0)
     parallel.set_shard_workers(2)
-    parallel.set_shard_grid((2, 2))
 
 
 def test_registry_lease_release_discard():

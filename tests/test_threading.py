@@ -111,8 +111,8 @@ class TestPerThreadSequences:
 
 
 class TestContextHandoff:
-    """The thread-local activation stack and the explicit cross-thread
-    handoff API: Context objects are the handoff tokens."""
+    """The thread-local activation stack: a Context object is the token
+    that routes a thread's calls to it."""
 
     def test_activation_stack_is_thread_local(self):
         from repro import context
@@ -132,50 +132,6 @@ class TestContextHandoff:
             t.join()
         assert seen["mode"] is grb.Mode.BLOCKING
         assert seen["ctx"] is not ctx
-
-    def test_explicit_handoff_moves_sequence_between_threads(self):
-        # two threads interleave on ONE context: thread A enqueues deferred
-        # work, detaches it with context.handoff(); thread B adopts the
-        # token and continues the sequence.  Without the explicit step the
-        # per-thread sequence discipline keeps A's queue invisible to B.
-        from repro import context
-
-        ctx = context.Context(context.Mode.NONBLOCKING, name="handoff")
-        A = grb.Matrix.from_dense(grb.INT64, [[1, 2], [3, 4]])
-        baton = threading.Event()
-        done = threading.Event()
-        out = {}
-
-        def thread_a():
-            with context.activate(ctx):
-                C = grb.Matrix(grb.INT64, 2, 2)
-                grb.mxm(C, None, None, predefined.PLUS_TIMES[grb.INT64], A, A)
-                out["C"] = C
-                out["queued_a"] = grb.queue_stats()["enqueued"]
-                out["token"] = context.handoff()
-                # post-handoff this thread's sequence is fresh and empty
-                out["after_handoff"] = len(context.current_context().queue)
-            baton.set()
-            done.wait(timeout=30)
-
-        def thread_b():
-            baton.wait(timeout=30)
-            with context.activate(ctx):
-                context.adopt(out["token"])
-                # B now owns the sequence; completion forces A's op
-                out["result"] = out["C"].to_dense(0)
-                grb.wait()
-            done.set()
-
-        ta = threading.Thread(target=thread_a)
-        tb = threading.Thread(target=thread_b)
-        ta.start(); tb.start()
-        ta.join(timeout=60); tb.join(timeout=60)
-        assert not ta.is_alive() and not tb.is_alive()
-        assert out["queued_a"] == 1
-        assert out["after_handoff"] == 0
-        want = A.to_dense(0) @ A.to_dense(0)
-        assert (out["result"] == want).all()
 
     def test_two_thread_interleaving_isolated_contexts(self):
         # two threads ping-pong operations on two different contexts; each
@@ -217,40 +173,6 @@ class TestContextHandoff:
         want = A.to_dense(0) @ A.to_dense(0)
         for v in out.values():
             assert (v == want).all()
-
-    def test_handoff_carries_pending_error(self):
-        # a failed-but-unraised sequence error travels with the token and
-        # surfaces at the adopting thread's wait() (section V semantics)
-        from repro import context
-
-        def boom(x, y):
-            raise grb.info.OutOfMemory("made on thread A")
-
-        bad = grb.binary_op_new(boom, grb.INT64, grb.INT64, grb.INT64)
-        ctx = context.Context(context.Mode.NONBLOCKING, name="err-handoff")
-        A = grb.Matrix.from_dense(grb.INT64, [[1]])
-        out = {}
-
-        def thread_a():
-            with context.activate(ctx):
-                C = grb.Matrix(grb.INT64, 1, 1)
-                grb.ewise_mult(C, None, None, bad, A, A)
-                out["token"] = context.handoff()
-
-        def thread_b():
-            with context.activate(ctx):
-                context.adopt(out["token"])
-                try:
-                    grb.wait()
-                    out["b"] = "no error"
-                except grb.info.OutOfMemory:
-                    out["b"] = "raised"
-
-        ta = threading.Thread(target=thread_a)
-        ta.start(); ta.join(timeout=60)
-        tb = threading.Thread(target=thread_b)
-        tb.start(); tb.join(timeout=60)
-        assert out["b"] == "raised"
 
     def test_init_rejected_under_session_activation(self):
         from repro import context
