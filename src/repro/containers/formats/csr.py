@@ -37,10 +37,13 @@ class CSRView:
     def row_counts(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def row_ids(self) -> np.ndarray:
-        """Row id of every stored element, in storage order."""
+    def row_ids(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Row id of every stored element of rows [lo, hi) — by default all
+        of them — in storage order."""
+        if hi is None:
+            hi = self.nrows
         return np.repeat(
-            np.arange(self.nrows, dtype=np.int64), np.diff(self.indptr)
+            np.arange(lo, hi, dtype=np.int64), np.diff(self.indptr[lo : hi + 1])
         )
 
 

@@ -47,7 +47,7 @@ class Matrix(OpaqueObject):
 
     __slots__ = (
         "_type", "_nrows", "_ncols", "_keys", "_values", "_csr", "_csc",
-        "_dcsr", "_version",
+        "_dcsr",
     )
 
     def __init__(self, domain: GrBType, nrows: int, ncols: int, *, name: str = ""):
@@ -69,10 +69,6 @@ class Matrix(OpaqueObject):
         self._csr: CSRView | None = None
         self._csc: CSRView | None = None
         self._dcsr: DCSRView | None = None
-        #: bumped on every content mutation — the shard publication cache
-        #: keys shared-memory copies by ``(id(A), A._version)`` so a stale
-        #: block layout can never be shipped after a hazard-ordered write
-        self._version = 0
 
     # ------------------------------------------------------------ metadata
     @property
@@ -115,7 +111,6 @@ class Matrix(OpaqueObject):
         self._csr = None
         self._csc = None
         self._dcsr = None
-        self._version += 1
         self._poisoned = False
 
     def csr(self) -> CSRView:
@@ -202,7 +197,6 @@ class Matrix(OpaqueObject):
                 self._csr = None
                 self._csc = None
                 self._dcsr = None
-                self._version += 1
             else:
                 self._set_content(
                     np.insert(self._keys, pos, key),

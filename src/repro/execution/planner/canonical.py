@@ -30,27 +30,15 @@ one planner drain.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Iterable
 
-__all__ = ["digest", "canonical_json", "DataflowHasher"]
-
-
-def canonical_json(value: Any) -> str:
-    """A deterministic JSON rendering (sorted keys, no whitespace).
-
-    Only JSON-able payloads belong in a canonical digest; anything else
-    (live operator objects, UDT values) must be bypassed by the caller —
-    the cache's "non-registry UDF" rule.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+__all__ = ["digest", "DataflowHasher"]
 
 
 def _feed(h, value: Any) -> None:
-    # type-tagged, length-prefixed streaming encoder: the canonical_json
-    # rendering fed straight into the hasher, without materializing the
-    # JSON string (inputs are many small parts where json.dumps call
-    # overhead dominates)
+    # type-tagged, length-prefixed streaming encoder, fed straight into the
+    # hasher (inputs are many small parts where json.dumps call overhead
+    # would dominate)
     t = type(value)
     if t is str:
         b = value.encode("utf-8")

@@ -110,13 +110,12 @@ def _attach_runners(nodes: list[OpNode], provenance: dict) -> None:
     """Give every node its executable: pick where T comes from, then
     :func:`instrument` it.
 
-    A node computes its internal result T from one of four sources — its
-    own kernel (plain / capture nodes), the CSE cache, a fused chain, or
-    (decided later, per level, by the shard scheduler) the worker pool —
-    and every source ends in the same write pipeline.  Runners are
-    instrumented *now*, at drain time, so a scheduled node records exactly
-    one op span, under a label that makes planner rewrites visible
-    (``mxm+apply[fused]``, ``mxm[cse]``).
+    A node computes its internal result T from its own op (plain /
+    capture nodes — kernel or worker pool, ``execute_standard``'s choice),
+    the CSE cache, or a fused chain, and every source ends in the same
+    write pipeline.  Runners are instrumented *now*, at drain time, so a
+    scheduled node records exactly one op span, under a label that makes
+    planner rewrites visible (``mxm+apply[fused]``, ``mxm[cse]``).
     """
     from ...operations.common import execute_chain, execute_standard
 
@@ -149,9 +148,6 @@ def _attach_runners(nodes: list[OpNode], provenance: dict) -> None:
 
         else:
             run = node.ops[0].thunk
-            # plain single-op nodes are candidates for the sharded backend,
-            # whose completion is instrumented with the same provenance
-            node.shard = {"spec": node.ops[0].spec, "prov": prov, "rids": rids}
         node.runner = instrument(run, node.label, prov, rids)
 
 
@@ -236,11 +232,8 @@ class ExecutionPlan:
         ]
 
     def run(self) -> None:
-        sharded = self._parallel and get_backend() == "processes"
         for lvl, level in enumerate(self._levels):
-            if sharded:
-                self._run_level_sharded(lvl, level)
-            elif self._parallel and len(level) > 1 and get_num_threads() > 1:
+            if self._parallel and len(level) > 1 and get_num_threads() > 1:
                 self._run_level_parallel(lvl, level)
             else:
                 self._run_level_serial(lvl, level)
@@ -253,27 +246,6 @@ class ExecutionPlan:
                 self._fail(lvl, level[pos:])
                 raise
             self._stats.executed += len(node.ops)
-
-    def _run_level_sharded(self, lvl: int, level: list[OpNode]) -> None:
-        # The shard scheduler owns the whole level: it ships what the gate
-        # allows, runs the rest locally, and reports per-node failures with
-        # the same collect-then-first-in-program-order contract as the
-        # thread path.  Anything it *raises* (worker death → Panic) fails
-        # the entire level.
-        from ...shard.scheduler import run_level as _shard_run_level
-
-        try:
-            failures = _shard_run_level(level)
-        except BaseException:
-            self._fail(lvl, level)
-            raise
-        failed = {n.index for n, _ in failures}
-        for node in level:
-            if node.index not in failed:
-                self._stats.executed += len(node.ops)
-        if failures:
-            self._fail(lvl, [n for n, _ in failures])
-            raise failures[0][1]
 
     def _run_level_parallel(self, lvl: int, level: list[OpNode]) -> None:
         # Workers run under serial_section so a node's kernels don't submit

@@ -44,10 +44,6 @@ class OpNode:
     capture: bool = False
     #: the callable the scheduler invokes (attached by the driver)
     runner: Callable[[], None] | None = None
-    #: sharding metadata for plain single-op nodes ({"spec", "prov",
-    #: "rids"}, attached by the driver); None on fused/CSE/capture nodes,
-    #: which always run locally
-    shard: dict | None = None
     level: int = 0
 
     @property

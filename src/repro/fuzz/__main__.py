@@ -52,8 +52,8 @@ def _parse_args(argv):
     p.add_argument("--exhaustive", action="store_true",
                    help="all 16 planner-pass combinations (slower)")
     p.add_argument("--processes", action="store_true",
-                   help="add the sharded multi-process backend to the "
-                        "differential pair (2-worker pool)")
+                   help="add the sharded multi-process backend, nonblocking "
+                        "and blocking (2-worker pool)")
     p.add_argument("--codegen", action="store_true",
                    help="run every planner ablation again under the codegen "
                         "kernel backend (generated fused kernels must stay "
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
         seen = {m.name for m in modes}
         modes = modes + [m for m in codegen_modes() if m.name not in seen]
     if args.processes:
-        modes = modes + [PROCESSES]
+        modes = modes + list(PROCESSES)
     print(f"modes: {', '.join(m.name for m in modes)}")
 
     if args.replay:

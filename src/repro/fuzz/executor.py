@@ -74,9 +74,13 @@ def _nb(name: str, **knobs: bool) -> ExecMode:
 
 BLOCKING = ExecMode("blocking")
 
-#: nonblocking under the full planner with the sharded process backend —
-#: the differential pair that proves blocking vs multi-process bit-identity
-PROCESSES = ExecMode("nb-processes", nonblocking=True, backend="processes")
+#: the sharded process backend under the full planner and under plain
+#: blocking calls — both reach the pool through ``execute_standard``, and
+#: both must stay bit-identical to the oracle
+PROCESSES = (
+    ExecMode("nb-processes", nonblocking=True, backend="processes"),
+    ExecMode("b-processes", backend="processes"),
+)
 
 #: nonblocking under the full planner with the codegen kernel backend —
 #: every eligible fused chain runs through a generated kernel

@@ -4,11 +4,10 @@ actually decided — per node, per request.
 The nonblocking model makes the interesting decisions invisible: by the
 time a client sees its answer, the planner has elided dead ops, fused
 producer→consumer chains, merged CSE duplicates (possibly *across*
-requests in a batched drain), picked a kernel backend, and maybe sharded
-nodes over a process pool.  EXPLAIN records those decisions as they are
-made — a thread-local :class:`ExplainCollector` installed around a drain
-receives one record per built plan — and renders them as JSON or
-human-readable text.
+requests in a batched drain) and picked a kernel backend.  EXPLAIN
+records those decisions as they are made — a thread-local
+:class:`ExplainCollector` installed around a drain receives one record
+per built plan — and renders them as JSON or human-readable text.
 
 Exposure paths (wired in the service layer):
 
@@ -40,22 +39,11 @@ class ExplainCollector:
     def __init__(self):
         self._mu = threading.Lock()
         self.plans: list[dict] = []
-        self._last_nodes: dict[int, dict] = {}
 
     def record_plan(self, record: dict) -> None:
         with self._mu:
             record["plan"] = len(self.plans) + 1
             self.plans.append(record)
-            self._last_nodes = {
-                node["index"]: node for node in record.get("nodes", [])
-            }
-
-    def note_shard(self, node_index: int, **info) -> None:
-        """Attach run-time shard layout to a node of the latest plan."""
-        with self._mu:
-            node = self._last_nodes.get(node_index)
-            if node is not None:
-                node.setdefault("shard", {}).update(info)
 
     def record(self) -> dict:
         with self._mu:
@@ -138,14 +126,6 @@ def _node_line(node: dict) -> list[str]:
     if preds:
         details.append(
             "hazards after: " + ", ".join(str(p) for p in preds)
-        )
-    shard = node.get("shard")
-    if shard:
-        details.append(
-            "sharded: {tasks} block task(s) on workers {workers}".format(
-                tasks=shard.get("tasks", "?"),
-                workers=shard.get("workers", "?"),
-            )
         )
     return [head] + ["    " + d for d in details]
 

@@ -250,8 +250,8 @@ def annotate_add(key: str, value) -> None:
 def wrap_thunk(thunk, label: str, deferred: bool, provenance: dict | None = None):
     """Instrument *thunk* as an op-body span when a sink is armed.
 
-    *provenance* carries the planner's fusion/CSE/shard rewrite info into
-    the span attrs.  With nothing armed the thunk is returned unchanged —
+    *provenance* carries the planner's fusion/CSE rewrite info into the
+    span attrs.  With nothing armed the thunk is returned unchanged —
     the zero-overhead fast path.
     """
     sink = current()

@@ -46,6 +46,7 @@ __all__ = [
     "fused_apply",
     "fused_select",
     "estimate_flops",
+    "spgemm_row_work",
 ]
 
 
@@ -60,6 +61,14 @@ def estimate_flops(a_view: CSRView, b_view: CSRView) -> int:
     return int(np.diff(b_view.indptr)[a_view.indices].sum())
 
 
+def spgemm_row_work(a_view: CSRView, b_view: CSRView) -> np.ndarray:
+    """Per-row share of :func:`estimate_flops` — what :func:`repro.parallel.
+    row_blocks` balances, for the thread pool and the shard pool alike."""
+    work = np.zeros(a_view.nrows, dtype=np.int64)
+    np.add.at(work, a_view.row_ids(), np.diff(b_view.indptr)[a_view.indices])
+    return work
+
+
 def _spgemm_block(
     a_view: CSRView,
     a_vals: np.ndarray,
@@ -72,6 +81,12 @@ def _spgemm_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand–sort–reduce over a contiguous block of A's rows.
 
+    Keys are absolute, so blocks of ascending row windows concatenate into
+    exactly the full call's sorted stream — a row window of a row-major CSR
+    is the same elements in the same order, hence the identical per-row
+    folds, for every domain.  The thread pool and the shard workers both
+    rely on that, here and in :func:`_spmv_push` / :func:`_reduce_rows_impl`.
+
     *acc*, when given, receives this block's realized multiply count (the
     products that survive mask push-down) — ``list.append`` is atomic under
     the GIL, so concurrent blocks report safely without a lock."""
@@ -82,12 +97,7 @@ def _spgemm_block(
         return _empty(out_dtype)
 
     a_cols = a_view.indices[a_lo:a_hi]
-    a_rows = (
-        np.repeat(
-            np.arange(lo, hi, dtype=np.int64),
-            np.diff(a_view.indptr[lo : hi + 1]),
-        )
-    )
+    a_rows = a_view.row_ids(lo, hi)
     counts = np.diff(b_view.indptr)[a_cols]
     total = int(counts.sum())
     if total == 0:
@@ -139,13 +149,7 @@ def _spgemm_impl(
     if nthreads > 1 and not semiring.d_out.is_udt:
         flops = estimate_flops(a_view, b_view)
         if flops >= parallel_threshold():
-            work = np.zeros(a_view.nrows, dtype=np.int64)
-            np.add.at(
-                work,
-                a_view.row_ids(),
-                np.diff(b_view.indptr)[a_view.indices],
-            )
-            blocks = row_blocks(work, nthreads)
+            blocks = row_blocks(spgemm_row_work(a_view, b_view), nthreads)
             if len(blocks) > 1:
                 futures = [
                     thread_pool().submit(
@@ -341,14 +345,39 @@ def _spmv_impl(
             mask_view.pattern, acc,
         )
 
-    pos = np.searchsorted(v_keys, a_view.indices)
+    return _spmv_push(
+        a_view, a_vals, v_keys, v_vals, semiring, swap,
+        slice(0, a_view.nrows), acc,
+    )
+
+
+def _spmv_push(
+    a_view: CSRView,
+    a_vals: np.ndarray,
+    v_keys: np.ndarray,
+    v_vals: np.ndarray,
+    semiring: Semiring,
+    swap: bool,
+    rows: slice,
+    acc: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push direction over a contiguous block of A's rows: intersect every
+    stored column with v.  Keys are absolute row ids."""
+    out_dtype = semiring.d_out.np_dtype
+    lo, hi = rows.start, rows.stop
+    a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
+    if a_lo == a_hi or len(v_keys) == 0:
+        return _empty(out_dtype)
+
+    cols = a_view.indices[a_lo:a_hi]
+    pos = np.searchsorted(v_keys, cols)
     pos_c = np.minimum(pos, len(v_keys) - 1)
-    hit = v_keys[pos_c] == a_view.indices
+    hit = v_keys[pos_c] == cols
     if not hit.any():
         return _empty(out_dtype)
 
-    rows = a_view.row_ids()[hit]  # nondecreasing: storage is row-major
-    left = a_vals[hit]
+    row_ids = a_view.row_ids(lo, hi)[hit]  # nondecreasing: row-major
+    left = a_vals[a_lo:a_hi][hit]
     right = v_vals[pos_c[hit]]
     if acc is not None:
         acc.append(len(left))
@@ -358,7 +387,7 @@ def _spmv_impl(
         if swap
         else semiring.mul.apply_arrays(left, right)
     )
-    uniq, starts = group_starts(rows)
+    uniq, starts = group_starts(row_ids)
     vals = segment_reduce(prods, starts, semiring.add)
     if not semiring.d_out.is_udt and vals.dtype != out_dtype:
         vals = vals.astype(out_dtype)
@@ -412,28 +441,32 @@ def reduce_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``t(i) = ⊕_j A(i,j)`` over stored elements; empty rows stay undefined
     (Table II's ``reduce (row)``)."""
+    whole = slice(0, a_view.nrows)
     if _obs_spans.current() is not None or _metrics.registry.enabled:
 
         def run(acc):
             acc.append(a_view.nnz)  # one ⊕ fold per stored element
-            return _reduce_rows_impl(a_view, a_vals, monoid)
+            return _reduce_rows_impl(a_view, a_vals, monoid, whole)
 
         return _observed_kernel(
             "reduce_rows", run,
             flops_estimated=a_view.nnz, nnz_in=a_view.nnz,
         )
-    return _reduce_rows_impl(a_view, a_vals, monoid)
+    return _reduce_rows_impl(a_view, a_vals, monoid, whole)
 
 
 def _reduce_rows_impl(
-    a_view: CSRView, a_vals: np.ndarray, monoid
+    a_view: CSRView, a_vals: np.ndarray, monoid, rows: slice
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Row reduction over a contiguous block of A's rows; keys are
+    absolute row ids."""
     dtype = monoid.domain.np_dtype
-    if a_view.nnz == 0:
+    lo, hi = rows.start, rows.stop
+    a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
+    if a_lo == a_hi:
         return _empty(dtype)
-    rows = a_view.row_ids()
-    uniq, starts = group_starts(rows)
-    vals = segment_reduce(a_vals, starts, monoid)
+    uniq, starts = group_starts(a_view.row_ids(lo, hi))
+    vals = segment_reduce(a_vals[a_lo:a_hi], starts, monoid)
     if not monoid.domain.is_udt and vals.dtype != dtype:
         vals = vals.astype(dtype)
     return uniq, vals

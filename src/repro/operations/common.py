@@ -9,7 +9,10 @@
 
 Steps 2–3 run inside a deferred thunk so nonblocking mode can queue them;
 step 1 always runs immediately ("methods return after input arguments have
-been verified", section IV).
+been verified", section IV).  Step 2 is where implementations may differ
+(section III-B): :func:`execute_standard` takes T from the op's kernel,
+from the CSE cache, or — under the ``processes`` backend — from the shard
+worker pool, and step 3 is the same code whichever it was.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from ..descriptor import Descriptor, effective
 from ..execution.sequence import OpSpec
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue, NullPointer
 from ..ops.base import BinaryOp
+from ..parallel import get_backend
 from ..types import GrBType, can_cast, cast_array
 
 __all__ = [
@@ -222,16 +226,18 @@ def execute_standard(
     capture: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
     """Run one standard op from its :class:`OpSpec` — the only single-op
-    executor: eager calls, planned nodes, CSE reuses and shard completions
-    all end here.
+    executor: eager calls, planned nodes and CSE reuses all end here, and
+    here is where T's source is chosen.
 
-    *t* is a precomputed ``(t_keys, t_vals)`` — from the CSE cache or the
-    shard pool — and skips the kernel.  A shard's T arrives *unmasked*;
-    that is value-identical, because mask push-down only ever drops whole
-    output cells and the write pipeline filters T again.  *capture*
-    receives T after the kernel runs so a later duplicate can reuse it.
-    Whatever the source, the write pipeline runs against the spec's own
-    output/mask/accum/descriptor.
+    *t* is a precomputed ``(t_keys, t_vals)`` from the CSE cache and skips
+    the computation.  Otherwise, under the ``processes`` backend, the shard
+    pool is asked first (:func:`repro.shard.scheduler.compute`) and the
+    spec's own kernel runs when it declines.  A shard's T arrives
+    *unmasked*; that is value-identical, because mask push-down only ever
+    drops whole output cells and the write pipeline filters T again.
+    *capture* receives T, whichever of the two computed it, so a later
+    duplicate can reuse it.  Whatever the source, the write pipeline runs
+    against the spec's own output/mask/accum/descriptor.
     """
     d = spec.desc
     if _obs_spans.current() is not None:
@@ -241,7 +247,12 @@ def execute_standard(
         )
     mask_view = build_mask_view(spec.mask, d.mask_complement, d.mask_structure)
     if t is None:
-        t = spec.kernel(mask_view)
+        if get_backend() == "processes":
+            from ..shard.scheduler import compute
+
+            t = compute(spec)
+        if t is None:
+            t = spec.kernel(mask_view)
         if capture is not None:
             capture(*t)
     run_write_pipeline(

@@ -6,8 +6,11 @@ Three backends share this module's knobs:
 * ``threads`` — the original shared thread pool (numpy releases the GIL
   inside vectorized segments, so speedups are real though modest);
 * ``processes`` — the sharded multi-process backend
-  (:mod:`repro.shard`): CSR blocks in shared memory, OpSpecs shipped to a
-  persistent worker pool, partials merged back in the parent.
+  (:mod:`repro.shard`): CSR blocks in shared memory, each shippable op's
+  kernel cut into row stripes for a persistent worker pool, partials
+  merged back in the parent.  The selector alone decides — blocking and
+  nonblocking calls, planner on or off, all reach the pool through
+  :func:`repro.operations.common.execute_standard`.
 
 A single process-wide thread pool is created lazily and resized on demand;
 the kernels ask :func:`get_num_threads` and :func:`parallel_threshold` to

@@ -139,7 +139,7 @@ class _Exec:
         self.fresh = fresh
 
 
-def _namespace(service, session: Session, ectx: _Exec | None = None) -> tuple[dict, dict]:
+def _namespace(session: Session, ectx: _Exec) -> tuple[dict, dict]:
     """Effective (objects, dtype-tokens) visible to *session*.
 
     Shared objects appear under their ``shared:`` prefix and are read-only
@@ -150,26 +150,22 @@ def _namespace(service, session: Session, ectx: _Exec | None = None) -> tuple[di
     ns: dict[str, Any] = {}
     dt: dict[str, str] = {}
     if not session.is_shared:
-        if ectx is not None and ectx.version is not None:
-            src_obj, src_dt = ectx.version.objects, ectx.version.dtypes
-        else:  # direct handler calls outside the admission pipeline
-            shared = service.shared_session
-            src_obj, src_dt = shared.objects, shared.dtypes
-        for k, v in src_obj.items():
+        # Service.submit pinned a version on every non-shared request
+        for k, v in ectx.version.objects.items():
             ns[SHARED_PREFIX + k] = v
-            dt[SHARED_PREFIX + k] = src_dt[k]
+            dt[SHARED_PREFIX + k] = ectx.version.dtypes[k]
     ns.update(session.objects)
     dt.update(session.dtypes)
     return ns, dt
 
 
-def _cow(session: Session, ectx: _Exec | None, name: str):
+def _cow(session: Session, ectx: _Exec, name: str):
     """Writer-side copy-on-write: duplicate *name* before its first
     mutation since the last publication, so every published version stays
     frozen.  Returns the (possibly replacement) object, or None when the
     name does not resolve."""
     obj = session.objects.get(name)
-    if obj is None or ectx is None or ectx.fresh is None or name in ectx.fresh:
+    if obj is None or ectx.fresh is None or name in ectx.fresh:
         return obj
     dup = getattr(obj, "dup", None)
     if callable(dup):
@@ -179,8 +175,8 @@ def _cow(session: Session, ectx: _Exec | None, name: str):
     return obj
 
 
-def _mark_fresh(ectx: _Exec | None, name: str) -> None:
-    if ectx is not None and ectx.fresh is not None:
+def _mark_fresh(ectx: _Exec, name: str) -> None:
+    if ectx.fresh is not None:
         ectx.fresh.add(name)
 
 
@@ -236,7 +232,7 @@ def _decl_from_payload(d: dict) -> Decl:
         raise BadRequest(f"malformed declaration: {exc}") from None
 
 
-def _issue_define(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_define(service, session: Session, payload: dict, ectx: _Exec):
     decl = _decl_from_payload(payload)
     _check_writable(session, decl.name)
     try:
@@ -249,7 +245,7 @@ def _issue_define(service, session: Session, payload: dict, ectx: _Exec | None =
     _mark_fresh(ectx, decl.name)
     return {"name": decl.name, "nvals": obj.nvals()}
 
-def _issue_upload(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_upload(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     blob = payload.get("blob")
     if blob is None and "blob_b64" in payload:
@@ -262,13 +258,13 @@ def _issue_upload(service, session: Session, payload: dict, ectx: _Exec | None =
     kind = type(obj).__name__.lower()
     return {"name": name, "kind": kind, "nvals": obj.nvals()}
 
-def _issue_download(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_download(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
-    ns, _ = _namespace(service, session, ectx)
+    ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
     return {"name": name, "blob": serialize(obj)}
 
-def _issue_program(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_program(service, session: Session, payload: dict, ectx: _Exec):
     raw_calls = _need(payload, "calls")
     declares = payload.get("declare", [])
     fetch = payload.get("fetch", [])
@@ -277,7 +273,7 @@ def _issue_program(service, session: Session, payload: dict, ectx: _Exec | None 
         _check_writable(session, decl.name)
         _store(session, decl.name, build_decl(decl, session.env), decl.dtype)
         _mark_fresh(ectx, decl.name)
-    ns, dtypes = _namespace(service, session, ectx)
+    ns, dtypes = _namespace(session, ectx)
     calls = []
     for c in raw_calls:
         try:
@@ -311,25 +307,21 @@ def _issue_program(service, session: Session, payload: dict, ectx: _Exec | None 
         }
     return out
 
-def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec):
     algo = _need(payload, "algo")
     fn = ALGORITHMS.get(algo)
     if fn is None:
         raise BadRequest(
             f"unknown algorithm {algo!r} (available: {sorted(ALGORITHMS)})"
         )
-    ns, _ = _namespace(service, session, ectx)
+    ns, _ = _namespace(session, ectx)
     graph_name = _need(payload, "graph")
     A = _get(session, ns, graph_name)
     args = dict(payload.get("args", {}))
     store_as = payload.get("store_as")
     result = None
-    streams = getattr(service, "streams", None)
     if (
-        streams is not None
-        and not session.is_shared
-        and ectx is not None
-        and ectx.version is not None
+        not session.is_shared
         and isinstance(graph_name, str)
         and graph_name.startswith(SHARED_PREFIX)
         and algo in STREAMABLE_ALGOS
@@ -338,7 +330,7 @@ def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec | Non
         # incremental serving: a maintained handle re-validated against
         # this request's pinned snapshot version answers without running
         # the full algorithm (falls through to it when no handle applies)
-        result = streams.serve(
+        result = service.streams.serve(
             graph_name[len(SHARED_PREFIX):], algo, args,
             ectx.version.vid, A, service.snapshots.current_vid(),
         )
@@ -362,10 +354,10 @@ def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec | Non
         raise BadRequest(f"{algo!r} returns a plain value; cannot store_as")
     return {"result": jsonable(result)}
 
-def _issue_update(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_update(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "graph")
     _check_writable(session, name)
-    ns, _ = _namespace(service, session, ectx)
+    ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
     if session.is_shared:
         # in-place edits must never reach a published version's object
@@ -397,7 +389,7 @@ def _issue_update(service, session: Session, payload: dict, ectx: _Exec | None =
     return {"name": name, "nvals": obj.nvals()}
 
 def _issue_stream_mutate(
-    service, session: Session, payload: dict, ectx: _Exec | None = None
+    service, session: Session, payload: dict, ectx: _Exec
 ):
     """Batched edge mutation through the streaming ingest path.
 
@@ -410,7 +402,7 @@ def _issue_stream_mutate(
     """
     name = _need(payload, "graph")
     _check_writable(session, name)
-    ns, _ = _namespace(service, session, ectx)
+    ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
     if session.is_shared:
         obj = _cow(session, ectx, name) or obj
@@ -431,9 +423,8 @@ def _issue_stream_mutate(
             [int(e[1]) for e in removes],
         )
     fr = buf.flush()
-    streams = getattr(service, "streams", None)
-    if streams is not None and session.is_shared:
-        streams.note_flush(name, fr)
+    if session.is_shared:
+        service.streams.note_flush(name, fr)
     metrics.registry.inc("service.stream_mutate")
     return {
         "name": name,
@@ -441,10 +432,10 @@ def _issue_stream_mutate(
     }
 
 
-def _issue_query(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_query(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     what = payload.get("what", "nvals")
-    ns, _ = _namespace(service, session, ectx)
+    ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
     if what == "nvals":
         return {"nvals": obj.nvals()}
@@ -465,7 +456,7 @@ def _issue_query(service, session: Session, payload: dict, ectx: _Exec | None = 
         return {"value": jsonable(v), "stored": True}
     raise BadRequest(f"unknown query {what!r} (nvals | tuples | element)")
 
-def _issue_free(service, session: Session, payload: dict, ectx: _Exec | None = None):
+def _issue_free(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     _check_writable(session, name)
     if name not in session.objects:
@@ -524,9 +515,7 @@ def _writer_reset(service, session: Session) -> None:
         context.wait()
     except GraphBLASError:
         pass
-    streams = getattr(service, "streams", None)
-    if streams is not None:
-        streams.on_abort()
+    service.streams.on_abort()
     current = service.snapshots.current
     session.objects = dict(current.objects)
     session.dtypes = dict(current.dtypes)
@@ -542,7 +531,7 @@ def _fail(service, req, exc: BaseException) -> None:
     reg.observe(
         "service.latency_us", (time.monotonic() - req.t_submit) * 1e6
     )
-    slo = getattr(service, "slo", None)
+    slo = service.slo
     if slo is not None:
         slo.record_failure()
         if slo.budget_exhausted():
@@ -558,7 +547,7 @@ def _fulfil(service, req, result: dict) -> None:
     reg.inc("service.completed")
     latency_us = (time.monotonic() - req.t_submit) * 1e6
     reg.observe("service.latency_us", latency_us)
-    slo = getattr(service, "slo", None)
+    slo = service.slo
     if slo is not None:
         slo.observe(latency_us)
         # the exhaustion check only runs on a breach — the happy path pays
@@ -588,14 +577,14 @@ def run_batch(service, session: Session, batch: list) -> None:
     reg.observe("service.batch_size", len(batch))
     batching = service.config.batching
     is_writer = session.is_shared
-    memo = getattr(service, "memo", None)
-    snapshots = getattr(service, "snapshots", None)
+    memo = service.memo
+    snapshots = service.snapshots
     # EXPLAIN is collected batch-wide (the planner sees the whole batch, so
     # per-request records are a filtered view of shared plans) but only
     # when at least one member opted in — otherwise zero recording cost
     col = (
         diag_explain.ExplainCollector()
-        if any(getattr(req, "explain", False) for req in batch)
+        if any(req.explain for req in batch)
         else None
     )
     with context.activate(session.context), (
@@ -676,11 +665,7 @@ def run_batch(service, session: Session, batch: list) -> None:
                             result = _ISSUE[req.kind](
                                 service, session, req.payload, ectx
                             )
-                            if (
-                                is_writer
-                                and snapshots is not None
-                                and _mutates(req.kind, req.payload)
-                            ):
+                            if is_writer and _mutates(req.kind, req.payload):
                                 # freeze this mutation's effects, then make
                                 # them visible to future admissions
                                 context.wait()
@@ -695,13 +680,9 @@ def run_batch(service, session: Session, batch: list) -> None:
                                     k for k, o in v.objects.items()
                                     if prev.objects.get(k) is not o
                                 } | (set(prev.objects) - set(v.objects))
-                                streams = getattr(service, "streams", None)
-                                if streams is not None:
-                                    sizes = streams.on_publish(v, changed)
-                                    if sizes:
-                                        meta["stream_delta"] = sum(
-                                            sizes.values()
-                                        )
+                                sizes = service.streams.on_publish(v, changed)
+                                if sizes:
+                                    meta["stream_delta"] = sum(sizes.values())
                                 if memo is not None:
                                     memo.on_publish(v.vid, changed=changed)
                             if (
@@ -804,7 +785,7 @@ def run_batch(service, session: Session, batch: list) -> None:
                         "total_us": (time.monotonic() - req.t_submit) * 1e6,
                         **meta,
                     }
-                if col is not None and getattr(req, "explain", False):
+                if col is not None and req.explain:
                     record = col.for_request(rid_key)
                     record["memo"] = meta.get("cache")
                     record["snapshot"] = (

@@ -15,16 +15,19 @@ Modules
 ``layout``     BlockLayout descriptors; publish/attach CSR segments
 ``protocol``   pickle-framed pipe messages (Task/Result/Free/…)
 ``opspec``     shippability gate + block task planning
-``worker``     spawned worker loop (attach → blockwise kernel → reply)
+``worker``     spawned worker loop (attach → the op's kernel body over a
+               row window → reply)
 ``pool``       persistent spawn pool, master/worker dispatch, crash → Panic
 ``merge``      stripe concatenation
-``scheduler``  per-DAG-level orchestration, publication cache, obs wiring
+``scheduler``  ``compute(spec)``: T for one op from the pool — what
+               ``execute_standard`` asks under this backend; publication
+               cache, obs wiring
 """
 
 from .layout import BlockLayout, attach_csr, publish_csr
-from .opspec import NodePlan, ShardTask, plan_node
+from .opspec import NodePlan, ShardTask, plan_spec
 from .pool import ShardPool, get_pool, pool_stats, shutdown_pool
-from .scheduler import invalidate_all, publication_stats, run_level
+from .scheduler import compute, invalidate_all, publication_stats
 from .shm import ShmRegistry, registry
 
 __all__ = [
@@ -33,12 +36,12 @@ __all__ = [
     "attach_csr",
     "ShardTask",
     "NodePlan",
-    "plan_node",
+    "plan_spec",
     "ShardPool",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
-    "run_level",
+    "compute",
     "publication_stats",
     "invalidate_all",
     "ShmRegistry",

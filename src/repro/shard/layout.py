@@ -3,16 +3,15 @@
 A published matrix is one shared-memory segment holding its CSR triple
 (``indptr`` | ``indices`` | ``values``, packed back to back) plus a
 :class:`BlockLayout` — a small picklable descriptor carrying the segment
-name, the array offsets/dtypes, and the 1D row-stripe cuts of the block
-distribution.  Tasks ship the *descriptor*; the data crosses the process
-boundary exactly once, through the kernel page cache.
+name and the array offsets/dtypes.  Tasks ship the *descriptor* and their
+own row window; the data crosses the process boundary exactly once,
+through the kernel page cache.
 
-The distribution is CombBLAS-style 2D in spirit but derived lazily:
-stripes (and, for exact-dtype SpGEMM, column splits) are row/column
-*ranges over the one shared CSR*, not physically re-tiled copies.  Workers
-slice by offset, which keeps publication O(nnz) and keeps stripe results
-bitwise identical to the serial kernel (same arrays, same row slices, same
-folds — exactly the thread-pool path's concatenation argument).
+Stripes are row *ranges over the one shared CSR*, not physically re-tiled
+copies.  Workers slice by offset, which keeps publication O(nnz) and keeps
+stripe results bitwise identical to the serial kernel (same arrays, same
+row slices, same folds — exactly the thread-pool path's concatenation
+argument).
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ import numpy as np
 from ..containers.formats import CSRView
 from .shm import ShmRegistry, attach
 
-__all__ = ["BlockLayout", "publish_csr", "attach_csr", "stripe_cuts"]
+__all__ = ["BlockLayout", "publish_csr", "attach_csr"]
 
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Picklable descriptor of one shared-memory CSR block distribution."""
+    """Picklable descriptor of one CSR held in a shared-memory segment."""
 
     seg_name: str
     nrows: int
@@ -38,8 +37,6 @@ class BlockLayout:
     #: numpy dtype string of the value array (never object — UDTs are
     #: unshippable and gated out before publication)
     values_dtype: str
-    #: row-stripe boundaries: ``cuts[i]..cuts[i+1]`` is stripe *i*
-    cuts: tuple[int, ...]
 
     # packed segment offsets (bytes)
     @property
@@ -59,17 +56,7 @@ class BlockLayout:
         return self.indptr_bytes + self.indices_bytes + self.values_bytes
 
 
-def stripe_cuts(work_per_row: np.ndarray, nstripes: int) -> tuple[int, ...]:
-    """Work-balanced contiguous stripe boundaries over the row space."""
-    from ..parallel import row_blocks
-
-    blocks = row_blocks(work_per_row, nstripes)
-    return tuple(b.start for b in blocks) + (blocks[-1].stop,)
-
-
-def publish_csr(
-    view: CSRView, registry: ShmRegistry, cuts: tuple[int, ...]
-) -> BlockLayout:
+def publish_csr(view: CSRView, registry: ShmRegistry) -> BlockLayout:
     """Copy *view* into one new shared segment; returns its layout.
 
     The caller (publication cache) owns the create-time lease.
@@ -81,7 +68,6 @@ def publish_csr(
         ncols=view.ncols,
         nnz=view.nnz,
         values_dtype=vdtype.str,
-        cuts=cuts,
     )
     seg = registry.create(layout.total_bytes)
     buf = seg.buf
@@ -101,7 +87,6 @@ def publish_csr(
         ncols=view.ncols,
         nnz=view.nnz,
         values_dtype=vdtype.str,
-        cuts=cuts,
     )
 
 

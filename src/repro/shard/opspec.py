@@ -1,19 +1,18 @@
 """Shippability gate and task planning for the sharded backend.
 
-:func:`plan_node` decides, per DAG node, whether the drain scheduler may
-ship its kernel to the worker pool, and if so cuts it into
-:class:`ShardTask` block tasks.  Tasks carry *descriptors only*: shared
-segment names, row windows, and operator *registry names* —
-never data and never callables.  Workers rebuild the operator from
-:mod:`repro.algebra.predefined`'s registries, which is why the gate
-demands the spec's operator be the registry's own instance: a user-built
-(or user-defined-type) operator has no name the worker could resolve, so
-those nodes simply run locally via their normal runner.
+:func:`plan_spec` decides, per op, whether its kernel may run on the
+worker pool, and if so cuts it into :class:`ShardTask` block tasks.  Tasks
+carry *descriptors only*: shared segment names, row windows, and operator
+*registry names* — never data and never callables.  Workers rebuild the
+operator from :mod:`repro.algebra.predefined`'s registries, which is why
+the gate demands the spec's operator be the registry's own instance: a
+user-built (or user-defined-type) operator has no name the worker could
+resolve, so those ops simply run their own kernel in the parent.
 
 Unshippable ≠ failure.  The gate returning ``None`` is the common case —
-fused pairs and CSE nodes (their kernels are closures over planner state),
 UDT domains (object arrays can't live in shared memory), sub-threshold
 work (IPC latency would dominate), and every non-multiply op class.
+Fused chains never get here: they have no T of their own to ship.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import numpy as np
 from ..algebra.monoid import Monoid
 from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
 from ..algebra.semiring import Semiring
-from ..operations._kernels import estimate_flops
+from ..operations._kernels import estimate_flops, spgemm_row_work
 from ..parallel import parallel_threshold, shard_workers, row_blocks
 from ..types import cast_array
 
-__all__ = ["ShardTask", "NodePlan", "plan_node", "SHIPPABLE_KINDS"]
+__all__ = ["ShardTask", "NodePlan", "plan_spec", "SHIPPABLE_KINDS"]
 
 SHIPPABLE_KINDS = ("mxm", "mxv", "vxm", "reduce")
 
@@ -60,15 +59,12 @@ class ShardTask:
 
 @dataclass
 class NodePlan:
-    """A shippable node, cut into tasks, plus what assembly needs."""
+    """A shippable op, cut into tasks, plus what assembly needs."""
 
-    node: object
-    spec: object
     tasks: list = field(default_factory=list)
     out_dtype: object = None
-    #: shared segments this plan reads (leased for the level's duration)
+    #: shared segments this plan reads (leased while its tasks are in flight)
     seg_names: tuple = ()
-    flops_estimated: int = 0
 
 
 def _registry_semiring(op) -> Semiring | None:
@@ -83,19 +79,13 @@ def _registry_monoid(op) -> Monoid | None:
     return None
 
 
-def plan_node(node, publish) -> NodePlan | None:
-    """Gate *node* and, when shippable, plan its block tasks.
+def plan_spec(spec, publish) -> NodePlan | None:
+    """Gate *spec* and, when shippable, plan its block tasks.
 
     *publish* is the scheduler's publication hook:
-    ``publish(obj, orient, view) -> BlockLayout`` (cached per object
-    version, so repeated drains over the same matrix ship no new bytes).
+    ``publish(view) -> BlockLayout`` (cached per cached view, so repeated
+    ops over the same unchanged matrix ship no new bytes).
     """
-    info = getattr(node, "shard", None)
-    if info is None:
-        return None
-    spec = info["spec"]
-    if spec is None or spec.kernel is None:
-        return None
     kind = spec.kind
     if kind not in SHIPPABLE_KINDS:
         return None
@@ -112,24 +102,15 @@ def plan_node(node, publish) -> NodePlan | None:
             return None
         a_view = A.csc() if d.transpose0 else A.csr()
         b_view = B.csc() if d.transpose1 else B.csr()
-        flops = estimate_flops(a_view, b_view)
-        if flops < threshold:
+        if estimate_flops(a_view, b_view) < threshold:
             return None
-        work = np.zeros(a_view.nrows, dtype=np.int64)
-        if a_view.nnz:
-            np.add.at(
-                work, a_view.row_ids(), np.diff(b_view.indptr)[a_view.indices]
-            )
-        la = publish(A, "csc" if d.transpose0 else "csr", a_view)
-        lb = publish(B, "csc" if d.transpose1 else "csr", b_view)
+        la = publish(a_view)
+        lb = publish(b_view)
         plan = NodePlan(
-            node=node,
-            spec=spec,
             out_dtype=spec.t_type.np_dtype,
             seg_names=tuple({la.seg_name, lb.seg_name}),
-            flops_estimated=flops,
         )
-        for blk in row_blocks(work, stripes):
+        for blk in row_blocks(spgemm_row_work(a_view, b_view), stripes):
             plan.tasks.append(
                 ShardTask(
                     kind="mxm",
@@ -151,27 +132,22 @@ def plan_node(node, publish) -> NodePlan | None:
         if kind == "mxv":
             A, u = spec.inputs
             a_view = A.csc() if d.transpose0 else A.csr()
-            orient = "csc" if d.transpose0 else "csr"
             v_dst, swap = sr.d_in2, False
         else:
             u, A = spec.inputs
             # vxm runs the row kernel on the transposed orientation
             a_view = A.csr() if d.transpose1 else A.csc()
-            orient = "csr" if d.transpose1 else "csc"
             v_dst, swap = sr.d_in1, True
         if A.type.is_udt or u.type.is_udt or spec.t_type.is_udt:
             return None
         if a_view.nnz < threshold:
             return None
-        la = publish(A, orient, a_view)
+        la = publish(a_view)
         v_keys, v_raw = u._content()
         v_vals = cast_array(v_raw, u.type, v_dst)
         plan = NodePlan(
-            node=node,
-            spec=spec,
             out_dtype=spec.t_type.np_dtype,
             seg_names=(la.seg_name,),
-            flops_estimated=a_view.nnz,
         )
         for blk in row_blocks(np.diff(a_view.indptr), stripes):
             plan.tasks.append(
@@ -199,13 +175,10 @@ def plan_node(node, publish) -> NodePlan | None:
     a_view = A.csc() if d.transpose0 else A.csr()
     if a_view.nnz < threshold:
         return None
-    la = publish(A, "csc" if d.transpose0 else "csr", a_view)
+    la = publish(a_view)
     plan = NodePlan(
-        node=node,
-        spec=spec,
         out_dtype=spec.t_type.np_dtype,
         seg_names=(la.seg_name,),
-        flops_estimated=a_view.nnz,
     )
     for blk in row_blocks(np.diff(a_view.indptr), stripes):
         plan.tasks.append(

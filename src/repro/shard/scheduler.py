@@ -1,74 +1,70 @@
-"""The distributed drain scheduler: one DAG level across the worker pool.
+"""The worker pool as a source of T: one op across the shard workers.
 
-Called by :class:`repro.execution.planner.driver.ExecutionPlan` when the
-``processes`` backend is active.  For each level it
+:func:`repro.operations.common.execute_standard` asks :func:`compute` for
+an op's internal result when the ``processes`` backend is active — in
+blocking and nonblocking mode alike, because both reach the kernel
+through that one executor.  :func:`compute`
 
-1. gates every node through :func:`repro.shard.opspec.plan_node` —
-   shippable nodes become block tasks, the rest keep their normal local
-   runner;
-2. publishes input CSRs into shared memory through a version-keyed cache
-   (a matrix republishes only after mutation — ``Matrix._version`` bumps
-   on every content write), leasing each segment for the level's duration
-   so concurrent invalidation can never unlink under an in-flight task;
-3. ships the tasks (descriptors, not data) to the persistent pool, runs
-   the unshippable nodes locally meanwhile-ordered, and merges each node's
-   partials back into the canonical flat-key stream
-   (:mod:`repro.shard.merge`);
-4. completes each node through the one executor
-   (``execute_standard(spec, t=...)``: mask, accumulator, replace/merge
-   semantics all run in the parent), instrumented by the same
-   :func:`~repro.execution.planner.driver.instrument` local runners get —
-   so request attribution and Chrome-trace export keep working, now with
-   per-worker lanes.
+1. gates the spec through :func:`repro.shard.opspec.plan_spec` — a
+   shippable op becomes one block task per stripe, anything else answers
+   ``None`` and the caller runs its own kernel;
+2. publishes input CSRs into shared memory through a cache keyed by the
+   matrix's cached view (a matrix republishes only after a content write
+   drops that view), leasing each segment while its tasks are in flight so
+   concurrent invalidation can never unlink under them;
+3. ships the tasks (descriptors, not data) to the persistent pool and
+   concatenates the stripe partials back into the canonical flat-key
+   stream (:mod:`repro.shard.merge`);
+4. records what happened on the op span that is already open — per-worker
+   task lanes, ``sharded=True`` and ``shard={tasks, flops, workers}`` —
+   and hands T back; mask, accumulator and replace/merge semantics all run
+   in the parent's write pipeline.
 
-Failure semantics mirror the thread scheduler: a failing node is recorded
-and its siblings still run; the first failure in program order is re-raised
-by the driver, which poisons the failed tail.  A *worker* death, by
-contrast, is a :class:`repro.info.Panic` that aborts the whole level —
-the pool is gone, and no per-node result can be trusted.
+A task that errors makes :func:`compute` answer ``None`` too: the caller's
+own kernel then reproduces a genuine kernel error exactly, and rides out
+an infrastructure hiccup.  A *worker* death is a :class:`repro.info.Panic`
+raised out of the op, like any other execution error — the pool is gone,
+and the next op that ships gets a fresh one.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 
 from ..obs import diag as _diag
 from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 from ..obs import tracing as _tracing
-from ..obs.diag import explain as _explain
-from ..parallel import shard_workers
 from . import pool as _pool_mod
-from .layout import publish_csr, stripe_cuts
+from .layout import publish_csr
 from .merge import concat_stripes
-from .opspec import plan_node
+from .opspec import plan_spec
 from .protocol import Error, Task
 from .shm import registry
 
-__all__ = ["run_level", "publication_stats", "invalidate_all"]
+__all__ = ["compute", "publication_stats", "invalidate_all"]
 
 #: max cached publications; beyond this the least-recently-used entry is
-#: dropped (its segments unlink once the current level's leases release)
+#: dropped (its segment unlinks once the in-flight leases release)
 _PUB_CAP = 32
 
-#: id(matrix) -> {"obj": Matrix, "version": int, "layouts": {orient: BlockLayout}}
-#: The strong "obj" reference is deliberate: Matrix is __slots__-bound and
-#: not weakref-able, and holding the object pins its id so a recycled
-#: address can never alias a stale cache entry.  _PUB_CAP bounds the pin.
-_pub: "OrderedDict[int, dict]" = OrderedDict()
+#: id(view) -> (view, BlockLayout).  ``Matrix.csr()``/``csc()`` hand out one
+#: cached CSRView until the next content write drops it, so the view object
+#: names exactly the content it was copied from.  The strong reference is
+#: deliberate: it pins the view's id, so a recycled address can never alias
+#: a stale cache entry.  _PUB_CAP bounds the pin.
+_pub: "OrderedDict[int, tuple]" = OrderedDict()
 _published_count = 0
 _published_bytes = 0
 
 
-def _drop_entry(entry: dict) -> None:
-    names = [lay.seg_name for lay in entry["layouts"].values()]
-    for name in names:
-        registry.discard(name)
-        registry.release(name)  # the cache's create-time lease
+def _drop_entry(entry: tuple) -> None:
+    name = entry[1].seg_name
+    registry.discard(name)
+    registry.release(name)  # the cache's create-time lease
     p = _pool_mod._pool
     if p is not None and not p.dead:
-        p.broadcast_free(names)
+        p.broadcast_free([name])
 
 
 def invalidate_all() -> None:
@@ -78,33 +74,22 @@ def invalidate_all() -> None:
         _drop_entry(entry)
 
 
-def _publish(obj, orient: str, view):
-    """Publication hook handed to :func:`plan_node` (see module doc)."""
+def _publish(view):
+    """Publication hook handed to :func:`plan_spec` (see module doc)."""
     global _published_count, _published_bytes
-    import numpy as np
 
-    key = id(obj)
+    key = id(view)
     entry = _pub.get(key)
-    if entry is not None and (
-        entry["obj"] is not obj or entry["version"] != obj._version
-    ):
-        _pub.pop(key)
-        _drop_entry(entry)
-        entry = None
-    if entry is None:
-        entry = {"obj": obj, "version": obj._version, "layouts": {}}
-        _pub[key] = entry
-    _pub.move_to_end(key)
-    layout = entry["layouts"].get(orient)
-    if layout is None:
-        cuts = stripe_cuts(np.diff(view.indptr), shard_workers())
-        layout = publish_csr(view, registry, cuts)
-        entry["layouts"][orient] = layout
-        _published_count += 1
-        _published_bytes += layout.total_bytes
-        if _metrics.registry.enabled:
-            _metrics.registry.inc("shard.publications")
-            _metrics.registry.inc("shard.bytes_published", layout.total_bytes)
+    if entry is not None:
+        _pub.move_to_end(key)
+        return entry[1]
+    layout = publish_csr(view, registry)
+    _pub[key] = (view, layout)
+    _published_count += 1
+    _published_bytes += layout.total_bytes
+    if _metrics.registry.enabled:
+        _metrics.registry.inc("shard.publications")
+        _metrics.registry.inc("shard.bytes_published", layout.total_bytes)
     while len(_pub) > _PUB_CAP:
         _, old = _pub.popitem(last=False)
         _drop_entry(old)
@@ -128,8 +113,6 @@ def _emit_task_spans(sink, results) -> None:
     (``shard-worker-N``), with pid/worker attributes for correlation.
     """
     for r in results:
-        if isinstance(r, Error):
-            continue
         sp = sink.open(
             f"shard:{r.task_id}", "kernel",
             worker=r.worker_id, pid=r.pid, flops=r.flops,
@@ -141,142 +124,61 @@ def _emit_task_spans(sink, results) -> None:
         sp.tid = 1_000_000 + r.worker_id
 
 
-def run_level(nodes) -> list:
-    """Execute one level; returns ``[(node, exc), ...]`` sorted in program
-    order (empty when everything succeeded).  Raises ``Panic`` if the pool
-    dies — the driver treats that as failing the entire level."""
-    from ..execution.planner.driver import instrument
-    from ..operations.common import execute_standard
+def compute(spec):
+    """``(t_keys, t_vals)`` for *spec* from the worker pool, or ``None``
+    when the caller should run the kernel itself (the gate said no, or a
+    task errored).  Raises ``Panic`` if the pool dies under the op."""
+    try:
+        plan = plan_spec(spec, _publish)
+    except Exception:
+        return None  # planning must never kill an op: run locally
+    if plan is None or not plan.tasks:
+        return None
 
-    plans = []
-    local_nodes = []
-    for node in nodes:
-        plan = None
-        if getattr(node, "shard", None) is not None:
-            try:
-                plan = plan_node(node, _publish)
-            except Exception:
-                plan = None  # planning must never kill a drain: run locally
-        if plan is not None and plan.tasks:
-            plans.append(plan)
-        else:
-            local_nodes.append(node)
-
-    failures: list = []
-
-    def attempt(node, fn) -> None:
-        try:
-            fn()
-        except BaseException as exc:  # mirror the thread scheduler: collect
-            failures.append((node, exc))
-
-    if not plans:
-        for node in local_nodes:
-            attempt(node, node.runner)
-        failures.sort(key=lambda nf: nf[0].index)
-        return failures
-
-    sink = _spans.current()
-    lv_sp = (
-        sink.open(
-            "shard.level", "drain",
-            nodes=len(nodes), sharded=len(plans), deferred=True,
-            tasks=sum(len(p.tasks) for p in plans),
-        )
-        if sink is not None
-        else None
-    )
+    tasks = [Task(task_id=i, op=st) for i, st in enumerate(plan.tasks)]
     leased: list[str] = []
     try:
-        for plan in plans:
-            for name in plan.seg_names:
-                registry.lease(name)
-                leased.append(name)
-
-        tasks = []
-        owner: dict[int, tuple] = {}  # task_id -> (plan, slot)
-        for plan in plans:
-            for slot, st in enumerate(plan.tasks):
-                tid = len(tasks)
-                tasks.append(Task(task_id=tid, op=st))
-                owner[tid] = (plan, slot)
-
-        t0 = time.perf_counter()
-        results = _pool_mod.get_pool().run_tasks(tasks)  # Panic on crash
-        pool_wall = time.perf_counter() - t0
-
-        # unshippable siblings run in the parent, program-ordered
-        for node in local_nodes:
-            attempt(node, node.runner)
-
-        if sink is not None:
-            _emit_task_spans(sink, results.values())
-        if _metrics.registry.enabled:
-            _metrics.registry.inc("shard.tasks", len(results))
-            _metrics.registry.inc("shard.levels")
-            for r in results.values():
-                if not isinstance(r, Error):
-                    _metrics.registry.observe("shard.task_seconds", r.seconds)
-        if _diag.detector() is not None:
-            # per-(task kind, worker) baselines: a single sick worker shows
-            # up as its own suspect, not as noise on the kernel's average
-            for tid, r in results.items():
-                if not isinstance(r, Error):
-                    _diag.observe_kernel(
-                        f"shard.{tasks[tid].op.kind}", "shard", r.worker_id,
-                        seconds=r.seconds, flops=r.flops,
-                    )
-
-        for plan in plans:
-            node = plan.node
-            node_results = [
-                results[tid] for tid, (p, _) in sorted(owner.items())
-                if p is plan
-            ]
-            errors = [r for r in node_results if isinstance(r, Error)]
-            if errors:
-                # a task-level failure falls back to the node's local
-                # runner: identical semantics, and a genuine kernel error
-                # (rather than an infra hiccup) reproduces exactly
-                if _metrics.registry.enabled:
-                    _metrics.registry.inc("shard.task_errors", len(errors))
-                attempt(node, node.runner)
-                continue
-            parts = [(r.keys, r.vals) for r in node_results]
-            flops = sum(r.flops for r in node_results)
-            t = concat_stripes(parts, plan.out_dtype)
-
-            def completion(plan=plan, t=t, flops=flops):
-                _tracing.tally_flops(flops)
-                execute_standard(plan.spec, t=t)
-
-            prov = {
-                **node.shard["prov"],
-                "sharded": True,
-                "shard": {
-                    "tasks": len(plan.tasks),
-                    "flops": flops,
-                },
-            }
-            col = _explain.current_explain()
-            if col is not None:
-                col.note_shard(
-                    node.index,
-                    tasks=len(plan.tasks),
-                    workers=sorted({r.worker_id for r in node_results}),
-                )
-            attempt(
-                node,
-                instrument(completion, node.label, prov, node.shard["rids"]),
-            )
-
-        if lv_sp is not None:
-            lv_sp.attrs.update(pool_seconds=round(pool_wall, 6))
+        for name in plan.seg_names:
+            registry.lease(name)
+            leased.append(name)
+        # the pool's wall clock on the calling thread; what the workers did
+        # inside it lands on their own lanes below
+        with _spans.span("shard", "kernel", tasks=len(tasks)):
+            by_id = _pool_mod.get_pool().run_tasks(tasks)  # Panic on crash
     finally:
         for name in leased:
             registry.release(name)
-        if lv_sp is not None:
-            sink.close(lv_sp)
+    results = [by_id[t.task_id] for t in tasks]  # stripe order
+    done = [r for r in results if not isinstance(r, Error)]
 
-    failures.sort(key=lambda nf: nf[0].index)
-    return failures
+    sink = _spans.current()
+    if sink is not None:
+        _emit_task_spans(sink, done)
+    if _metrics.registry.enabled:
+        _metrics.registry.inc("shard.tasks", len(results))
+        for r in done:
+            _metrics.registry.observe("shard.task_seconds", r.seconds)
+    if _diag.detector() is not None:
+        # per-(task kind, worker) baselines: a single sick worker shows
+        # up as its own suspect, not as noise on the kernel's average
+        for r in done:
+            _diag.observe_kernel(
+                f"shard.{spec.kind}", "shard", r.worker_id,
+                seconds=r.seconds, flops=r.flops,
+            )
+    if len(done) < len(results):
+        if _metrics.registry.enabled:
+            _metrics.registry.inc("shard.task_errors", len(results) - len(done))
+        return None
+
+    flops = sum(r.flops for r in done)
+    _tracing.tally_flops(flops)
+    _spans.annotate(
+        sharded=True,
+        shard={
+            "tasks": len(done),
+            "flops": flops,
+            "workers": sorted({r.worker_id for r in done}),
+        },
+    )
+    return concat_stripes([(r.keys, r.vals) for r in done], plan.out_dtype)

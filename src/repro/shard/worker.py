@@ -4,11 +4,15 @@ Spawned (never forked — the parent may hold live threads and pool locks)
 with one duplex pipe back to the drain scheduler.  The loop is
 deliberately dumb: receive a :class:`~repro.shard.protocol.Task`, attach
 its shared segments, rebuild the operator from the algebra registries, run
-the block kernel from :mod:`repro.operations.blockwise`, ship the partial
-back.  Workers never create shared memory, never see masks or
-accumulators (the parent's write pipeline owns GraphBLAS semantics), and
-never nest parallelism — the backend is pinned to ``serial`` so kernels
-cannot fan out beneath the pool.
+the op's own kernel body from :mod:`repro.operations._kernels` over the
+task's row window, ship the partial back.  That body is the one the
+parent's serial path runs over ``slice(0, nrows)``, so a stripe is
+bit-identical to the same rows of the full call by construction.  Workers
+never create shared memory, never see masks or accumulators (the
+parent's write pipeline owns GraphBLAS semantics; an unmasked T only
+ever carries extra whole cells, which that pipeline drops), and never
+nest parallelism — the backend is pinned to ``serial`` so kernels cannot
+fan out beneath the pool.
 """
 
 from __future__ import annotations
@@ -23,11 +27,17 @@ __all__ = ["worker_main"]
 def _run_task(task, seg_cache: dict, cast_cache: dict):
     """Execute one ShardTask → (keys, vals, flops)."""
     from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
-    from ..operations import blockwise
+    from ..operations._kernels import (
+        _reduce_rows_impl,
+        _spgemm_block,
+        _spmv_push,
+    )
     from ..types import cast_array, lookup_type
     from .layout import attach_csr
 
     a_view = attach_csr(task.a, seg_cache)
+    rows = slice(task.lo, task.hi)
+    acc: list = []  # realized multiply count, as the kernel spans report it
 
     def cast(view, layout, src_name, dst_type):
         key = (layout.seg_name, dst_type.name)
@@ -42,25 +52,26 @@ def _run_task(task, seg_cache: dict, cast_cache: dict):
         b_view = attach_csr(task.b, seg_cache)
         a_vals = cast(a_view, task.a, task.a_type, sr.d_in1)
         b_vals = cast(b_view, task.b, task.b_type, sr.d_in2)
-        return blockwise.spgemm_stripe(
-            a_view, a_vals, b_view, b_vals, sr, task.lo, task.hi
+        keys, vals = _spgemm_block(
+            a_view, a_vals, b_view, b_vals, sr, rows, None, acc
         )
+        return keys, vals, sum(acc)
     if task.kind in ("mxv", "vxm"):
         sr = SEMIRING_REGISTRY[task.op_name]
         a_vals = cast(
             a_view, task.a, task.a_type,
             sr.d_in2 if task.swap else sr.d_in1,
         )
-        return blockwise.spmv_stripe(
-            a_view, a_vals, task.v_keys, task.v_vals, sr,
-            task.swap, task.lo, task.hi,
+        keys, vals = _spmv_push(
+            a_view, a_vals, task.v_keys, task.v_vals, sr, task.swap, rows, acc
         )
+        return keys, vals, sum(acc)
     if task.kind == "reduce":
         mon = MONOID_REGISTRY[task.op_name]
         a_vals = cast(a_view, task.a, task.a_type, mon.domain)
-        return blockwise.reduce_rows_stripe(
-            a_view, a_vals, mon, task.lo, task.hi
-        )
+        keys, vals = _reduce_rows_impl(a_view, a_vals, mon, rows)
+        # one ⊕ fold per stored element of the window
+        return keys, vals, int(a_view.indptr[task.hi] - a_view.indptr[task.lo])
     raise ValueError(f"unknown shard task kind {task.kind!r}")
 
 

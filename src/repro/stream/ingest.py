@@ -17,8 +17,8 @@ first-class deferred node:
   pre-flush content, reads after see the post-flush content;
 * it carries no ``op_token``, so CSE never conflates two rebuilds, and it
   does not overwrite its output, so fusion never lifts it into a chain;
-* the shard scheduler's gate (`repro.shard.opspec.plan_node`) does not
-  recognize the kind, so it always executes locally.
+* the shard gate (`repro.shard.opspec.plan_spec`) does not recognize the
+  kind, so it always executes in the parent.
 
 The kernel also computes the :class:`~repro.stream.delta.EdgeDelta` of
 the batch — *at execution time*, after every hazard predecessor ran, so

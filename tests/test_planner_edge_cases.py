@@ -219,9 +219,30 @@ class TestOneExecutor:
             grb.wait()
         (sp,) = cap.spans_of("op")
         assert sp.label == "mxm" and sp.attrs["sharded"] is True
+        assert sp.attrs["shard"]["tasks"] == 2
+        # the pool call and one backdated lane span per stripe stand where
+        # the spgemm kernel span would
+        assert sorted(k.label for k in cap.spans_of("kernel")) == [
+            "shard", "shard:0", "shard:1",
+        ]
         assert sp.attrs["kind"] == "mxm" and "nnz_out" in sp.attrs
         assert cap.counters.get("op.cse_reuses", 0) == 0
         _assert_same(_snap(C3), _snap(C1))
+
+        # a CSE source goes through execute_standard like everyone else:
+        # it ships once, and its duplicate reuses the captured T
+        C4, C5 = (grb.Matrix(grb.INT64, 24, 24) for _ in range(2))
+        with obs.capture() as cap:
+            grb.mxm(C4, None, None, s, A, B)
+            grb.mxm(C5, None, None, s, A, B)
+            grb.wait()
+        src, dup = cap.spans_of("op")
+        assert src.label == "mxm" and src.attrs["shard"]["tasks"] == 2
+        assert dup.label == "mxm[cse]" and "sharded" not in dup.attrs
+        assert cap.counters["op.cse_reuses"] == 1
+        assert cap.counters["shard.tasks"] == 2
+        _assert_same(_snap(C4), _snap(C1))
+        _assert_same(_snap(C5), _snap(C1))
 
     def test_planner_off_explain_is_one_plain_node_per_op(self, rng):
         grb.init(grb.Mode.NONBLOCKING)

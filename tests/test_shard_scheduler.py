@@ -1,9 +1,9 @@
-"""Drain-scheduler behavior of the processes backend: gating, fallback,
+"""Behavior of the processes backend around the kernels: gating, fallback,
 crash recovery, and the service integration knob.
 
 Correctness of shipped kernels lives in test_shard_identity; this module
-covers the scheduler's *decisions* — what ships, what stays local, and
-what happens when the pool dies under a drain.
+covers the *decisions* — what ships, what stays in the parent, and what
+happens when the pool dies under an op.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.shard import pool_stats
 from tests.conftest import random_matrix
 
 
-def _enable_processes(threshold: int = 0) -> None:
-    grb.init(grb.Mode.NONBLOCKING)
+def _enable_processes(threshold: int = 0, mode=grb.Mode.NONBLOCKING) -> None:
+    grb.init(mode)
     parallel.set_backend("processes")
     parallel.set_parallel_threshold(threshold)
     parallel.set_shard_workers(2)
@@ -116,8 +116,9 @@ def test_mixed_level_ships_and_runs_local_siblings(rng):
 
 
 def test_worker_crash_panics_then_pool_respawns(rng):
-    """A SIGKILLed worker fails the in-flight drain with Panic; the next
-    drain gets a fresh pool and completes normally."""
+    """A SIGKILLed worker fails the op that hits it with Panic — at the
+    next wait() in nonblocking mode, out of the call itself in blocking
+    mode; the next op gets a fresh pool and completes normally."""
     from repro.shard.pool import get_pool
 
     n = 32
@@ -125,30 +126,32 @@ def test_worker_crash_panics_then_pool_respawns(rng):
     Bt = random_matrix(rng, n, n, 0.3).extract_tuples()
     want = _oracle_mxm(At, Bt, n)
 
-    context._reset()
-    _enable_processes()
-    A = grb.Matrix.from_coo(grb.INT64, n, n, *At)
-    B = grb.Matrix.from_coo(grb.INT64, n, n, *Bt)
-    C = grb.Matrix(grb.INT64, n, n)
-    grb.mxm(C, None, None, grb.PLUS_TIMES[grb.INT64], A, B)
-    grb.wait()
+    for mode in (grb.Mode.NONBLOCKING, grb.Mode.BLOCKING):
+        context._reset()
+        _enable_processes(mode=mode)
+        A = grb.Matrix.from_coo(grb.INT64, n, n, *At)
+        B = grb.Matrix.from_coo(grb.INT64, n, n, *Bt)
 
-    old = get_pool()
-    os.kill(old.pids[0], signal.SIGKILL)
-    time.sleep(0.2)
-    D = grb.Matrix(grb.INT64, n, n)
-    grb.mxm(D, None, None, grb.PLUS_TIMES[grb.INT64], A, B)
-    with pytest.raises(Panic):
-        grb.wait()
-    assert old.dead
+        def mxm_into_fresh():
+            out = grb.Matrix(grb.INT64, n, n)
+            grb.mxm(out, None, None, grb.PLUS_TIMES[grb.INT64], A, B)
+            grb.wait()
+            return out
 
-    # the failed drain poisoned D; a fresh output on a fresh pool works
-    E = grb.Matrix(grb.INT64, n, n)
-    grb.mxm(E, None, None, grb.PLUS_TIMES[grb.INT64], A, B)
-    grb.wait()
-    assert get_pool() is not old
-    for w_arr, g_arr in zip(want, E.extract_tuples()):
-        assert np.array_equal(w_arr, g_arr)
+        mxm_into_fresh()
+
+        old = get_pool()
+        os.kill(old.pids[0], signal.SIGKILL)
+        time.sleep(0.2)
+        with pytest.raises(Panic):
+            mxm_into_fresh()
+        assert old.dead, mode
+
+        # the failed op's output is lost; a fresh output on a fresh pool works
+        E = mxm_into_fresh()
+        assert get_pool() is not old, mode
+        for w_arr, g_arr in zip(want, E.extract_tuples()):
+            assert np.array_equal(w_arr, g_arr), mode
 
 
 def test_service_runs_with_processes_backend():
