@@ -141,7 +141,7 @@ def test_obs_ring_retention_overhead(bc_workload, tmp_path):
     disarmed = [float("inf")] * K
     ringed = [float("inf")] * K
     try:
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         assert obs.spans._sink is None  # no capture armed throughout
         for i in range(K):
             for _ in range(INNER):

@@ -14,10 +14,8 @@ the pool they occupy.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
-from ...obs import diag as _diag
 from ...obs import metrics as _metrics
 from ...obs import tracing as _tracing
 from ...obs.diag import explain as _explain
@@ -39,40 +37,18 @@ def instrument(
     deferred: bool = True,
 ) -> Callable[[], None]:
     """Wrap one op body in everything that observes it — the only place the
-    span / anomaly / accounting sequence is written.
+    span / accounting sequence is written.
 
     *fn* becomes an op span under *label* with *prov* (rewrite provenance,
-    originating request ids) in its attrs; with an anomaly detector
-    installed it is timed for the per-kernel latency baselines; with a
+    originating request ids) in its attrs; with a
     :class:`repro.obs.tracing.DrainAccounting` installed on the calling
     thread its wall time and realized flops are tallied under *rids* (bound
     by closure, so nodes dispatched to pool threads still report back).
-    With none of the three armed *fn* comes back unchanged.
+    With neither armed *fn* comes back unchanged.
     """
     runner = wrap_thunk(fn, label, deferred, prov or None)
-    if _diag.detector() is not None:
-        runner = _anomaly_wrap(runner, label, _kernel_backend_name())
     acct = _tracing.current_accounting()
     return acct.wrap(runner, rids) if acct is not None else runner
-
-
-def _anomaly_wrap(runner, label: str, backend: str):
-    """Time *runner* for the installed anomaly detector (nested tallies
-    propagate, so this composes with :meth:`DrainAccounting.wrap`)."""
-
-    def observed():
-        token = _tracing._tally_begin()
-        t0 = time.perf_counter()
-        try:
-            runner()
-        finally:
-            _diag.observe_kernel(
-                label, backend,
-                seconds=time.perf_counter() - t0,
-                flops=_tracing._tally_end(token),
-            )
-
-    return observed
 
 
 def _kernel_backend_name() -> str:

@@ -1,89 +1,71 @@
 """``repro.obs.diag`` — production diagnostics over the spans/metrics layer.
 
-Three pieces (see the sibling modules):
+Two pieces (see the sibling modules):
 
 * :mod:`~repro.obs.diag.recorder` — the flight recorder: an always-on
   bounded ring of recent spans, dumped to Chrome-trace JSON on Panic,
-  SLO budget exhaustion, deadline misses, anomalies, or request;
+  SLO budget exhaustion, deadline misses, or request;
 * :mod:`~repro.obs.diag.explain` — plan EXPLAIN: what the drain-time
-  planner decided, per node and per request;
-* :mod:`~repro.obs.diag.anomaly` — online per-kernel latency baselines
-  with sustained-deviation flagging.
+  planner decided, per node and per request.
 
 This module owns the process-wide installation: :func:`install` arms one
-:class:`FlightRecorder` (and an :class:`AnomalyDetector`) for the whole
-process, and the free functions (:func:`trigger_dump`,
-:func:`observe_kernel`, :func:`note_worker_spans`, ...) are safe no-ops
-when nothing is installed — deep layers (the shard pool, the executor)
-call them unconditionally without importing service machinery.
+:class:`FlightRecorder` for the whole process, and the free functions
+(:func:`trigger_dump`, :func:`note_worker_spans`) are safe no-ops when
+nothing is installed — deep layers (the shard pool, the executor) call
+them unconditionally without importing service machinery.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .anomaly import LOCAL_WORKER, AnomalyDetector
 from .explain import ExplainCollector, collect, current_explain, render_text
 from .recorder import FlightRecorder, RingSink
 
 __all__ = [
     "FlightRecorder",
     "RingSink",
-    "AnomalyDetector",
     "ExplainCollector",
     "collect",
     "current_explain",
     "render_text",
-    "LOCAL_WORKER",
     "install",
     "uninstall",
     "installed",
     "recorder",
-    "detector",
     "trigger_dump",
-    "observe_kernel",
     "note_worker_spans",
-    "suspects",
 ]
 
 _mu = threading.Lock()
 _recorder: FlightRecorder | None = None
-_detector: AnomalyDetector | None = None
 
 
-def install(
-    recorder: FlightRecorder | None = None,
-    detector: AnomalyDetector | None = None,
-    **recorder_kwargs,
-) -> tuple[FlightRecorder, AnomalyDetector]:
-    """Install (replacing any previous) the process-wide recorder+detector.
+def install(**recorder_kwargs) -> FlightRecorder:
+    """Install (replacing any previous) the process-wide recorder.
 
-    Extra keyword arguments construct the default :class:`FlightRecorder`
-    (``dump_dir=``, ``capacity=``, ``horizon_s=``, ...).
+    Keyword arguments construct the :class:`FlightRecorder` (``dump_dir=``,
+    ``capacity=``, ``horizon_s=``, ...).
     """
-    global _recorder, _detector
+    global _recorder
     with _mu:
         if _recorder is not None:
             _recorder.uninstall()
-        _recorder = recorder if recorder is not None else FlightRecorder(
-            **recorder_kwargs
-        )
-        _detector = detector if detector is not None else AnomalyDetector()
+        _recorder = FlightRecorder(**recorder_kwargs)
         _recorder.install()
-        return _recorder, _detector
+        return _recorder
 
 
 def uninstall(recorder: FlightRecorder | None = None) -> None:
-    """Tear down the installed pair; with *recorder* given, only if it is
-    still the installed one (a later :func:`install` wins)."""
-    global _recorder, _detector
+    """Tear down the installed recorder; with *recorder* given, only if it
+    is still the installed one (a later :func:`install` wins)."""
+    global _recorder
     with _mu:
         if recorder is not None and recorder is not _recorder:
             return
         if _recorder is not None:
             _recorder.uninstall()
         _recorder = None
-        _detector = None
 
 
 def installed() -> bool:
@@ -92,10 +74,6 @@ def installed() -> bool:
 
 def recorder() -> FlightRecorder | None:
     return _recorder
-
-
-def detector() -> AnomalyDetector | None:
-    return _detector
 
 
 def trigger_dump(reason: str, detail=None, *, force: bool = False) -> str | None:
@@ -112,28 +90,3 @@ def note_worker_spans(worker_id: int, pid: int, clock_offset: float, entries) ->
     rec = _recorder
     if rec is not None and entries:
         rec.note_worker_spans(worker_id, pid, clock_offset, entries)
-
-
-def observe_kernel(
-    kernel: str,
-    backend: str,
-    worker: int = LOCAL_WORKER,
-    *,
-    seconds: float,
-    flops: float = 0.0,
-) -> dict | None:
-    """Feed the anomaly detector; on a sustained deviation, dumps the
-    flight recorder and returns the suspect record."""
-    det = _detector
-    if det is None:
-        return None
-    suspect = det.observe(kernel, backend, worker, seconds, flops)
-    if suspect is not None:
-        trigger_dump("anomaly", detail=suspect)
-    return suspect
-
-
-def suspects() -> list[dict]:
-    """Current anomaly suspects ([] when no detector is installed)."""
-    det = _detector
-    return det.suspects() if det is not None else []

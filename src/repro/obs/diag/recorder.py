@@ -18,9 +18,9 @@ shipped as they complete, a SIGKILLed worker's history up to its last
 completed task survives in the parent.
 
 Dumps are triggered by worker Panic, SLO error-budget exhaustion, request
-deadline misses, sustained latency anomalies, or an explicit ``dump`` wire
-command; automatic triggers are rate-limited so a failure storm produces
-a few dumps, not a disk full of them.
+deadline misses, or an explicit ``dump`` wire command; automatic triggers
+are rate-limited so a failure storm produces a few dumps, not a disk full
+of them.
 """
 
 from __future__ import annotations

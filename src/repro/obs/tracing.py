@@ -221,8 +221,8 @@ def _tally_begin() -> list:
 def _tally_end(cell: list) -> int:
     _tls.tally = cell[1]
     if cell[1] is not None:
-        # nested tallies (accounting wrap inside an anomaly-timing wrap,
-        # or vice versa) must not swallow the inner count from the outer
+        # nested tallies (an accounting wrap whose body runs another
+        # accounted op) must not swallow the inner count from the outer
         cell[1][0] += cell[0]
     return cell[0]
 

@@ -265,7 +265,6 @@ def _observed_kernel(
         reg.inc("kernel.flops_estimated", flops_estimated)
         reg.inc("kernel.flops_realized", realized)
         reg.inc("kernel.nnz_out", len(keys))
-        reg.observe("kernel.flops", realized)
         _tally_flops(realized)  # drain accounting, when a batch is collecting
         return keys, vals
     finally:

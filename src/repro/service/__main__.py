@@ -44,8 +44,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--diag-dir", default=None,
                    help="flight-recorder dump directory (default: "
                         "$REPRO_DIAG_DIR or the system tmpdir)")
-    p.add_argument("--no-diag", action="store_true",
-                   help="disable the flight recorder / anomaly detector")
     args = p.parse_args(argv)
 
     cfg = ServiceConfig(
@@ -57,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         slo_p99_ms=args.slo_p99_ms,
         backend=args.backend,
         shard_workers=args.shard_workers,
-        diag=not args.no_diag,
         diag_dir=args.diag_dir,
     )
     server = Server(args.host, args.port, config=cfg)

@@ -574,7 +574,6 @@ def run_batch(service, session: Session, batch: list) -> None:
     reg = metrics.registry
     sink = spans.current()
     reg.inc("service.batches")
-    reg.observe("service.batch_size", len(batch))
     batching = service.config.batching
     is_writer = session.is_shared
     memo = service.memo

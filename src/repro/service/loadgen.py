@@ -735,7 +735,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--diag-dir", default=None,
                    help="flight-recorder dump directory (direct mode); "
                         "dumps land here on SLO-budget exhaustion, "
-                        "deadline misses, panics, or anomaly flags")
+                        "deadline misses, or panics")
     args = p.parse_args(argv)
 
     zipf_mode = args.zipf_s is not None or args.unique_mix

@@ -84,8 +84,6 @@ class ServiceConfig:
     #: cross-request result cache (memoization of cacheable reads on
     #: shared graphs, keyed by snapshot version + canonical program hash)
     cache: bool = True
-    #: install the diagnostics layer (flight recorder + anomaly detector)
-    diag: bool = True
     #: flight-recorder dump directory (None → $REPRO_DIAG_DIR or tmpdir)
     diag_dir: str | None = None
 
@@ -141,15 +139,11 @@ class Service:
         )
         metrics.registry.enable()
         # the production diagnostics layer: an always-on flight-recorder
-        # ring plus the online anomaly detector (both process-global, so a
-        # later Service instance supersedes an earlier one's installation)
-        self.diag_recorder = self.diag_detector = None
+        # ring (process-global, so a later Service instance supersedes an
+        # earlier one's installation)
+        self.diag_recorder = diag.install(dump_dir=config.diag_dir)
         #: the most recent drain's EXPLAIN record (the `explain` wire command)
         self.last_explain: dict | None = None
-        if config.diag:
-            self.diag_recorder, self.diag_detector = diag.install(
-                dump_dir=config.diag_dir
-            )
         parallel.set_backend(config.backend)
         parallel.set_kernel_backend(config.kernel_backend)
         if config.shard_workers is not None:
@@ -211,10 +205,9 @@ class Service:
             self._work.notify_all()
         for t in self._workers:
             t.join(timeout=5.0)
-        if self.diag_recorder is not None:
-            # only tears down if still the installed pair (a later Service
-            # instance's install wins)
-            diag.uninstall(self.diag_recorder)
+        # only tears down if still the installed recorder (a later Service
+        # instance's install wins)
+        diag.uninstall(self.diag_recorder)
 
     def __enter__(self) -> "Service":
         return self
@@ -436,17 +429,13 @@ class Service:
             "diag": self.diag_stats(),
         }
 
-    def diag_stats(self) -> dict | None:
-        """Flight-recorder / anomaly-detector view (None when diag is off)."""
-        rec, det = self.diag_recorder, self.diag_detector
-        if rec is None:
-            return None
+    def diag_stats(self) -> dict:
+        """Flight-recorder view."""
+        rec = self.diag_recorder
         return {
             "dump_dir": rec.dump_dir,
             "dumps": len(rec.dumps),
             "ring_spans": len(rec.ring.ring),
-            "anomaly": det.stats() if det is not None else None,
-            "suspects": det.suspects() if det is not None else [],
         }
 
     def health(self) -> dict:
@@ -463,13 +452,6 @@ class Service:
                 else "ok" if self._started
                 else "idle"
             )
-        suspects: list = []
-        if status == "ok" and self.diag_detector is not None:
-            # a running service with sustained kernel-latency anomalies is
-            # degraded: alive, serving, but someone should look at it
-            suspects = self.diag_detector.suspects()
-            if suspects:
-                status = "degraded"
         out = {
             "status": status,
             "uptime_s": time.monotonic() - self._t0,
@@ -477,8 +459,6 @@ class Service:
             "sessions": sessions,
             "queue_depth": depth,
         }
-        if suspects:
-            out["suspects"] = suspects
         if self.slo is not None:
             s = self.slo.summary()
             out["slo_met"] = s["window_met"]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..obs import diag as _diag
 from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 from ..obs import tracing as _tracing
@@ -158,14 +157,6 @@ def compute(spec):
         _metrics.registry.inc("shard.tasks", len(results))
         for r in done:
             _metrics.registry.observe("shard.task_seconds", r.seconds)
-    if _diag.detector() is not None:
-        # per-(task kind, worker) baselines: a single sick worker shows
-        # up as its own suspect, not as noise on the kernel's average
-        for r in done:
-            _diag.observe_kernel(
-                f"shard.{spec.kind}", "shard", r.worker_id,
-                seconds=r.seconds, flops=r.flops,
-            )
     if len(done) < len(results):
         if _metrics.registry.enabled:
             _metrics.registry.inc("shard.task_errors", len(results) - len(done))

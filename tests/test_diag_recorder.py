@@ -45,7 +45,7 @@ class TestRingRetention:
     def test_spans_retained_with_capture_off(self, tmp_path):
         """No capture armed anywhere — the armed ring still sees the
         drain's spans, bounded by its capacity."""
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         grb.init(grb.Mode.NONBLOCKING)
         _drain_mxm()
         labels = {sp.label for sp in rec.ring.snapshot()}
@@ -64,7 +64,7 @@ class TestRingRetention:
     def test_full_capture_still_feeds_the_ring(self, tmp_path):
         """An armed capture wins `current()`, but closed spans tee into
         the ring so the recorder never has a blind window."""
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         grb.init(grb.Mode.NONBLOCKING)
         with obs.capture() as cap:
             _drain_mxm()
@@ -84,7 +84,7 @@ class TestRingRetention:
 
 class TestDumps:
     def test_dump_writes_loadable_chrome_trace(self, tmp_path):
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         grb.init(grb.Mode.NONBLOCKING)
         _drain_mxm()
         path = diag.trigger_dump("unit-test", detail={"why": "pinned"})
@@ -110,7 +110,7 @@ class TestDumps:
     def test_rate_limit_suppresses_then_force_bypasses(self, tmp_path):
         metrics.enable()
         try:
-            rec, _ = diag.install(
+            rec = diag.install(
                 dump_dir=str(tmp_path), min_dump_interval_s=3600.0
             )
             sp = rec.ring.open("x", "op")
@@ -143,7 +143,7 @@ class TestShardStitch:
     def test_sigkilled_worker_spans_survive_in_dump(self, tmp_path, rng):
         from repro.shard.pool import get_pool
 
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         self._enable_processes()
         n = 32
         A = random_matrix(rng, n, n, 0.3)
@@ -232,7 +232,7 @@ class TestShardStitch:
 
 class TestContextIsolation:
     def test_reset_disarms_the_ring(self, tmp_path):
-        rec, _ = diag.install(dump_dir=str(tmp_path))
+        rec = diag.install(dump_dir=str(tmp_path))
         assert spans.current_ring() is rec.ring
         context._reset()
         assert spans.current_ring() is None
