@@ -20,7 +20,13 @@ from ...obs import metrics as _metrics
 from ...obs import tracing as _tracing
 from ...obs.diag import explain as _explain
 from ...obs.spans import wrap_thunk
-from ...parallel import get_backend, get_num_threads, serial_section, thread_pool
+from ...parallel import (
+    get_backend,
+    get_kernel_backend,
+    get_num_threads,
+    serial_section,
+    thread_pool,
+)
 from ..sequence import DeferredOp, QueueStats
 from .config import options
 from .graph import OpNode, build_graph
@@ -49,12 +55,6 @@ def instrument(
     runner = wrap_thunk(fn, label, deferred, prov or None)
     acct = _tracing.current_accounting()
     return acct.wrap(runner, rids) if acct is not None else runner
-
-
-def _kernel_backend_name() -> str:
-    from ...kernels.interface import active_backend
-
-    return active_backend().name
 
 
 def _node_provenance(nodes: list[OpNode]) -> dict[int, tuple[list, list]]:
@@ -132,7 +132,7 @@ def _explain_record(
 ) -> dict:
     """One EXPLAIN entry for a built plan: every node with its rewrite
     kind, hazard predecessors, provenance, and backend choice."""
-    kb = _kernel_backend_name()
+    kb = get_kernel_backend()
     entries: list[dict] = []
     fused = cse = 0
     for node in (n for level in levels for n in level):
@@ -173,11 +173,11 @@ def _explain_record(
 
 
 def _compile_eligible(chain) -> bool:
-    """Would the codegen backend compile this fused chain's signature?"""
-    from ...kernels.codegen import chain_signature
+    """Would the codegen backend compile this fused chain on this host?"""
+    from ...kernels.codegen import _compilable
 
     try:
-        return chain_signature(list(chain)) is not None
+        return _compilable(list(chain)) is not None
     except Exception:  # user-shaped specs: EXPLAIN must never kill a drain
         return False
 

@@ -30,7 +30,6 @@ from typing import Any
 __all__ = [
     "ExecMode",
     "PROCESSES",
-    "CODEGEN",
     "default_modes",
     "ablation_modes",
     "exhaustive_modes",
@@ -81,13 +80,6 @@ PROCESSES = (
     ExecMode("nb-processes", nonblocking=True, backend="processes"),
     ExecMode("b-processes", backend="processes"),
 )
-
-#: nonblocking under the full planner with the codegen kernel backend —
-#: every eligible fused chain runs through a generated kernel
-CODEGEN = ExecMode(
-    "nb-codegen", nonblocking=True, kernel_backend="codegen"
-)
-
 
 def ablation_modes() -> list[ExecMode]:
     """The curated planner-pass ablation lattice (fast enough for CI)."""

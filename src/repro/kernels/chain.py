@@ -21,10 +21,10 @@ Two layers of eligibility live here:
   interpreter must run it.
 
 The signature is also the identity of a compiled kernel (codegen keys its
-map on the flavor plus the signature's fields), so alpha-renaming
-temporaries or reordering independent ops (which leave the chain's own
-structure untouched) share a kernel, while any change to an operator,
-accumulator, mask kind, REPLACE bit, or dtype splits it.
+map on the signature's fields), so alpha-renaming temporaries or
+reordering independent ops (which leave the chain's own structure
+untouched) share a kernel, while any change to an operator, accumulator,
+mask kind, REPLACE bit, or dtype splits it.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def chain_signature(specs) -> dict | None:
 
 
 # --------------------------------------------------------------------------
-# Numba flavor eligibility
+# Numba eligibility
 # --------------------------------------------------------------------------
 
 _INT_DTYPES = {
@@ -261,7 +261,7 @@ def _split_op(name: str) -> tuple[str, str]:
 def numba_eligible(sig: dict) -> bool:
     """True when the whole chain is a pure same-dtype apply pipeline whose
     operators all have curated scalar expressions — the only shape the
-    njit loop flavor generates.  Everything else uses numpy stitching."""
+    njit loop generates.  Everything else runs on the interpreter."""
     dtype = _split_op(sig["producer"]["out"])[1]
     for link in sig["links"]:
         if link["role"] != "apply":

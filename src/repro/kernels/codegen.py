@@ -1,23 +1,18 @@
-"""The codegen backend: fused chains compiled to generated kernels.
+"""The codegen backend: fused chains compiled with numba ``@njit``.
 
-Two flavors, chosen per chain:
-
-* **numba** — a single ``@njit`` scalar loop, generated only for pure
-  same-dtype ``apply`` pipelines whose operators have curated scalar
-  expressions (:data:`repro.kernels.chain.NUMBA_SCALAR_EXPRS`).  Requires
-  ``numba`` to be importable; it is an optional extra, never a dependency.
-* **stitch** — always available: a generated module that rebinds the *same*
-  live primitives the interpreter uses (registry operators, ``cast_array``,
-  ``group_starts``/``segment_reduce``) by name and stitches them into one
-  straight-line function, eliminating per-link dispatch.  Bit-identity is
-  by construction — each generated statement is the interpreter's own
-  statement with the link's bindings inlined.
+A chain compiles to a single ``@njit`` scalar loop when numba is
+importable and the chain is a pure same-dtype ``apply`` pipeline whose
+operators have curated scalar expressions
+(:func:`repro.kernels.chain.numba_eligible`,
+:data:`repro.kernels.chain.NUMBA_SCALAR_EXPRS`).  numba is an optional
+extra, never a dependency.  Every other chain — and every chain on a host
+without numba — runs :func:`repro.kernels.interpreter.interpret_chain`.
 
 Each chain shape is generated and compiled once per process and kept in
 one in-memory map; nothing is written to disk.  Every failure mode —
-ineligible signature, compile error, runtime exception inside a generated
-kernel — lands on the interpreter, which is always correct; the codegen
-backend can be slower than the interpreter, never wrong.
+compile error, runtime exception inside a generated kernel — lands on the
+interpreter, which is always correct; the codegen backend can be slower
+than the interpreter, never wrong.
 """
 
 from __future__ import annotations
@@ -28,19 +23,17 @@ from .chain import (
     chain_signature,
     numba_eligible,
 )
-from .interface import KernelBackend
 from .interpreter import interpret_chain
 
 __all__ = [
-    "CodegenBackend",
-    "build_stitch_source",
+    "run_chain",
     "build_numba_source",
     "load_or_build",
     "clear_kernels",
 ]
 
-#: (flavor, frozen signature) → compiled fused_chain callable, or False
-#: for a chain shape known not to compile or to have failed at run time
+#: frozen signature → compiled fused_chain callable, or False for a chain
+#: shape known not to compile or to have failed at run time
 _compiled: dict = {}
 
 _numba_probe: bool | None = None
@@ -66,8 +59,8 @@ def clear_kernels() -> None:
 def _freeze(sig: dict) -> tuple:
     """A hashable flat mirror of a signature — field order is fixed by
     construction in :func:`chain_signature`, so a straight tuple is enough.
-    The thunk enters as the ``repr`` the generated source bakes in: ``1``,
-    ``1.0`` and ``True`` render differently, and a NaN equals itself."""
+    The thunk enters as its ``repr``: ``1``, ``1.0`` and ``True`` render
+    differently, and a NaN equals itself."""
     p = sig["producer"]
     return (
         p["kind"], p["op"], p["out"], p["mask"], p["replace"],
@@ -79,113 +72,18 @@ def _freeze(sig: dict) -> tuple:
     )
 
 
+def _compilable(specs) -> dict | None:
+    """The chain's signature when this host would compile it, else None.
+    Without numba no signature is extracted at all."""
+    if not _numba_available():
+        return None
+    sig = chain_signature(specs)
+    return sig if sig is not None and numba_eligible(sig) else None
+
+
 # --------------------------------------------------------------------------
 # Source generation
 # --------------------------------------------------------------------------
-
-_REGISTRY_OF = {
-    "apply": "UNARY_REGISTRY",
-    "select": "INDEXUNARY_REGISTRY",
-    "reduce": "MONOID_REGISTRY",
-}
-
-_STITCH_PRELUDE = '''\
-"""Generated repro kernel (stitch flavor) — do not edit, regenerate."""
-import numpy as np
-from repro._sparseutil import group_starts, segment_reduce, unflatten_keys
-from repro.types import cast_array, lookup_type
-from repro.algebra.predefined import MONOID_REGISTRY
-from repro.ops.index_unary import INDEXUNARY_REGISTRY
-from repro.ops.unary import UNARY_REGISTRY
-'''
-
-
-def build_stitch_source(sig: dict) -> str:
-    """Straight-line numpy source for one chain signature.
-
-    The body is the interpreter's per-link code with each link's operator,
-    domains and thunk bound at module top level — the structure (mask
-    filter placement, cast points, empty guards) must stay statement-for-
-    statement identical to :mod:`repro.kernels.interpreter` and the fused
-    kernels in :mod:`repro.operations._kernels`, because bit-identity is
-    argued by construction, not by testing alone.
-    """
-    links = sig["links"]
-    last = len(links) - 1
-    lines = [_STITCH_PRELUDE]
-    for i, link in enumerate(links):
-        lines.append(f"_op{i} = {_REGISTRY_OF[link['role']]}[{link['op']!r}]")
-        lines.append(f"_in{i} = lookup_type({link['in']!r})")
-        lines.append(f"_t{i} = lookup_type({link['t']!r})")
-        lines.append(f"_o{i} = lookup_type({link['out']!r})")
-        if link["role"] == "select":
-            lines.append(f"_thunk{i} = {link['thunk']!r}")
-    lines += ["", "", "def fused_chain(keys, vals, masks, dims):"]
-    for i, link in enumerate(links):
-        role = link["role"]
-        lines.append(f"    # link {i}: {role} {link['op']}")
-        if role != "reduce":
-            # apply/select filter the incoming stream by their mask first
-            lines += [
-                f"    m = masks[{i}]",
-                "    if m is not None and len(keys):",
-                "        keep = m.allows(keys)",
-                "        keys, vals = keys[keep], vals[keep]",
-            ]
-        if role == "apply":
-            lines += [
-                f"    vals = _op{i}.apply_array("
-                f"cast_array(vals, _in{i}, _op{i}.d_in))",
-                f"    if vals.dtype != _op{i}.d_out.np_dtype:",
-                f"        vals = vals.astype(_op{i}.d_out.np_dtype)",
-            ]
-        elif role == "select":
-            lines += [
-                "    if len(keys) == 0:",
-                "        vals = vals.copy()",
-                "    else:",
-                f"        if dims[{i}] >= 0:",
-                f"            rows, cols = unflatten_keys(keys, dims[{i}])",
-                "        else:",
-                "            rows = keys",
-                "            cols = np.zeros(len(keys), dtype=np.int64)",
-                f"        vin = (cast_array(vals, _in{i}, _op{i}.d_in)",
-                f"               if _op{i}.d_in is not None else vals)",
-                "        verdict = np.asarray(",
-                f"            _op{i}.apply_arrays(vin, rows, cols, _thunk{i})",
-                "        ).astype(bool)",
-                "        keys, vals = keys[verdict], vals[verdict]",
-            ]
-        else:  # reduce
-            lines += [
-                f"    vals = cast_array(vals, _in{i}, _t{i})",
-                "    if len(keys) == 0:",
-                "        keys = np.empty(0, dtype=np.int64)",
-                f"        vals = np.empty(0, dtype=_op{i}.domain.np_dtype)",
-                "    else:",
-                f"        rows = keys // np.int64(dims[{i}])",
-                "        keys, starts = group_starts(rows)",
-                f"        vals = segment_reduce(vals, starts, _op{i})",
-                f"        if vals.dtype != _op{i}.domain.np_dtype:",
-                f"            vals = vals.astype(_op{i}.domain.np_dtype)",
-            ]
-            if i != last:
-                # a middle reduce filters its *reduced* vector, exactly
-                # where the interpreter's _link_t does
-                lines += [
-                    f"    m = masks[{i}]",
-                    "    if m is not None and len(keys):",
-                    "        keep = m.allows(keys)",
-                    "        keys, vals = keys[keep], vals[keep]",
-                ]
-            # a tail reduce leaves the mask to the write pipeline push-down
-        if i != last:
-            lines.append(f"    vals = cast_array(vals, _t{i}, _o{i})")
-        lines.append("")
-    lines.append("    return keys, vals")
-    lines.append("")
-    return "\n".join(lines)
-
 
 _NP_OF = {
     "BOOL": "bool_",
@@ -214,8 +112,7 @@ def build_numba_source(sig: dict) -> str:
         for link in sig["links"]
     ]
     lines = [
-        '"""Generated repro kernel (numba flavor) — do not edit, '
-        'regenerate."""',
+        '"""Generated repro kernel — do not edit, regenerate."""',
         "import numpy as np",
         "import numba",
         "",
@@ -233,7 +130,7 @@ def build_numba_source(sig: dict) -> str:
         "        out[i] = x",
         "",
         "",
-        "def fused_chain(keys, vals, masks, dims):",
+        "def fused_chain(keys, vals, masks):",
         "    if len(keys):",
         "        keep = None",
         "        for m in masks:",
@@ -265,17 +162,13 @@ def _compile(source: str):
 
 
 def load_or_build(sig: dict):
-    """``(fused_chain, key)`` for a signature, compiled on first use.
-    ``(None, key)`` means this chain cannot compile here (or its kernel
-    failed at run time); run the interpreter."""
-    if _numba_available() and numba_eligible(sig):
-        flavor, build = "numba", build_numba_source
-    else:
-        flavor, build = "stitch", build_stitch_source
-    key = (flavor, _freeze(sig))
+    """``(fused_chain, key)`` for a numba-eligible signature, compiled on
+    first use.  ``(None, key)`` means this chain cannot compile here (or
+    its kernel failed at run time); run the interpreter."""
+    key = _freeze(sig)
     fn = _compiled.get(key)
     if fn is None:
-        fn = _compiled[key] = _compile(build(sig)) or False
+        fn = _compiled[key] = _compile(build_numba_source(sig)) or False
     return fn or None, key
 
 
@@ -285,91 +178,56 @@ def _discard(key: tuple) -> None:
     _compiled[key] = False
 
 
-_RT = None
+def run_chain(specs) -> None:
+    """Run a fused chain ``[producer, link, ...]`` end to end: through its
+    compiled kernel when there is one, on the interpreter otherwise."""
+    sig = _compilable(specs)
+    fn = key = None
+    if sig is not None:
+        fn, key = load_or_build(sig)
+    if fn is None:
+        interpret_chain(specs)
+        return
+    _run_compiled(specs, fn, key)
 
 
-def _runtime():
-    """Hot-path collaborators, resolved once (circular-import-safe): chain
-    dispatch runs per contracted node, so per-call imports are real cost."""
-    global _RT
-    if _RT is None:
-        from ..containers.mask import build_mask_view
-        from ..obs import metrics as _metrics
-        from ..obs import spans as _obs_spans
-        from ..operations._kernels import _observed_kernel
-        from ..operations.common import _producer_result, run_write_pipeline
+def _run_compiled(specs, fn, key) -> None:
+    from ..containers.mask import build_mask_view
+    from ..obs import metrics as _metrics
+    from ..obs import spans as _obs_spans
+    from ..operations._kernels import _observed_kernel
+    from ..operations.common import _producer_result, run_write_pipeline
 
-        _RT = (
-            build_mask_view, _metrics, _obs_spans,
-            _observed_kernel, _producer_result, run_write_pipeline,
-        )
-    return _RT
+    masks = [
+        build_mask_view(s.mask, s.desc.mask_complement, s.desc.mask_structure)
+        for s in specs[1:]
+    ]
+    keys, vals = _producer_result(specs[0])
+    try:
+        if _obs_spans.current() is None and not _metrics.registry.enabled:
+            t_keys, t_vals = fn(keys, vals, masks)
+        else:
 
+            def run(acc):
+                out = fn(keys, vals, masks)
+                acc.append(len(keys) * (len(specs) - 1))
+                return out
 
-class CodegenBackend(KernelBackend):
-    """Compiles eligible chains; interprets everything else."""
-
-    name = "codegen"
-
-    def run_chain(self, specs) -> None:
-        _obs_spans = _runtime()[2]
-        sig = chain_signature(specs)
-        fn = key = None
-        if sig is not None:
-            fn, key = load_or_build(sig)
-        if fn is None:
-            if _obs_spans.current() is not None:
-                _obs_spans.annotate(compiled=False)
-            interpret_chain(specs)
-            return
-        self._run_compiled(specs, fn, key)
-
-    def _run_compiled(self, specs, fn, key) -> None:
-        (build_mask_view, _metrics, _obs_spans, _observed_kernel,
-         _producer_result, run_write_pipeline) = _runtime()
-
-        masks = [
-            build_mask_view(s.mask, s.desc.mask_complement,
-                            s.desc.mask_structure)
-            for s in specs[1:]
-        ]
-        dims = []
-        for s in specs[1:]:
-            if s.reducer is not None:
-                dims.append(s.inputs[0].ncols)
-            else:
-                n = getattr(s.out, "ncols", None)
-                dims.append(-1 if n is None else n)
-        keys, vals = _producer_result(specs[0])
-        try:
-            if (_obs_spans.current() is None
-                    and not _metrics.registry.enabled):
-                t_keys, t_vals = fn(keys, vals, masks, dims)
-            else:
-
-                def run(acc):
-                    out = fn(keys, vals, masks, dims)
-                    acc.append(len(keys) * (len(specs) - 1))
-                    return out
-
-                t_keys, t_vals = _observed_kernel(
-                    "chain[compiled]", run,
-                    flops_estimated=len(keys) * (len(specs) - 1),
-                    nnz_in=len(keys),
-                    backend="codegen", compiled=True,
-                )
-        except Exception:
-            # producer kernels are pure, so rerunning the whole chain on
-            # the interpreter is safe; the bad kernel is retired
-            _discard(key)
-            if _obs_spans.current() is not None:
-                _obs_spans.annotate(compiled=False)
-            interpret_chain(specs)
-            return
-        if _obs_spans.current() is not None:
-            _obs_spans.annotate(compiled=True)
-        tail = specs[-1]
-        run_write_pipeline(
-            tail.out, tail.mask, tail.accum, tail.desc,
-            t_keys, t_vals, tail.t_type, mask_view=masks[-1],
-        )
+            t_keys, t_vals = _observed_kernel(
+                "chain[compiled]", run,
+                flops_estimated=len(keys) * (len(specs) - 1),
+                nnz_in=len(keys),
+                backend="codegen", compiled=True,
+            )
+    except Exception:
+        # producer kernels are pure, so rerunning the whole chain on the
+        # interpreter is safe; the bad kernel is retired
+        _discard(key)
+        interpret_chain(specs)
+        return
+    _obs_spans.annotate(compiled=True)
+    tail = specs[-1]
+    run_write_pipeline(
+        tail.out, tail.mask, tail.accum, tail.desc,
+        t_keys, t_vals, tail.t_type, mask_view=masks[-1],
+    )

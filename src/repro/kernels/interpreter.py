@@ -4,18 +4,16 @@
 chains.  The head's result streams through every middle link — each one a
 mask filter plus its transform, then a cast into the intermediate's domain
 (exactly what an overwrite-shaped write would have stored) — and the tail
-runs the full write pipeline against the real output
-(``operations.common.execute_chain`` is the only caller).
+runs the full write pipeline against the real output.
 
-Both backends lean on this module: codegen falls back here per chain when
-a signature is ineligible or a generated kernel misbehaves.
+Both backends lean on this module: ``operations.common.execute_chain``
+calls it for the ``interpreter`` backend, and codegen falls back here per
+chain when the chain is not compiled or a generated kernel misbehaves.
 """
 
 from __future__ import annotations
 
-from .interface import KernelBackend
-
-__all__ = ["InterpreterBackend", "interpret_chain"]
+__all__ = ["interpret_chain"]
 
 
 def _link_t(spec, keys, vals, mask_view):
@@ -67,16 +65,3 @@ def interpret_chain(specs) -> None:
         tail.out, tail.mask, tail.accum, d, t_keys, t_vals, tail.t_type,
         mask_view=mask_view,
     )
-
-
-class InterpreterBackend(KernelBackend):
-    """The default suite: every kernel is the hand-written numpy one."""
-
-    name = "interpreter"
-
-    def run_chain(self, specs) -> None:
-        from ..obs import spans as _obs_spans
-
-        if _obs_spans.current() is not None:
-            _obs_spans.annotate(compiled=False)
-        interpret_chain(specs)

@@ -32,8 +32,10 @@ from ..containers.vector import Vector
 from ..descriptor import Descriptor, effective
 from ..execution.sequence import OpSpec
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue, NullPointer
+from ..kernels import codegen as _codegen
+from ..kernels.interpreter import interpret_chain
 from ..ops.base import BinaryOp
-from ..parallel import get_backend
+from ..parallel import get_backend, get_kernel_backend
 from ..types import GrBType, can_cast, cast_array
 
 __all__ = [
@@ -286,16 +288,17 @@ def execute_chain(specs: list[OpSpec]) -> None:
     tail runs a write pipeline.  The planner's fusion pass has already
     proven every intermediate value unobservable.
 
-    *Which* kernel suite computes the stream is the active kernel backend's
-    decision (:func:`repro.kernels.active_backend` — interpreter or
-    codegen); the op span records the choice as provenance.
+    *Which* kernel suite computes the stream is
+    :func:`repro.parallel.get_kernel_backend`'s decision (interpreter or
+    codegen); the op span records the choice, and whether a compiled
+    kernel ran, as provenance.
     """
-    from ..kernels import active_backend
-
-    backend = active_backend()
-    if _obs_spans.current() is not None:
-        _obs_spans.annotate(backend=backend.name)
-    backend.run_chain(specs)
+    backend = get_kernel_backend()
+    _obs_spans.annotate(backend=backend, compiled=False)
+    if backend == "codegen":
+        _codegen.run_chain(specs)
+    else:
+        interpret_chain(specs)
 
 
 def submit_standard_op(

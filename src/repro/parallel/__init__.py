@@ -14,7 +14,6 @@ from .config import (
     get_backend,
     get_kernel_backend,
     get_num_threads,
-    register_kernel_backend,
     parallel_threshold,
     pool_stats,
     row_blocks,
@@ -34,7 +33,6 @@ __all__ = [
     "set_backend",
     "get_kernel_backend",
     "set_kernel_backend",
-    "register_kernel_backend",
     "get_num_threads",
     "set_num_threads",
     "parallel_threshold",

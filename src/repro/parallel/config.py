@@ -39,7 +39,6 @@ __all__ = [
     "set_backend",
     "get_kernel_backend",
     "set_kernel_backend",
-    "register_kernel_backend",
     "get_num_threads",
     "set_num_threads",
     "parallel_threshold",
@@ -54,11 +53,11 @@ __all__ = [
 ]
 
 BACKENDS = ("serial", "threads", "processes")
-#: kernel-suite backends (how a planned op/chain computes T), orthogonal to
-#: the execution backend above (where it runs).  "interpreter" is the
-#: hand-written kernel suite; "codegen" compiles eligible fused chains
-#: (see :mod:`repro.kernels`).  Third-party suites register themselves via
-#: :func:`register_kernel_backend`.
+#: kernel-suite backends (how a fused chain computes T), orthogonal to the
+#: execution backend above (where it runs).  "interpreter" is the
+#: hand-written kernel suite; "codegen" compiles numba-eligible chains with
+#: ``@njit`` when numba is importable and interprets the rest (see
+#: :mod:`repro.kernels`).
 KERNEL_BACKENDS = ("interpreter", "codegen")
 DEFAULT_THRESHOLD = 200_000
 #: hard cap on shard workers — deliberately *not* clamped to cpu_count():
@@ -99,7 +98,6 @@ def set_backend(name: str) -> None:
 
 
 _kernel_backend = "interpreter"
-_known_kernel_backends = set(KERNEL_BACKENDS)
 
 
 def get_kernel_backend() -> str:
@@ -110,23 +108,18 @@ def set_kernel_backend(name: str) -> None:
     """Select the kernel suite for planned ops and fused chains.
 
     ``interpreter`` (default) runs the hand-written numpy kernels;
-    ``codegen`` compiles eligible fused chains into generated kernels and
-    falls back to the interpreter everywhere else.  Results are identical
-    by contract — the backend is an execution strategy, never a semantic.
+    ``codegen`` compiles numba-eligible fused chains with ``@njit`` when
+    numba is importable and runs the interpreter everywhere else.  Results
+    are identical by contract — the backend is an execution strategy,
+    never a semantic.
     """
     global _kernel_backend
-    if name not in _known_kernel_backends:
+    if name not in KERNEL_BACKENDS:
         raise InvalidValue(
             f"unknown kernel backend {name!r}; expected one of "
-            f"{tuple(sorted(_known_kernel_backends))}"
+            f"{KERNEL_BACKENDS}"
         )
     _kernel_backend = name
-
-
-def register_kernel_backend(name: str) -> None:
-    """Make *name* accepted by :func:`set_kernel_backend` (called by
-    :func:`repro.kernels.register_backend` for out-of-tree suites)."""
-    _known_kernel_backends.add(name)
 
 
 def shard_workers() -> int:

@@ -146,12 +146,24 @@ def compiles(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def numba_host(monkeypatch):
+    """Make this host look numba-equipped so eligible chains reach the
+    compiler; seed 0's ``mxv→apply`` vector chain is ``numba_eligible``."""
+    monkeypatch.setattr(cg, "_numba_available", lambda: True)
+
+
 def test_codegen_compiles_once_and_writes_no_files(
     tmp_path, monkeypatch, fresh_kernels, compiles
 ):
     # every place a kernel cache could plausibly land points at tmp_path
     for var in ("HOME", "XDG_CACHE_HOME", "REPRO_KERNEL_CACHE"):
         monkeypatch.setenv(var, str(tmp_path))
+    # without numba a codegen run is the interpreter: nothing compiles
+    monkeypatch.setattr(cg, "_numba_available", lambda: False)
+    _pipeline(0, "codegen", nonblocking=True)
+    assert compiles == []
+    monkeypatch.setattr(cg, "_numba_available", lambda: True)
     _pipeline(0, "codegen", nonblocking=True)
     first = len(compiles)
     assert first > 0, "pipeline no longer reaches the compiler"
@@ -161,11 +173,11 @@ def test_codegen_compiles_once_and_writes_no_files(
 
 
 def test_uncompilable_source_falls_back_and_is_remembered(
-    monkeypatch, fresh_kernels, compiles
+    monkeypatch, fresh_kernels, compiles, numba_host
 ):
     want, _ = _pipeline(0, "interpreter", nonblocking=True)
     monkeypatch.setattr(
-        cg, "build_stitch_source", lambda sig: "def fused_chain(:\n"
+        cg, "build_numba_source", lambda sig: "def fused_chain(:\n"
     )
     got, _ = _pipeline(0, "codegen", nonblocking=True)
     _assert_same(want, got)
@@ -178,16 +190,18 @@ def test_uncompilable_source_falls_back_and_is_remembered(
     assert compiles == []
 
 
-def test_runtime_exploding_kernel_is_retired(monkeypatch, fresh_kernels):
+def test_runtime_exploding_kernel_is_retired(
+    monkeypatch, fresh_kernels, numba_host
+):
     want, _ = _pipeline(0, "interpreter", nonblocking=True)
     trap = (
-        "def fused_chain(keys, vals, masks, dims):\n"
+        "def fused_chain(keys, vals, masks):\n"
         "    raise RuntimeError('boom')\n"
     )
     # the trap compiles fine, detonates at run time: the chain must still
     # complete (interpreter fallback) and the entry must be retired
     with monkeypatch.context() as m:
-        m.setattr(cg, "build_stitch_source", lambda sig: trap)
+        m.setattr(cg, "build_numba_source", lambda sig: trap)
         got, _ = _pipeline(0, "codegen", nonblocking=True)
     _assert_same(want, got)
     assert cg._compiled and not any(cg._compiled.values())

@@ -12,6 +12,7 @@ import pytest
 import repro as grb
 from repro import context, obs, parallel
 from repro.fuzz.generator import generate_program
+from repro.kernels import codegen as cg
 from repro.obs.diag import explain as diag_explain
 from repro.obs.diag.__main__ import main as diag_main
 from repro.obs.tracing import TraceContext
@@ -23,7 +24,7 @@ SEMIRING = "GrB_PLUS_TIMES_SEMIRING_FP64"
 BINOP = "GrB_PLUS_FP64"
 
 
-def _two_request_batch(explain: bool = True):
+def _two_request_batch(explain: bool = True, kernel_backend="interpreter"):
     """One batch, two requests.  Each request runs
 
         mxm(t = g*g); apply(t = -t)   # producer→consumer: fuses
@@ -32,7 +33,9 @@ def _two_request_batch(explain: bool = True):
     so one drain exhibits two fused chains plus one cross-request CSE
     merge whose surviving kernel serves both request ids.  Returns the
     (already shut down) service, responses, and the captured spans."""
-    svc = Service(ServiceConfig(workers=1, autostart=False))
+    svc = Service(ServiceConfig(
+        workers=1, autostart=False, kernel_backend=kernel_backend
+    ))
     try:
         sess = svc.open_session("xp")
         f0 = svc.submit(sess, "define", {
@@ -119,6 +122,18 @@ class TestPinnedTwoRequestBatch:
         )
         assert svc.last_explain is not None
         assert len(svc.last_explain["plans"]) >= 1
+
+        # under codegen EXPLAIN claims a compile only where one happens:
+        # mxm→apply(AINV_FP64) is numba-eligible, so the flag is exactly
+        # whether numba is importable here
+        _, out, _ = _two_request_batch(kernel_backend="codegen")
+        for resp in out:
+            p = resp["explain"]["plans"][0]
+            assert p["kernel_backend"] == "codegen"
+            fused = [n for n in p["nodes"] if n["kind"] == "fused"]
+            assert fused
+            for node in fused:
+                assert node["compile_eligible"] is cg._numba_available()
 
     def test_explain_is_opt_in(self):
         svc, out, _ = _two_request_batch(explain=False)

@@ -1,13 +1,13 @@
 """Stability properties of the compiled-kernel identity.
 
-The key of codegen's in-memory kernel map, ``(flavor, _freeze(sig))``, must
-be *exactly* as discriminating as the generated source: programs that
-differ only in temporary naming, input data, or the order of independent
+The key of codegen's in-memory kernel map, ``_freeze(sig)``, must be
+*exactly* as discriminating as the chain's structure: programs that differ
+only in temporary naming, input data, or the order of independent
 operations share a key (alpha-rename/reorder invariance), while any change
 that alters what the kernel computes — semiring, link operator,
-accumulator, mask kind, REPLACE bit, dtype, select thunk, flavor — splits
-it.  Too coarse a key serves the wrong kernel; too fine a key compiles the
-same kernel twice.  Both directions are pinned here.
+accumulator, mask kind, REPLACE bit, dtype, select thunk — splits it.  Too
+coarse a key serves the wrong kernel; too fine a key compiles the same
+kernel twice.  Both directions are pinned here.
 """
 
 from __future__ import annotations
@@ -17,46 +17,37 @@ import pytest
 
 import repro as grb
 from repro import context, parallel
-from repro.kernels import KernelBackend, chain_signature, register_backend
+from repro.kernels import chain_signature
+from repro.kernels import codegen as cg
 from repro.kernels.codegen import _freeze
-from repro.kernels.interpreter import interpret_chain
+
+_SIGS: list = []
 
 
-def _key(sig, flavor="stitch") -> tuple:
-    """The key :func:`repro.kernels.codegen.load_or_build` files *sig* under."""
-    return (flavor, _freeze(sig))
+@pytest.fixture(autouse=True)
+def record_signatures(monkeypatch):
+    """Record every chain's signature on its way into ``codegen.run_chain``."""
+    real = cg.run_chain
 
+    def recording(specs):
+        _SIGS.append(chain_signature(list(specs)))
+        real(specs)
 
-class RecordingBackend(KernelBackend):
-    """Runs chains through the interpreter while capturing signatures —
-    also the smallest possible proof that the backend registry is open."""
-
-    name = "recording"
-
-    def __init__(self):
-        self.sigs: list = []
-
-    def run_chain(self, specs) -> None:
-        self.sigs.append(chain_signature(list(specs)))
-        interpret_chain(list(specs))
-
-
-_RECORDER = RecordingBackend()
-register_backend(_RECORDER)
+    monkeypatch.setattr(cg, "run_chain", recording)
 
 
 def _keys_for(program, seed=7) -> list[tuple]:
-    """Signatures + stitch keys of every chain *program* forms."""
+    """Signatures + kernel-map keys of every chain *program* forms."""
     context._reset()
-    parallel.set_kernel_backend("recording")
+    parallel.set_kernel_backend("codegen")
     grb.init(grb.Mode.NONBLOCKING)
-    _RECORDER.sigs = []
+    _SIGS.clear()
     r = np.random.default_rng(seed)
     program(r)
     grb.wait()
-    sigs = [s for s in _RECORDER.sigs if s is not None]
-    assert sigs, "program formed no codegen-eligible chain"
-    return [(s, _key(s)) for s in sigs]
+    sigs = [s for s in _SIGS if s is not None]
+    assert sigs, "program formed no chain with a signature"
+    return [(s, _freeze(s)) for s in sigs]
 
 
 def _mat(r, dom, n=12, density=0.4):
@@ -166,10 +157,6 @@ class TestSplitting:
         assert one != one_f
         nan = lambda r: _chain(r, thunk=float("nan"))  # noqa: E731
         assert [k for _, k in _keys_for(nan)] == [k for _, k in _keys_for(nan)]
-
-    def test_flavor_splits_the_key(self):
-        (sig, stitch_key), *_ = _keys_for(self.BASE)
-        assert _key(sig, "numba") != stitch_key
 
 
 class TestOpNameSplitting:
