@@ -23,9 +23,10 @@ text exposition, and the per-request timeline HTML.
 from __future__ import annotations
 
 import html as _html
+from math import ldexp
 from typing import Iterable
 
-from .metrics import BUCKET_BOUNDS
+from .metrics import SUB_BUCKETS, ZERO_BUCKET
 from .spans import Span
 
 __all__ = [
@@ -218,12 +219,14 @@ def prometheus_text(
     """Render a :meth:`MetricsRegistry.snapshot` as Prometheus text format.
 
     Counters become ``<prefix>_<name>_total`` counter series; histograms
-    become the conventional cumulative ``_bucket{le="..."}`` series plus
-    ``_sum`` and ``_count``; *gauges* (service-level point-in-time values
-    such as queue depth) are emitted as gauge series.  Metric names are
-    sanitized to ``[a-zA-Z0-9_]`` — dots in registry names map to
-    underscores, so ``service.latency_us`` scrapes as
-    ``repro_service_latency_us``.
+    become cumulative ``_bucket{le="..."}`` series at every power-of-two
+    edge from the lowest to the highest observed octave, then ``+Inf``,
+    ``_sum`` and ``_count``.  An octave edge is also a sub-bucket edge,
+    so each cumulative count is exact (it counts values below the edge).
+    *gauges* (service-level point-in-time values such as queue depth)
+    are emitted as gauge series.  Metric names are sanitized to
+    ``[a-zA-Z0-9_]`` — dots in registry names map to underscores, so
+    ``service.latency_us`` scrapes as ``repro_service_latency_us``.
     """
     lines: list[str] = []
     for name in sorted(snapshot.get("counters", {})):
@@ -234,15 +237,20 @@ def prometheus_text(
         h = snapshot["histograms"][name]
         pname = _prom_name(name, prefix)
         lines.append(f"# TYPE {pname} histogram")
-        cum = 0
-        buckets = h.get("buckets", [])
-        for bound, n in zip(BUCKET_BOUNDS, buckets):
-            cum += n
-            lines.append(f'{pname}_bucket{{le="{bound}"}} {cum}')
-        cum += buckets[-1] if len(buckets) > len(BUCKET_BOUNDS) else 0
-        lines.append(f'{pname}_bucket{{le="+Inf"}} {cum}')
+        pairs = h.get("buckets", [])
+        octaves = [b // SUB_BUCKETS for b, _ in pairs if b != ZERO_BUCKET]
+        cum = i = 0
+        for octave in range(octaves[0], octaves[-1] + 1) if octaves else ():
+            # the zero bucket sorts first and falls below every edge
+            while i < len(pairs) and pairs[i][0] < (octave + 1) * SUB_BUCKETS:
+                cum += pairs[i][1]
+                i += 1
+            edge = _prom_value(ldexp(1.0, octave + 1))
+            lines.append(f'{pname}_bucket{{le="{edge}"}} {cum}')
+        count = _prom_value(h.get("count", 0))
+        lines.append(f'{pname}_bucket{{le="+Inf"}} {count}')
         lines.append(f"{pname}_sum {_prom_value(h.get('total', 0.0))}")
-        lines.append(f"{pname}_count {_prom_value(h.get('count', 0))}")
+        lines.append(f"{pname}_count {count}")
     for name in sorted(gauges or {}):
         pname = _prom_name(name, prefix)
         lines.append(f"# TYPE {pname} gauge")

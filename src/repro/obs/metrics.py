@@ -6,6 +6,11 @@ It is disabled by default; :func:`repro.obs.capture` enables it for the
 capture window and reports the window's deltas, or callers can leave it
 enabled permanently (a production profile) and poll :meth:`snapshot`.
 
+Every latency summary in the package is one log-linear :class:`Histogram`
+(32 linear sub-buckets per power of two), read by :func:`percentile`, the
+Prometheus exporter, :class:`SLOTracker`, ``Service.stats()`` and the
+loadgen; a percentile is within 1/32 (~3 %) of the exact rank value.
+
 Cost model: when disabled every ``inc``/``observe`` is an attribute read
 and a return; hot kernel paths additionally guard on
 ``spans.current() is None and not metrics.enabled()`` so the disabled case
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from math import frexp, ldexp
 
 __all__ = [
     "Histogram",
@@ -26,17 +31,31 @@ __all__ = [
     "enabled",
     "enable",
     "disable",
-    "BUCKET_BOUNDS",
+    "bucket_edges",
     "percentile",
 ]
 
-#: histogram bucket upper bounds (powers of 4; the last bucket is open)
-_BOUNDS = tuple(4**k for k in range(1, 16))
-BUCKET_BOUNDS = _BOUNDS
+#: linear sub-buckets per power of two: bucket ``b`` is sub-bucket ``s``
+#: of octave ``[2**o, 2**(o+1))`` for ``o, s = divmod(b, SUB_BUCKETS)``
+SUB_BUCKETS = 32
+#: the bucket of zero (and of any non-positive value), below every other
+ZERO_BUCKET = -(1 << 16)
+
+
+def bucket_edges(b: int) -> tuple[float, float]:
+    """The ``[lo, hi)`` value range of histogram bucket *b*: at most 1/32
+    of *lo* wide, ``(0.0, 0.0)`` for the zero bucket."""
+    if b == ZERO_BUCKET:
+        return (0.0, 0.0)
+    octave, sub = divmod(b, SUB_BUCKETS)
+    return (ldexp(SUB_BUCKETS + sub, octave - 5),
+            ldexp(SUB_BUCKETS + sub + 1, octave - 5))
 
 
 class Histogram:
-    """Fixed-bucket histogram with count/total/min/max."""
+    """Log-linear histogram of finite values with count/total/min/max;
+    ``buckets`` maps each non-empty bucket (:func:`bucket_edges`) to its
+    count."""
 
     __slots__ = ("count", "total", "min", "max", "buckets")
 
@@ -45,7 +64,7 @@ class Histogram:
         self.total = 0.0
         self.min = None
         self.max = None
-        self.buckets = [0] * (len(_BOUNDS) + 1)
+        self.buckets: dict[int, int] = {}
 
     def observe(self, value) -> None:
         self.count += 1
@@ -54,19 +73,36 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(_BOUNDS):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        if value > 0:
+            # value = m * 2**e with m in [0.5, 1): octave e - 1, and
+            # int(m * 64) - 32 is the sub-bucket (SUB_BUCKETS == 32)
+            m, e = frexp(value)
+            b = (e << 5) + int(m * 64.0) - 64
+        else:
+            b = ZERO_BUCKET
+        self.buckets[b] = self.buckets.get(b, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Add *other*'s observations to this histogram."""
+        if not other.count:
+            return
+        self.count += other.count
+        self.total += other.total
+        if self.min is None or other.min < self.min:
+            self.min = other.min
+        if self.max is None or other.max > self.max:
+            self.max = other.max
+        for b, n in other.buckets.items():
+            self.buckets[b] = self.buckets.get(b, 0) + n
 
     def to_dict(self) -> dict:
+        """JSON-able; ``buckets`` becomes sorted ``[bucket, count]`` pairs."""
         return {
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "max": self.max,
-            "buckets": list(self.buckets),
+            "buckets": sorted([b, n] for b, n in self.buckets.items()),
         }
 
 
@@ -138,47 +174,44 @@ class MetricsRegistry:
             prev = b_h.get(name, {"count": 0, "total": 0.0})
             d_count = h["count"] - prev["count"]
             if d_count:
-                entry = {
+                # counts only grow, so after's buckets cover before's; the
+                # window's min/max are unknowable from snapshots, so the
+                # lifetime bounds are the (safe) percentile() clamp
+                pb = dict(prev.get("buckets", ()))
+                hists[name] = {
                     "count": d_count,
                     "total": h["total"] - prev["total"],
+                    "min": h["min"],
+                    "max": h["max"],
+                    "buckets": [[b, n - pb.get(b, 0)] for b, n in h["buckets"]
+                                if n != pb.get(b, 0)],
                 }
-                if "buckets" in h:
-                    pb = prev.get("buckets") or [0] * len(h["buckets"])
-                    entry["buckets"] = [a - b for a, b in zip(h["buckets"], pb)]
-                    # min/max of the window are unknowable from snapshots;
-                    # the lifetime bounds are a safe clamp for percentile()
-                    entry["min"] = h.get("min")
-                    entry["max"] = h.get("max")
-                hists[name] = entry
         return {"counters": counters, "histograms": hists}
 
 
 def percentile(hist: dict, q: float) -> float | None:
     """Estimate the *q*-th percentile (0 < q ≤ 1) of a histogram snapshot.
 
-    *hist* is a :meth:`Histogram.to_dict` payload.  The estimate is the
-    upper bound of the first bucket whose cumulative count reaches
-    ``q * count``, clamped to the observed min/max — the usual resolution
-    trade of fixed power-of-4 buckets (a p99 of "≤ 4096 µs" rather than an
-    exact rank statistic).  Returns ``None`` for an empty histogram.
+    *hist* is a :meth:`Histogram.to_dict` payload or a
+    :meth:`MetricsRegistry.delta` entry.  The estimate interpolates
+    linearly inside the bucket that holds rank ``q * count`` and is
+    clamped to the observed min/max.  A bucket is at most 1/32 of its
+    lower edge wide, so the estimate is within 1/32 of the exact
+    nearest-rank value.  Returns ``None`` for an empty histogram.
     """
     count = hist.get("count", 0)
     if not count:
         return None
     target = q * count
     cum = 0
-    for i, n in enumerate(hist["buckets"]):
+    est = hist["max"]
+    for b, n in hist["buckets"]:
+        if cum + n >= target:
+            lo, hi = bucket_edges(b)
+            est = lo + (hi - lo) * (target - cum) / n
+            break
         cum += n
-        if cum >= target:
-            bound = hist["max"] if i >= len(_BOUNDS) else _BOUNDS[i]
-            lo = hist.get("min")
-            hi = hist.get("max")
-            if lo is not None:
-                bound = max(bound, lo)
-            if hi is not None:
-                bound = min(bound, hi)
-            return float(bound)
-    return float(hist["max"])  # pragma: no cover - counts always sum
+    return float(min(max(est, hist["min"]), hist["max"]))
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -188,18 +221,32 @@ def ratio(numerator: float, denominator: float) -> float:
     return (numerator / denominator) if denominator else 0.0
 
 
-class SLOTracker:
-    """Rolling-window latency SLO: p99 target, exact window percentile,
-    and error-budget burn counters.
+class _Epoch:
+    """One ``window_s`` slice of an SLO window."""
 
-    The tracker keeps the last *window_s* seconds of observations (exact
-    values, not buckets — a window is small enough that the power-of-4
-    resolution trade is the wrong one here).  A request **breaches** when
-    its latency exceeds the target or when it fails outright; the error
-    budget is the fraction of requests allowed to breach (1% by default —
-    the definition of a p99 target), and ``burn_rate`` is breach-fraction
-    divided by budget: 1.0 means burning exactly as fast as allowed,
-    above 1.0 the SLO is being missed.
+    __slots__ = ("hist", "failures", "breaches")
+
+    def __init__(self):
+        self.hist = Histogram()
+        self.failures = 0
+        self.breaches = 0
+
+
+class SLOTracker:
+    """Rolling-window latency SLO: p99 target, window percentile, and
+    error-budget burn counters.
+
+    The window is the current and the previous *window_s* epoch of the
+    clock, so it spans between one and two *window_s*.  Each epoch is one
+    :class:`Histogram` of completed latencies plus exact failure and
+    breach counts: memory is bounded by bucket count, not request rate.
+    A request **breaches** when its latency exceeds the target or when it
+    fails outright.  Failures count in ``window_count`` and rank above
+    every latency, so once they reach the p99 rank ``window_p99_us`` is
+    ``inf``.  The error budget is the fraction of requests allowed to
+    breach (1% by default — the definition of a p99 target), and
+    ``burn_rate`` is breach-fraction divided by budget: 1.0 means burning
+    exactly as fast as allowed, above 1.0 the SLO is being missed.
     """
 
     def __init__(
@@ -209,45 +256,52 @@ class SLOTracker:
         error_budget: float = 0.01,
         clock=time.monotonic,
     ):
-        if target_us <= 0:
-            raise ValueError("SLO target must be positive")
+        if target_us <= 0 or window_s <= 0:
+            raise ValueError("SLO target and window must be positive")
         self.target_us = float(target_us)
         self.window_s = float(window_s)
         self.error_budget = float(error_budget)
         self._clock = clock
         self._lock = threading.Lock()
-        self._window: deque[tuple[float, float]] = deque()  # (t, latency_us)
+        self._epoch = int(clock() // self.window_s)
+        self._cur = _Epoch()
+        self._prev = _Epoch()
         self.total = 0
         self.breaches = 0
 
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window_s
-        w = self._window
-        while w and w[0][0] < horizon:
-            w.popleft()
+    def _roll(self, now: float) -> _Epoch:
+        """The epoch of *now*, retiring the ones the clock has left."""
+        epoch = int(now // self.window_s)
+        if epoch != self._epoch:
+            self._prev = self._cur if epoch == self._epoch + 1 else _Epoch()
+            self._cur = _Epoch()
+            self._epoch = epoch
+        return self._cur
 
     def observe(self, latency_us: float) -> None:
         now = self._clock()
+        breach = latency_us > self.target_us
         with self._lock:
-            self._prune(now)
-            self._window.append((now, float(latency_us)))
+            ep = self._roll(now)
+            ep.hist.observe(latency_us)
+            ep.breaches += breach
             self.total += 1
-            if latency_us > self.target_us:
-                self.breaches += 1
+            self.breaches += breach
 
     def record_failure(self) -> None:
         """A failed request burns budget regardless of how fast it failed."""
         now = self._clock()
         with self._lock:
-            self._prune(now)
-            self._window.append((now, float("inf")))
+            ep = self._roll(now)
+            ep.failures += 1
+            ep.breaches += 1
             self.total += 1
             self.breaches += 1
 
     def budget_exhausted(self, min_total: int = 20) -> bool:
         """True once the lifetime breach fraction has consumed the whole
-        error budget.  Cheap (two counter reads, no window sort) so it can
-        gate a flight-recorder dump on every breach; *min_total* suppresses
+        error budget.  Cheap (two counter reads) so it can gate a
+        flight-recorder dump on every breach; *min_total* suppresses
         cold-start noise where one early breach is 100% of traffic."""
         with self._lock:
             total, breaches = self.total, self.breaches
@@ -257,20 +311,28 @@ class SLOTracker:
 
     def summary(self) -> dict:
         now = self._clock()
+        window = Histogram()
         with self._lock:
-            self._prune(now)
-            lat = sorted(v for _, v in self._window)
+            self._roll(now)
+            epochs = (self._prev, self._cur)
+            for ep in epochs:
+                window.merge(ep.hist)
+            failures = sum(ep.failures for ep in epochs)
+            window_breaches = sum(ep.breaches for ep in epochs)
             total, breaches = self.total, self.breaches
+        window_count = window.count + failures
         window_p99 = None
-        if lat:
-            k = max(0, -(-99 * len(lat) // 100) - 1)  # ceil(0.99 n) - 1
-            window_p99 = lat[k]
-        window_breaches = sum(1 for v in lat if v > self.target_us)
+        if window_count:
+            rank = 0.99 * window_count
+            window_p99 = (
+                percentile(window.to_dict(), rank / window.count)
+                if rank <= window.count else float("inf")
+            )
         breach_fraction = (breaches / total) if total else 0.0
         return {
             "target_p99_us": self.target_us,
             "window_s": self.window_s,
-            "window_count": len(lat),
+            "window_count": window_count,
             "window_p99_us": window_p99,
             "window_breaches": window_breaches,
             "window_met": window_p99 is None or window_p99 <= self.target_us,

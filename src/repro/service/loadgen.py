@@ -37,6 +37,7 @@ import math
 
 from .. import obs
 from ..obs.export import timeline_html
+from ..obs.metrics import Histogram, percentile
 from .errors import QueueFull
 from .service import Service, ServiceConfig
 from .session import SHARED_PREFIX, SHARED_SESSION
@@ -256,26 +257,6 @@ def _shared_read_pool(seed: int, pool: int) -> list[tuple[str, dict]]:
     return templates[:pool]
 
 
-def _unique_read(rng: random.Random, nonce: int) -> tuple[str, dict]:
-    # a never-repeating seed value makes the program's canonical digest
-    # unique, so a stream of these is the 0%-hit-rate control mix
-    g = SHARED_PREFIX + "G"
-    return ("program", {
-        "declare": [
-            {"name": "v", "kind": "vector", "dtype": "FP64",
-             "shape": [_SHARED_N],
-             "entries": [[rng.randrange(_SHARED_N), 1.0 + nonce * 1e-6]]},
-            {"name": "t", "kind": "vector", "dtype": "FP64",
-             "shape": [_SHARED_N]},
-        ],
-        "calls": [
-            {"kind": "mxv", "out": "t",
-             "args": {"a": g, "u": "v", "semiring": _SEMIRING}},
-        ],
-        "fetch": ["t"],
-    })
-
-
 def build_zipf_streams(
     seed: int,
     clients: int,
@@ -284,7 +265,6 @@ def build_zipf_streams(
     zipf_s: float = 1.2,
     write_rate: float = 0.05,
     pool: int = 32,
-    unique: bool = False,
 ) -> list[list]:
     """Per-client ``(kind, payload, to_shared)`` streams over ``shared:G``.
 
@@ -293,8 +273,7 @@ def build_zipf_streams(
     from the cross-request result cache.  A ``write_rate`` fraction of
     ops are streaming ``update`` mutations submitted *to the shared
     session* (``to_shared=True``), each of which publishes a new snapshot
-    version and invalidates the cache.  ``unique=True`` replaces the
-    zipf pool with never-repeating programs — the 0%-hit-rate control.
+    version and invalidates the cache.
     """
     templates = _shared_read_pool(seed, pool)
     cdf = _zipf_cdf(len(templates), zipf_s)
@@ -303,7 +282,7 @@ def build_zipf_streams(
     for i in range(clients):
         rng = random.Random(seed * 7919 + 31 * i + 1)
         ops: list = []
-        for j in range(per_client):
+        for _ in range(per_client):
             if rng.random() < write_rate:
                 # mostly batched streaming mutations (one rebuild + one
                 # publish carrying the edge delta to incremental handles),
@@ -313,9 +292,6 @@ def build_zipf_streams(
                 else:
                     kind, payload = _op_update(rng, "G", _SHARED_N)
                 ops.append((kind, payload, True))
-            elif unique:
-                kind, payload = _unique_read(rng, i * per_client + j)
-                ops.append((kind, payload, False))
             else:
                 kind, payload = templates[_zipf_pick(rng, cdf)]
                 ops.append((kind, payload, False))
@@ -336,20 +312,17 @@ def run_direct(
     *,
     seed: int,
     workers: int | None = None,
-    queue_capacity: int = 64,
     batching: bool = True,
     pipeline: int = 8,
     slo_p99_ms: float | None = None,
     backend: str = "threads",
     shard_workers: int | None = None,
-    cache: bool = True,
     diag_dir: str | None = None,
 ) -> dict:
     """Run the streams in-process; returns results, errors, and stats."""
     svc = Service(ServiceConfig(
-        workers=workers, queue_capacity=queue_capacity, batching=batching,
-        slo_p99_ms=slo_p99_ms, backend=backend, shard_workers=shard_workers,
-        cache=cache, diag_dir=diag_dir,
+        workers=workers, batching=batching, slo_p99_ms=slo_p99_ms,
+        backend=backend, shard_workers=shard_workers, diag_dir=diag_dir,
     ))
     try:
         _setup_shared(svc, seed)
@@ -470,7 +443,6 @@ def replay_versioned(
     live_results: list[list],
     *,
     seed: int,
-    queue_capacity: int = 64,
 ) -> dict:
     """Serial, cache-off replay that honours the live run's version order.
 
@@ -483,10 +455,7 @@ def replay_versioned(
     the shared-state epoch each response was computed against — which is
     what makes diffing sound under a streaming-write mix.
     """
-    svc = Service(ServiceConfig(
-        workers=1, queue_capacity=max(queue_capacity, 4),
-        batching=False, cache=False,
-    ))
+    svc = Service(ServiceConfig(workers=1, batching=False, cache=False))
     problems: list[tuple] = []
     out: list[list] = [[None] * len(s) for s in streams]
     try:
@@ -616,18 +585,16 @@ _MUTATE_KINDS = frozenset(("define", "upload", "update", "stream_mutate", "free"
 def _aggregate_timings(rows: list[dict]) -> dict:
     if not rows:
         return {"count": 0}
-
-    def pct(vals: list, q: float) -> float:
-        vals = sorted(vals)
-        return vals[max(0, math.ceil(q * len(vals)) - 1)]
-
     out: dict = {"count": len(rows)}
     for stage in ("queue_wait_us", "issue_us", "drain_share_us", "total_us"):
-        vals = [row[stage] for row in rows]
+        h = Histogram()
+        for row in rows:
+            h.observe(row[stage])
+        d = h.to_dict()
         out[stage] = {
-            "mean": sum(vals) / len(vals),
-            "p50": pct(vals, 0.50),
-            "p99": pct(vals, 0.99),
+            "mean": h.total / h.count,
+            "p50": percentile(d, 0.50),
+            "p99": percentile(d, 0.99),
         }
     # how much of each wall latency the decomposition explains
     covered = [
@@ -693,8 +660,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="total requests across all clients")
     p.add_argument("--clients", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--queue-capacity", type=int, default=64)
     p.add_argument("--pipeline", type=int, default=8,
                    help="per-client in-flight request window (direct mode)")
     p.add_argument("--connect", metavar="HOST:PORT", default=None,
@@ -710,11 +675,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--slo-p99-ms", type=float, default=None,
                    help="fail (exit nonzero) when the run's p99 latency "
                         "exceeds this many milliseconds")
-    p.add_argument("--backend", choices=("serial", "threads", "processes"),
-                   default="threads",
-                   help="drain execution backend (direct mode)")
-    p.add_argument("--shard-workers", type=int, default=None,
-                   help="shard pool size for the processes backend")
     p.add_argument("--zipf-s", type=float, default=None,
                    help="switch to the zipf-skewed shared-read mix with "
                         "this skew exponent (repeated memoizable requests "
@@ -722,13 +682,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--write-rate", type=float, default=0.05,
                    help="fraction of zipf-mix ops that mutate the shared "
                         "graph (each publishes a snapshot version)")
-    p.add_argument("--unique-mix", action="store_true",
-                   help="zipf mode with never-repeating reads: the "
-                        "0%%-hit-rate control workload")
-    p.add_argument("--cache", dest="cache", action="store_true",
-                   default=True, help="enable the result cache (default)")
-    p.add_argument("--no-cache", dest="cache", action="store_false",
-                   help="disable the cross-request result cache")
     p.add_argument("--min-hit-rate", type=float, default=None,
                    help="fail (exit nonzero) when the run's cache hit "
                         "rate falls below this fraction")
@@ -738,21 +691,18 @@ def main(argv: list[str] | None = None) -> int:
                         "deadline misses, or panics")
     args = p.parse_args(argv)
 
-    zipf_mode = args.zipf_s is not None or args.unique_mix
-    if zipf_mode:
+    if args.zipf_s is not None:
         streams = build_zipf_streams(
             args.seed, args.clients, args.requests,
-            zipf_s=args.zipf_s if args.zipf_s is not None else 1.2,
-            write_rate=args.write_rate, unique=args.unique_mix,
+            zipf_s=args.zipf_s, write_rate=args.write_rate,
         )
+        mix = f"zipf(s={args.zipf_s})"
     else:
         streams = build_streams(args.seed, args.clients, args.requests)
+        mix = "classic"
     total = sum(len(s) for s in streams)
-    mix = "unique" if args.unique_mix else (
-        f"zipf(s={args.zipf_s})" if zipf_mode else "classic")
     print(f"loadgen: {len(streams)} clients x {len(streams[0])} ops "
-          f"= {total} requests (seed {args.seed}, mix {mix}, "
-          f"cache {'on' if args.cache else 'off'})", flush=True)
+          f"= {total} requests (seed {args.seed}, mix {mix})", flush=True)
 
     if args.connect:
         host, _, port = args.connect.rpartition(":")
@@ -760,11 +710,8 @@ def main(argv: list[str] | None = None) -> int:
                        port=int(port))
     else:
         live = run_direct(
-            streams, seed=args.seed, workers=args.workers,
-            queue_capacity=args.queue_capacity, pipeline=args.pipeline,
-            slo_p99_ms=args.slo_p99_ms, backend=args.backend,
-            shard_workers=args.shard_workers, cache=args.cache,
-            diag_dir=args.diag_dir,
+            streams, seed=args.seed, pipeline=args.pipeline,
+            slo_p99_ms=args.slo_p99_ms, diag_dir=args.diag_dir,
         )
 
     st = live["stats"]
@@ -859,8 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_replay:
         print("replaying serially (1 worker, no batching, cache off, "
               "version-ordered shared writes)...", flush=True)
-        ref = replay_versioned(streams, live["results"], seed=args.seed,
-                               queue_capacity=args.queue_capacity)
+        ref = replay_versioned(streams, live["results"], seed=args.seed)
         divergences = diff_results(live["results"], ref["results"])
         divergences += ref["problems"]
         for ci, oi, what in divergences[:10]:
@@ -870,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
     if (args.trace_out or args.timeline_out) and not args.connect:
         with obs.capture() as cap:
             window = run_direct(streams[:2], seed=args.seed, workers=2,
-                                queue_capacity=args.queue_capacity, pipeline=4)
+                                pipeline=4)
         if args.trace_out:
             cap.export_chrome(args.trace_out)
             print(f"chrome trace -> {args.trace_out} "

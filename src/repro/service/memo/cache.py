@@ -216,7 +216,6 @@ class ResultCache:
     def insert(self, vid: int, digest: str, entry: CacheEntry) -> None:
         if entry.nbytes > self.max_bytes:
             return  # a single over-budget result would just thrash
-        reg = metrics.registry
         with self._mu:
             key = (vid, digest)
             old = self._entries.pop(key, None)
@@ -225,12 +224,10 @@ class ResultCache:
             self._entries[key] = entry
             self._bytes += entry.nbytes
             self.inserts += 1
-            reg.inc("service.cache.insert")
             while self._bytes > self.max_bytes and self._entries:
                 _k, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
                 self.evictions += 1
-                reg.inc("service.cache.eviction")
 
     def note_bypass(self, reason: str) -> None:
         with self._mu:
@@ -267,8 +264,6 @@ class ResultCache:
                 entry = self._entries.pop(k)
                 self._bytes -= entry.nbytes
                 self.invalidations += 1
-            if dead:
-                reg.inc("service.cache.invalidation", len(dead))
             rekeyed = 0
             for k, e in moves:
                 del self._entries[k]

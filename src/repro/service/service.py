@@ -19,10 +19,11 @@ Admission control:
   request up) fail with :class:`DeadlineExceeded`;
 * a draining/stopped service rejects with :class:`ServiceClosed`.
 
-Observability: counters and power-of-4 histograms land in the process
-:data:`repro.obs.metrics.registry` (enabled for the service's lifetime —
-the "production profile" of the metrics module); :meth:`Service.stats`
-derives queue depths, QPS, and p50/p99 latency from them, and any
+Observability: counters and log-linear latency histograms land in the
+process :data:`repro.obs.metrics.registry` (enabled for the service's
+lifetime — the "production profile" of the metrics module);
+:meth:`Service.stats` derives queue depths, QPS, and p50/p99 latency from
+them (within 1/32 of the exact rank value), and any
 serving window can be span-captured with :func:`repro.obs.capture` for
 Chrome-trace export.
 """

@@ -26,7 +26,6 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from ..obs import metrics
 from ..stream.incremental import make_handle
 
 __all__ = ["StreamState", "STREAMABLE_ALGOS"]
@@ -86,7 +85,6 @@ class StreamState:
         ``{name: delta_size}`` for the stream-flushed names (the memo layer
         reports them in timing meta).
         """
-        reg = metrics.registry
         with self._mu:
             pending, self._pending = self._pending, []
             deltas: dict[str, Any] = {}
@@ -110,18 +108,15 @@ class StreamState:
                     # to advance over — drop, rebuild lazily on next read
                     del self._handles[key]
                     self.dropped += 1
-                    reg.inc("stream.handle.dropped")
                     continue
                 try:
                     h.impl.update(obj, delta)
                 except Exception:
                     del self._handles[key]
                     self.dropped += 1
-                    reg.inc("stream.handle.dropped")
                     continue
                 h.vid = version.vid
                 self.advanced += 1
-                reg.inc("stream.handle.advanced")
             for name, delta in deltas.items():
                 sizes[name] = delta.size
             return sizes
@@ -142,7 +137,6 @@ class StreamState:
         if algo not in STREAMABLE_ALGOS:
             return None
         key = (name, algo, _args_key(args))
-        reg = metrics.registry
         with self._mu:
             h = self._handles.get(key)
             if h is None:
@@ -153,11 +147,9 @@ class StreamState:
                     return None
                 self._handles[key] = h = _Handle(impl, vid)
                 self.created += 1
-                reg.inc("stream.handle.created")
             elif h.vid != vid:
                 return None
             self.served += 1
-            reg.inc("stream.handle.served")
             return h.impl.result()
 
     # ---------------------------------------------------------------- intro

@@ -195,7 +195,13 @@ class TestMetrics:
         assert d["count"] == 4
         assert d["min"] == 1 and d["max"] == 300
         assert d["total"] == 321
-        assert sum(d["buckets"]) == 4
+        # sparse sorted [bucket, count] pairs, one per distinct value here
+        assert sum(n for _, n in d["buckets"]) == 4
+        keys = [b for b, _ in d["buckets"]]
+        assert keys == sorted(keys)
+        for (b, n), v in zip(d["buckets"], (1, 3, 17, 300)):
+            lo, hi = obs.metrics.bucket_edges(b)
+            assert lo <= v < hi and hi - lo <= lo / 32 and n == 1
 
     def test_delta_is_pure(self):
         before = {"counters": {"a": 2}, "histograms": {}}

@@ -340,17 +340,40 @@ class TestServiceSLO:
             assert h["slo_met"] is True
 
     def test_impossible_slo_burns_budget(self):
+        now = [1000.0]
         with Service(workers=1, slo_p99_ms=1e-6) as svc:
+            # the same 1 ns target on a fake clock, so epochs roll on demand
+            svc.slo = obs.SLOTracker(svc.slo.target_us, clock=lambda: now[0])
             c = Client(svc)
-            for _ in range(3):
-                try:
-                    c.request("query", {"name": "nope"})
-                except Exception:
-                    pass
+
+            def burst():
+                for _ in range(3):
+                    try:
+                        c.request("query", {"name": "nope"})
+                    except Exception:
+                        pass
+
+            burst()
             s = svc.slo.summary()
-            assert s["breaches"] >= 1
+            assert s["breaches"] == s["window_breaches"] == 3
             assert s["burn_rate"] > 1.0
             assert s["window_met"] is False
+            # failed requests rank above every latency
+            assert s["window_p99_us"] == float("inf")
+            now[0] += svc.slo.window_s   # the first burst's epoch is previous
+            burst()
+            s = svc.slo.summary()
+            assert s["window_count"] == s["window_breaches"] == 6
+            now[0] += svc.slo.window_s   # the first burst rolls out
+            s = svc.slo.summary()
+            assert s["window_count"] == s["window_breaches"] == 3
+            now[0] += svc.slo.window_s   # and the second
+            s = svc.slo.summary()
+            assert s["window_count"] == s["window_breaches"] == 0
+            assert s["window_p99_us"] is None and s["window_met"] is True
+            # the lifetime budget keeps counting both epochs of breaches
+            assert s["breaches"] == s["total"] == 6
+            assert s["burn_rate"] > 1.0
 
     def test_no_slo_configured_is_none(self):
         with Service(workers=1) as svc:
@@ -447,18 +470,22 @@ class TestLiveEndpoints:
 
 class TestExporters:
     def test_prometheus_text_histogram_is_cumulative(self):
+        # 50 and 60 in octave [32, 64) (buckets 5*32 + 18 and + 28), 200
+        # in [128, 256) (bucket 7*32 + 18): one le line per octave 5..7
         snap = {
             "counters": {"kernel.invocations": 2},
             "histograms": {"service.latency_us": {
-                "count": 3, "total": 300.0, "min": 50.0, "max": 200.0,
-                "buckets": [0, 0, 2, 1] + [0] * 12,
+                "count": 3, "total": 310.0, "min": 50.0, "max": 200.0,
+                "buckets": [[178, 1], [188, 1], [242, 1]],
             }},
         }
         text = prometheus_text(snap)
         assert "repro_kernel_invocations_total 2" in text
-        assert 'repro_service_latency_us_bucket{le="64"} 2' in text
-        assert 'repro_service_latency_us_bucket{le="256"} 3' in text
-        assert 'repro_service_latency_us_bucket{le="+Inf"} 3' in text
+        les = re.findall(
+            r'repro_service_latency_us_bucket\{le="([^"]+)"\} (\d+)', text
+        )
+        assert les == [("64.0", "2"), ("128.0", "2"), ("256.0", "3"),
+                       ("+Inf", "3")]
         assert "repro_service_latency_us_count 3" in text
 
     def test_chrome_trace_has_process_and_thread_names(self):
