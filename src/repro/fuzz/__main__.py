@@ -65,9 +65,9 @@ def _parse_args(argv):
                         "match the oracle bit-for-bit")
     p.add_argument("--streaming", action="store_true",
                    help="fuzz the streaming subsystem: random edge-delta "
-                        "schedules through EdgeBuffer, incremental "
-                        "pagerank/bfs/components handles diffed against "
-                        "recompute-from-scratch in both execution modes")
+                        "schedules through EdgeBuffer, the merged content "
+                        "and pagerank/bfs/components on it diffed against "
+                        "a scratch-built graph in both execution modes")
     p.add_argument("--replay", metavar="PATH",
                    help="replay programs from a corpus .jsonl or an emitted "
                         "regression .py instead of generating")

@@ -1,27 +1,25 @@
-"""Differential fuzzing of the streaming subsystem.
+"""Differential fuzzing of the streaming ingest path.
 
 One scenario = one random graph plus a random edge-delta schedule pushed
-through :class:`repro.stream.EdgeBuffer`.  After every flush the three
-incremental handles (:mod:`repro.stream.incremental`) are advanced by the
-flush's exact :class:`~repro.stream.delta.EdgeDelta` and diffed against
-recompute-from-scratch on the mutated graph; the merged matrix content is
-additionally diffed against a dict last-writer-wins model of the whole
-edit history.  Every scenario runs under both execution modes (blocking
-and nonblocking with the full drain-time planner) — the deferred rebuild
-must be mode-invariant like any other operation.
+through :class:`repro.stream.EdgeBuffer`.  After every flush the merged
+matrix content is diffed against a dict last-writer-wins model of the
+whole edit history, and PageRank, BFS levels and connected components on
+the flushed matrix are diffed against the same algorithms on a matrix
+built from scratch out of the model.  Every scenario runs under both
+execution modes (blocking and nonblocking with the full drain-time
+planner) — the deferred rebuild must be mode-invariant like any other
+operation.
 
 Oracles:
 
 * **ingest**: ``A.extract_tuples()`` equals the dict model exactly;
-* **bfs_levels / connected_components**: bit-identical to the scratch
-  algorithms;
-* **pagerank**: within ``1e-5`` per entry of scratch (both are within
-  ``O(tol·n/(1-α))`` of the same fixed point; NaN/Inf from degenerate
-  weights must appear in both or neither).
+* **algorithms**: bit-identical to the scratch-built graph's results
+  (NaN/Inf from degenerate weights included) — what the service relies
+  on when it answers an ``algorithm`` request from a snapshot that a
+  ``stream_mutate`` published.
 
-Schedules deliberately inject the handles' fallback triggers — zero and
-negative weights, asymmetric writes to symmetric graphs, oversized
-batches — so the guard paths are fuzzed as hard as the fast paths.
+Schedules deliberately carry zero and negative weights, asymmetric writes
+to symmetric graphs and oversized batches.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from ..algorithms.bfs import bfs_levels
 from ..algorithms.components import connected_components
 from ..algorithms.pagerank import pagerank
 from ..containers.matrix import Matrix
-from ..stream import EdgeBuffer, IncrementalBFS, IncrementalCC, IncrementalPagerank
+from ..stream import EdgeBuffer
 from ..types import FP64
 
 __all__ = ["check_streaming_conformance"]
@@ -62,12 +60,28 @@ def _random_graph(rng, n: int, symmetric: bool) -> Matrix:
 
 def _random_values(rng, k: int) -> np.ndarray:
     vals = rng.uniform(0.1, 2.0, k)
-    # rare hostile weights: falsy edges break the BFS fast path, negative
-    # weights make PageRank degenerate — the guards must catch both
+    # rare hostile weights: stored zeros must survive the merge, negative
+    # weights drive PageRank to NaN/Inf on both sides of the diff
     hostile = rng.random(k)
     vals[hostile < 0.05] = 0.0
     vals[(hostile >= 0.05) & (hostile < 0.10)] = -1.0
     return vals
+
+
+def _algorithm_diff(A: Matrix, S: Matrix, source: int) -> str | None:
+    """First algorithm whose result on *A* differs from that on *S*."""
+    if not np.array_equal(pagerank(A), pagerank(S), equal_nan=True):
+        return "pagerank"
+    got, want = bfs_levels(A, source), bfs_levels(S, source)
+    gi, gv = got.extract_tuples()
+    wi, wv = want.extract_tuples()
+    got.free()
+    want.free()
+    if not (np.array_equal(gi, wi) and np.array_equal(gv, wv)):
+        return "bfs_levels"
+    if not np.array_equal(connected_components(A), connected_components(S)):
+        return "connected_components"
+    return None
 
 
 def _scenario(seed: int) -> str | None:
@@ -81,12 +95,6 @@ def _scenario(seed: int) -> str | None:
     r0, c0, v0 = A.extract_tuples()
     for i, j, v in zip(r0, c0, v0):
         model[(int(i), int(j))] = float(v)
-
-    handles = {
-        "pagerank": IncrementalPagerank(A),
-        "bfs_levels": IncrementalBFS(A, source),
-        "connected_components": IncrementalCC(A),
-    }
 
     for round_no in range(int(rng.integers(2, 6))):
         buf = EdgeBuffer(A)
@@ -140,45 +148,19 @@ def _scenario(seed: int) -> str | None:
                 f"missing={sorted(missing)[:4]}, value-diff={sorted(diff)[:4]})"
             )
 
-        # oracle 2: every incremental handle equals recompute-from-scratch
-        for name, h in handles.items():
-            h.update(A, delta)
-        ref_pr = pagerank(A)
-        got_pr = handles["pagerank"].result()
-        ok = np.allclose(got_pr, ref_pr, rtol=0.0, atol=1e-5, equal_nan=True)
-        if not ok and not (
-            # degenerate weights: NaN/Inf patterns must agree instead
-            np.array_equal(np.isfinite(got_pr), np.isfinite(ref_pr))
-            and np.allclose(
-                got_pr[np.isfinite(ref_pr)], ref_pr[np.isfinite(ref_pr)],
-                rtol=0.0, atol=1e-5,
-            )
-        ):
-            worst = float(np.nanmax(np.abs(got_pr - ref_pr)))
+        # oracle 2: the flushed graph answers like one built from scratch
+        S = Matrix.from_coo(
+            FP64, n, n,
+            np.array([k[0] for k in model], dtype=np.int64),
+            np.array([k[1] for k in model], dtype=np.int64),
+            np.array(list(model.values())),
+        )
+        algo = _algorithm_diff(A, S, source)
+        S.free()
+        if algo is not None:
             return (
-                f"round {round_no}: incremental pagerank diverges "
-                f"(mode={handles['pagerank'].last_mode}, max|Δ|={worst:.2e})"
-            )
-
-        ref_bfs = bfs_levels(A, source)
-        bi, bv = ref_bfs.extract_tuples()
-        ref_bfs.free()
-        gi, gv = handles["bfs_levels"].result().extract_tuples()
-        if not (np.array_equal(bi, gi) and np.array_equal(bv, gv)):
-            return (
-                f"round {round_no}: incremental bfs diverges "
-                f"(mode={handles['bfs_levels'].last_mode}, "
-                f"ref={list(zip(bi, bv))[:6]}, got={list(zip(gi, gv))[:6]})"
-            )
-
-        ref_cc = connected_components(A)
-        got_cc = handles["connected_components"].result()
-        if not np.array_equal(ref_cc, got_cc):
-            bad = np.nonzero(ref_cc != got_cc)[0][:6]
-            return (
-                f"round {round_no}: incremental components diverge "
-                f"(mode={handles['connected_components'].last_mode}, "
-                f"at={bad.tolist()})"
+                f"round {round_no}: {algo} on the flushed graph differs "
+                f"from the scratch-built graph"
             )
     return None
 

@@ -48,7 +48,6 @@ from ..types.grb_type import lookup_type
 from .errors import BadRequest, DeadlineExceeded, ObjectNotFound
 from .memo import build_entry, materialize
 from .session import SHARED_PREFIX, Session
-from .streams import STREAMABLE_ALGOS
 
 __all__ = ["run_batch", "ALGORITHMS", "jsonable"]
 
@@ -319,23 +318,9 @@ def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec):
     A = _get(session, ns, graph_name)
     args = dict(payload.get("args", {}))
     store_as = payload.get("store_as")
-    result = None
-    if (
-        not session.is_shared
-        and isinstance(graph_name, str)
-        and graph_name.startswith(SHARED_PREFIX)
-        and algo in STREAMABLE_ALGOS
-        and isinstance(A, Matrix)
-    ):
-        # incremental serving: a maintained handle re-validated against
-        # this request's pinned snapshot version answers without running
-        # the full algorithm (falls through to it when no handle applies)
-        result = service.streams.serve(
-            graph_name[len(SHARED_PREFIX):], algo, args,
-            ectx.version.vid, A, service.snapshots.current_vid(),
-        )
-    if result is None:
-        result = fn(A, **args)
+    # a shared graph resolves out of the request's pinned snapshot, so the
+    # answer is the algorithm's own on exactly the version the request saw
+    result = fn(A, **args)
     if isinstance(result, np.ndarray) and result.ndim == 1:
         # dense-array results (pagerank, connected_components) store as a
         # dense Vector so later programs can consume them by name
@@ -395,10 +380,7 @@ def _issue_stream_mutate(
 
     The whole ``set``/``remove`` batch lands in one
     :class:`~repro.stream.EdgeBuffer` flush — a single deferred rebuild in
-    the planner DAG — instead of ``update``'s per-element edits.  On the
-    shared session the flush is noted with the service's
-    :class:`~repro.service.streams.StreamState` so the publication that
-    follows advances incremental algorithm handles from the edge delta.
+    the planner DAG — instead of ``update``'s per-element edits.
     """
     name = _need(payload, "graph")
     _check_writable(session, name)
@@ -422,9 +404,7 @@ def _issue_stream_mutate(
             [int(e[0]) for e in removes],
             [int(e[1]) for e in removes],
         )
-    fr = buf.flush()
-    if session.is_shared:
-        service.streams.note_flush(name, fr)
+    buf.flush()
     metrics.registry.inc("service.stream_mutate")
     return {
         "name": name,
@@ -515,7 +495,6 @@ def _writer_reset(service, session: Session) -> None:
         context.wait()
     except GraphBLASError:
         pass
-    service.streams.on_abort()
     current = service.snapshots.current
     session.objects = dict(current.objects)
     session.dtypes = dict(current.dtypes)
@@ -673,16 +652,14 @@ def run_batch(service, session: Session, batch: list) -> None:
                                     dict(session.objects), dict(session.dtypes)
                                 )
                                 meta["published_version"] = v.vid
-                                # copy-on-write keeps untouched objects
-                                # identical, so identity names the changed set
-                                changed = {
-                                    k for k, o in v.objects.items()
-                                    if prev.objects.get(k) is not o
-                                } | (set(prev.objects) - set(v.objects))
-                                sizes = service.streams.on_publish(v, changed)
-                                if sizes:
-                                    meta["stream_delta"] = sum(sizes.values())
                                 if memo is not None:
+                                    # copy-on-write keeps untouched objects
+                                    # identical, so identity names the
+                                    # changed set
+                                    changed = {
+                                        k for k, o in v.objects.items()
+                                        if prev.objects.get(k) is not o
+                                    } | (set(prev.objects) - set(v.objects))
                                     memo.on_publish(v.vid, changed=changed)
                             if (
                                 decision is not None

@@ -33,8 +33,6 @@ import threading
 import time
 from collections import deque
 
-import math
-
 from .. import obs
 from ..obs.export import timeline_html
 from ..obs.metrics import Histogram, percentile
@@ -285,8 +283,7 @@ def build_zipf_streams(
         for _ in range(per_client):
             if rng.random() < write_rate:
                 # mostly batched streaming mutations (one rebuild + one
-                # publish carrying the edge delta to incremental handles),
-                # with point updates mixed in to exercise handle drops
+                # publish), with per-element point updates mixed in
                 if rng.random() < 0.7:
                     kind, payload = _op_stream_mutate(rng, "G", _SHARED_N)
                 else:
@@ -533,39 +530,13 @@ def _strip_timing(r):
     return r
 
 
-#: absolute float tolerance of the replay diff — incremental pagerank is
-#: exact only up to O(tol·n/(1-α)) against from-scratch (docs/streaming.md)
-_FLOAT_ATOL = 1e-5
-
-
-def _approx_eq(a, b) -> bool:
-    """Structural equality with a float tolerance.
-
-    Only float-typed leaves compare approximately (NaN equals NaN);
-    everything else — ints, bools, strings, shapes — must match exactly,
-    so count/pattern bugs cannot hide behind the tolerance.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(
-            _approx_eq(v, b[k]) for k, v in a.items()
-        )
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(
-            _approx_eq(x, y) for x, y in zip(a, b)
-        )
-    if isinstance(a, float) or isinstance(b, float):
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            return False
-        if math.isnan(a) and math.isnan(b):
-            return True
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= _FLOAT_ATOL
-    return a == b
-
-
 def diff_results(live: list[list], ref: list[list]) -> list[tuple]:
-    """Compare live responses with the serial replay; list divergences."""
+    """Compare live responses with the serial replay; list divergences.
+
+    Responses must be equal exactly: every service answer, algorithms
+    included, is computed on the snapshot version the request pinned, so
+    live and replay run the same operations on the same content.
+    """
     out = []
     for ci, (a, b) in enumerate(zip(live, ref)):
         if len(a) != len(b):
@@ -573,7 +544,7 @@ def diff_results(live: list[list], ref: list[list]) -> list[tuple]:
             continue
         for oi, (ra, rb) in enumerate(zip(a, b)):
             ra, rb = _strip_timing(ra), _strip_timing(rb)
-            if not _approx_eq(ra, rb):
+            if ra != rb:
                 out.append((ci, oi, f"{ra!r} != {rb!r}"))
     return out
 
@@ -613,7 +584,7 @@ def timing_summary(results: list[list], streams: list[list] | None = None) -> di
     With *streams* (the submitted ``(kind, payload, ...)`` lists, index-
     aligned with *results*), the summary additionally splits into a
     ``by_kind`` read/mutate breakdown — a mutation's latency includes its
-    snapshot publish and handle advancement, so one merged histogram
+    snapshot publish, so one merged histogram
     hides the asymmetry a mixed workload actually serves.
     """
     rows: list[dict] = []
@@ -763,13 +734,6 @@ def main(argv: list[str] | None = None) -> int:
     if diag_st and diag_st.get("dumps"):
         print(f"  diag: {diag_st['dumps']} flight dump(s) -> "
               f"{diag_st['dump_dir']}", flush=True)
-    streams_st = st.get("streams")
-    if streams_st and (streams_st["created"] or streams_st["served"]):
-        print(f"  streams: handles {streams_st['handles']}  "
-              f"created {streams_st['created']}  "
-              f"advanced {streams_st['advanced']}  "
-              f"dropped {streams_st['dropped']}  "
-              f"served {streams_st['served']}", flush=True)
 
     slo_missed = False
     if args.slo_p99_ms is not None:

@@ -23,8 +23,7 @@ Data kinds (queued per session, executed by the worker pool):
                one element at a time
 ``stream_mutate``  batched streaming mutation: ``set`` / ``remove`` edge
                lists buffered through :class:`repro.stream.EdgeBuffer` and
-               rebuilt as one deferred planner op; on the shared session
-               the publish carries the edge delta to incremental handles
+               rebuilt as one deferred planner op
 ``query``      read ``nvals`` / ``tuples`` / ``element`` of a named object
 ``free``       drop a named object
 =============  ==============================================================

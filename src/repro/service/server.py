@@ -194,12 +194,6 @@ class Server:
                 gauges["service.cache_entries"] = cache["entries"]
                 gauges["service.cache_bytes"] = cache["bytes"]
                 gauges["service.cache_hit_rate"] = cache["hit_rate"]
-            streams = self.service.streams.stats()
-            gauges["stream.handles"] = streams["handles"]
-            gauges["stream.handles_created"] = streams["created"]
-            gauges["stream.handles_advanced"] = streams["advanced"]
-            gauges["stream.handles_dropped"] = streams["dropped"]
-            gauges["stream.handles_served"] = streams["served"]
             return prometheus_text(self.service.metrics_snapshot(),
                                    gauges=gauges)
         if cmd == "health":

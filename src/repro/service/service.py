@@ -50,7 +50,6 @@ from .memo import ResultCache, analyze_request
 from .request import Request, new_request
 from .session import SHARED_SESSION, Session
 from .snapshot import SnapshotStore
-from .streams import StreamState
 
 __all__ = ["Service", "ServiceConfig"]
 
@@ -126,9 +125,6 @@ class Service:
         self.memo: ResultCache | None = (
             ResultCache() if config.cache else None
         )
-        # incremental-algorithm handles over shared graphs, advanced in
-        # lock-step with snapshot publications by streaming edge deltas
-        self.streams = StreamState()
         # mutations to shared graphs queue through the shared session — the
         # only path that sees (and builds) unpublished working state
         self._shared = Session(SHARED_SESSION, capacity=config.queue_capacity)
@@ -426,7 +422,6 @@ class Service:
             "slo": self.slo.summary() if self.slo is not None else None,
             "snapshots": self.snapshots.stats(),
             "cache": self.memo.stats() if self.memo is not None else None,
-            "streams": self.streams.stats(),
             "diag": self.diag_stats(),
         }
 

@@ -1,7 +1,7 @@
-"""Streaming graph subsystem: batched ingest + incremental algorithms.
+"""Streaming graph subsystem: batched edge ingest.
 
 The GraphBLAS nonblocking mode exists so implementations can defer and
-batch mutations; this package exploits it end to end:
+batch mutations; this package exploits it for edge streams:
 
 * :mod:`repro.stream.delta` — :class:`EdgeDelta`, the exact record of one
   flushed edge batch (adds / removes / value changes against the
@@ -10,27 +10,14 @@ batch mutations; this package exploits it end to end:
   with last-writer-wins dedup whose :meth:`~EdgeBuffer.flush` submits the
   CSR rebuild as a *first-class deferred op* into the planner DAG, so
   rebuilds schedule like any other node and respect RAW/WAW hazards
-  against queued reads;
-* :mod:`repro.stream.incremental` — handles that maintain PageRank, BFS
-  levels, and connected components from an :class:`EdgeDelta` instead of
-  recomputing, each with an exact-fallback guard.
+  against queued reads.
 """
 
 from .delta import EdgeDelta
-from .incremental import (
-    IncrementalBFS,
-    IncrementalCC,
-    IncrementalPagerank,
-    make_handle,
-)
 from .ingest import EdgeBuffer, FlushResult
 
 __all__ = [
     "EdgeDelta",
     "EdgeBuffer",
     "FlushResult",
-    "IncrementalPagerank",
-    "IncrementalBFS",
-    "IncrementalCC",
-    "make_handle",
 ]

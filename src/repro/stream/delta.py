@@ -3,9 +3,7 @@
 A delta is computed *inside* the deferred rebuild kernel — after every
 hazard-ordered predecessor has run — so it describes the transition from
 the true pre-flush content to the post-flush content, never a stale
-intermediate.  Incremental algorithm handles consume it to update their
-maintained results; the memo layer consumes the touched-name set to
-re-validate instead of dropping the cache wholesale.
+intermediate.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ class EdgeDelta:
     old_values: np.ndarray
     new_mask: np.ndarray  # bool
     new_values: np.ndarray
-    #: nnz of the matrix before the flush (denominator of :meth:`fraction`)
+    #: nnz of the matrix before the flush
     base_nnz: int
 
     # ------------------------------------------------------------- shape
@@ -45,14 +43,6 @@ class EdgeDelta:
     def size(self) -> int:
         """Number of changed edges."""
         return len(self.rows)
-
-    def fraction(self) -> float:
-        """Changed edges relative to the pre-flush graph size.
-
-        The guard incremental handles use: above a threshold, full
-        recompute is cheaper (and always exact), so they fall back.
-        """
-        return self.size / max(self.base_nnz, 1)
 
     # ----------------------------------------------------------- subsets
     @property
@@ -69,14 +59,6 @@ class EdgeDelta:
     def changed(self) -> np.ndarray:
         """Positions of edges present on both sides with a new value."""
         return np.nonzero(self.old_mask & self.new_mask)[0]
-
-    def touched_rows(self) -> np.ndarray:
-        """Sorted unique row ids with at least one changed out-edge."""
-        return np.unique(self.rows)
-
-    def pattern_changes(self) -> np.ndarray:
-        """Positions where the structure (not just a value) changed."""
-        return np.nonzero(self.old_mask != self.new_mask)[0]
 
     def is_empty(self) -> bool:
         return self.size == 0
