@@ -1,12 +1,14 @@
-"""Ablation — push vs pull masked SpMV (direction optimization).
+"""Ablation — masked SpMV directions (direction optimization).
 
 With a selective, non-complemented mask the SpMV kernel gathers only the
-masked output rows (*pull*) instead of streaming every stored element of
-the matrix (*push*).  Section VIII of the paper points at GPU backends
-(Gunrock) where exactly this choice dominates BFS performance.
+masked output rows (``mask_rows``) instead of intersecting every stored
+element of the matrix with the vector (``rows``).  Section VIII of the
+paper points at GPU backends (Gunrock) where exactly this choice
+dominates BFS performance.  (The third direction, the ``columns`` walk,
+needs the transpose view cached; these matrices never build it.)
 
-Expected shape: pull wins when the mask selects a small fraction of rows
-and the win shrinks toward parity as the mask grows.
+Expected shape: ``mask_rows`` wins when the mask selects a small fraction
+of rows and the win shrinks toward parity as the mask grows.
 """
 
 import numpy as np
@@ -37,7 +39,7 @@ def _mask_of(n, k, seed=93):
 class BenchPushPull:
     @pytest.mark.parametrize("frac", [0.01, 0.1, 0.45])
     def bench_masked_mxv_auto(self, benchmark, workload, frac):
-        """The kernel's automatic choice (pull for frac <= 0.5)."""
+        """The kernel's automatic choice (mask_rows for frac <= 0.5)."""
         A, u = workload
         m = _mask_of(4000, int(4000 * frac))
 
@@ -48,13 +50,13 @@ class BenchPushPull:
 
         w = benchmark(run)
         if frac == 0.01:
-            header("Ablation: push vs pull masked SpMV (n=4000, m=120k)")
-        row(f"auto (pull), mask {frac:.0%} of rows", f"nvals={w.nvals()}")
+            header("Ablation: rows vs mask_rows masked SpMV (n=4000, m=120k)")
+        row(f"auto (mask_rows), mask {frac:.0%} of rows", f"nvals={w.nvals()}")
 
     @pytest.mark.parametrize("frac", [0.01, 0.1])
     def bench_masked_mxv_forced_push(self, benchmark, workload, frac):
-        """Force the push path by calling the kernel without the mask and
-        filtering afterwards — what the kernel would do without the
+        """Force the full row path by calling the kernel without the mask
+        and filtering afterwards — what the kernel would do without the
         direction optimization."""
         A, u = workload
         m = _mask_of(4000, int(4000 * frac))
@@ -73,7 +75,7 @@ class BenchPushPull:
             return keys[keep], vals[keep]
 
         keys, _ = benchmark(run)
-        row(f"forced push, mask {frac:.0%} of rows", f"nvals={len(keys)}")
+        row(f"forced rows, mask {frac:.0%} of rows", f"nvals={len(keys)}")
 
     def bench_unmasked_reference_point(self, benchmark, workload):
         A, u = workload
@@ -84,4 +86,4 @@ class BenchPushPull:
             return w
 
         w = benchmark(run)
-        row("no mask (full push)", f"nvals={w.nvals()}")
+        row("no mask (rows)", f"nvals={w.nvals()}")

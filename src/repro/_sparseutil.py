@@ -29,6 +29,7 @@ __all__ = [
     "segment_reduce",
     "group_starts",
     "ranges_concat",
+    "stable_order",
 ]
 
 #: Largest nrows*ncols product for which flat int64 keys are safe.
@@ -188,3 +189,20 @@ def ranges_concat(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
     within = np.arange(total, dtype=np.int64) - seg_offsets
     return np.repeat(starts.astype(np.int64), counts) + within
+
+
+#: ids below this bound sort as ``uint16``, which numpy's stable sort
+#: handles by radix instead of by timsort
+_RADIX_BOUND = 1 << 16
+
+
+def stable_order(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for non-negative ids below *bound*.
+
+    The same permutation, by radix sort on a ``uint16`` copy of the ids when
+    *bound* allows it; a stable sort is defined by the order of the keys
+    alone, so the narrower dtype cannot change it.
+    """
+    if bound <= _RADIX_BOUND:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    return np.argsort(ids, kind="stable")

@@ -3,9 +3,9 @@
 A matrix stores sorted row-major flat keys plus values.  Because the keys
 are already in CSR order, the CSR view is nearly free: the row pointer comes
 from a bincount, the column indices from a modulo.  The CSC view (equals the
-CSR of the transpose) needs one argsort of the transposed keys and is what
-column-oriented kernels (``vxm`` without transpose, ``extract`` by column)
-consume.
+CSR of the transpose) needs one stable sort of the column ids — rows are
+already in order — and is what column-oriented kernels (``vxm`` without
+transpose, the ``mxv`` column walk, ``extract`` by column) consume.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..._sparseutil import stable_order
 
 __all__ = ["CSRView", "csr_from_keys", "transpose_permutation"]
 
@@ -71,10 +73,11 @@ def transpose_permutation(
     """Keys of the transpose plus the permutation mapping old values to them.
 
     ``t_keys[p] = transpose(keys)[perm[p]]`` — i.e. ``values[perm]`` is the
-    value array of the transposed matrix.
+    value array of the transposed matrix.  Row-major keys list each
+    column's rows in ascending order already, so a stable sort of the
+    column ids alone is the permutation that sorts the transposed keys.
     """
     rows = keys // np.int64(ncols)
     cols = keys % np.int64(ncols)
-    t_keys = cols * np.int64(nrows) + rows
-    perm = np.argsort(t_keys, kind="stable")
-    return t_keys[perm], perm
+    perm = stable_order(cols, ncols)
+    return cols[perm] * np.int64(nrows) + rows[perm], perm

@@ -132,6 +132,11 @@ class Matrix(OpaqueObject):
             )
         return self._csc
 
+    def cached_view(self, csc: bool) -> CSRView | None:
+        """The CSC (``csc=True``) or CSR view if it is already built, else
+        None: for a kernel that uses that orientation only while it is free."""
+        return self._csc if csc else self._csr
+
     def dcsr(self) -> DCSRView:
         """Cached hypersparse DCSR view: only non-empty rows are stored."""
         if self._dcsr is None:

@@ -7,15 +7,28 @@ All kernels follow the paper's set-intersection formulation
 — the ⊗ operator touches only stored elements, so the semiring's implied
 zero never materializes.
 
-The workhorse is *expand–sort–reduce* SpGEMM: explode every contributing
-(i,k)×(k,j) pair into a flat product array, sort by output key, and fold
-runs with the additive monoid.  Everything is vectorized numpy; arbitrary
-(even user-defined, object-domain) operators run through the same structure
-via the operators' loop fallbacks, so there is one code path to trust.
+SpGEMM is *expand → block-local 16-bit sort → reduce*: explode every
+contributing (i,k)×(k,j) pair into a flat product array, order it by output
+key, and fold each run with the additive monoid (``reduceat``).  The
+expansion is already row-major, so the order is computed one block of at
+most 2**16 output cells at a time: within a block the local keys fit in
+``uint16``, which numpy's stable sort handles by radix, and the block
+orders concatenate into exactly the permutation a stable sort of the whole
+int64 key array gives.  That global sort stays only for ``ncols > 2**16``
+and for outputs too hypersparse to fill a block.
 
-Large multiplications are split into contiguous row blocks and dispatched
-to the thread pool (:mod:`repro.parallel`); blocks produce disjoint,
-ordered key ranges, so concatenation preserves global sort order.
+SpMV (``mxv``, and ``vxm`` on the CSR of Aᵀ) has three directions, all
+folding each output's products in ascending index order: ``rows``
+intersects every row of A with v, ``mask_rows`` only the rows a selective
+mask can write, and ``columns`` walks only the lines of the cached
+transpose view that v names, chosen when Σ deg(v) is the smaller work.
+
+Everything is vectorized numpy; arbitrary (even user-defined,
+object-domain) operators run through the same structure via the
+operators' loop fallbacks, so there is one code path to trust.  Large
+multiplications are split into contiguous row blocks and dispatched to the
+thread pool (:mod:`repro.parallel`) or the shard workers; blocks produce
+disjoint, ordered key ranges, so concatenation preserves global order.
 """
 
 from __future__ import annotations
@@ -24,7 +37,12 @@ import time as _time
 
 import numpy as np
 
-from .._sparseutil import group_starts, ranges_concat, segment_reduce
+from .._sparseutil import (
+    group_starts,
+    ranges_concat,
+    segment_reduce,
+    stable_order,
+)
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
 from ..containers.mask import MaskView
@@ -41,6 +59,7 @@ from ..parallel import (
 __all__ = [
     "spgemm",
     "spmv",
+    "spmv_walks",
     "reduce_rows",
     "reduce_rows_flat",
     "fused_apply",
@@ -48,6 +67,13 @@ __all__ = [
     "estimate_flops",
     "spgemm_row_work",
 ]
+
+
+#: output cells one SpGEMM sort block covers: block-local keys fit in uint16
+_BLOCK_CELLS = 1 << 16
+#: fewest products per spanned block for which sorting block by block beats
+#: one global int64 sort (measured break-even: ~128 on a 2-core x86 host)
+_BLOCK_MIN_MEAN = 128
 
 
 def _empty(dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +111,7 @@ def _spgemm_block(
     exactly the full call's sorted stream — a row window of a row-major CSR
     is the same elements in the same order, hence the identical per-row
     folds, for every domain.  The thread pool and the shard workers both
-    rely on that, here and in :func:`_spmv_push` / :func:`_reduce_rows_impl`.
+    rely on that, here and in :func:`_spmv_rows` / :func:`_reduce_rows_impl`.
 
     *acc*, when given, receives this block's realized multiply count (the
     products that survive mask push-down) — ``list.append`` is atomic under
@@ -112,17 +138,18 @@ def _spgemm_block(
     keys = out_rows * np.int64(b_view.ncols) + out_cols
     if mask_view is not None:
         # mask push-down: products whose destination the mask forbids can
-        # never be written — drop them before the expensive sort
+        # never be written — drop them before the sort
         keep = mask_view.allows(keys)
         if not keep.all():
             keys, left, right = keys[keep], left[keep], right[keep]
+            out_rows = out_rows[keep]
         if len(keys) == 0:
             return _empty(out_dtype)
 
     if acc is not None:
         acc.append(len(keys))
     prods = semiring.mul.apply_arrays(left, right)
-    order = np.argsort(keys, kind="stable")
+    order = _row_major_order(keys, out_rows, b_view.ncols)
     keys = keys[order]
     prods = prods[order]
     uniq, starts = group_starts(keys)
@@ -130,6 +157,37 @@ def _spgemm_block(
     if not semiring.d_out.is_udt and vals.dtype != out_dtype:
         vals = vals.astype(out_dtype)
     return uniq, vals
+
+
+def _row_major_order(
+    keys: np.ndarray, rows: np.ndarray, ncols: int
+) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-empty flat keys whose
+    *rows* never decrease — the order the expansion emits.
+
+    Blocks of ``_BLOCK_CELLS // ncols`` rows (aligned on multiples of that
+    count, so a window with ``lo > 0`` starts with a partial block) hold
+    consecutive runs of the key stream; each block's keys lie in one range
+    of ``_BLOCK_CELLS`` cells, so each is sorted on its ``uint16`` local
+    keys and the block orders concatenate into the global one.  A block
+    costs ~2 µs of Python, so when the blocks the rows span would average
+    fewer than ``_BLOCK_MIN_MEAN`` products (a hypersparse output) the one
+    global sort is the cheaper way to the same permutation."""
+    if ncols > _BLOCK_CELLS:
+        return np.argsort(keys, kind="stable")
+    per = _BLOCK_CELLS // ncols
+    first, last = int(rows[0]) // per, int(rows[-1]) // per
+    if len(keys) < _BLOCK_MIN_MEAN * (last - first + 1):
+        return np.argsort(keys, kind="stable")
+    local = keys % np.int64(per * ncols)
+    cuts = np.searchsorted(
+        rows, np.arange(first + 1, last + 1, dtype=np.int64) * per
+    ).tolist()
+    order = np.empty(len(keys), dtype=np.int64)
+    for s, e in zip([0, *cuts], [*cuts, len(keys)]):
+        if e > s:
+            np.add(stable_order(local[s:e], _BLOCK_CELLS), s, out=order[s:e])
+    return order
 
 
 def _spgemm_impl(
@@ -289,6 +347,7 @@ def spmv(
     semiring: Semiring,
     swap: bool = False,
     mask_view: MaskView | None = None,
+    walk: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``t = A ⊕.⊗ v`` over stored-index intersections per row.
 
@@ -296,28 +355,71 @@ def spmv(
     ``A(i,j) ⊗ v_i`` — the ``vxm`` orientation, where the kernel is handed
     the CSR of Aᵀ and the vector is the left operand.
 
-    With a selective, non-complemented mask the kernel switches to the
-    *pull* direction: only the rows the mask can write are gathered, so
-    cost is Σ nnz(A(i,:)) over masked rows rather than nnz(A) — the classic
-    push/pull direction optimization of the GPU backends the paper's
-    section VIII points to.
+    Three directions compute the same T, bit for bit:
+
+    * ``rows`` — intersect every stored row of A with v: ``nnz(A)`` work;
+    * ``mask_rows`` — under a selective, non-complemented mask, intersect
+      only the rows the mask can write: Σ nnz(A(i,:)) over those rows;
+    * ``columns`` — walk only the lines of Aᵀ that v names: Σ deg(v) work.
+      *walk* is ``(CSR of Aᵀ, cast of its raw values into a_vals' domain)``
+      and is passed only when that view is already cached, since building
+      it costs O(nnz(A)), which one call never earns back.
+
+    :func:`spmv_walks` picks the walk when its exact work is below the row
+    path's; the shard gate reads the same choice.
 
     Observability mirrors :func:`spgemm`: a kernel span with estimated
     (``nnz(A)``, the intersection upper bound) vs realized multiply counts
-    and the chosen direction (push/pull), only when a consumer is live.
+    and the chosen direction, only when a consumer is live.
     """
     if _obs_spans.current() is None and not _metrics.registry.enabled:
         return _spmv_impl(
-            a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view
+            a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view, walk
         )
     return _observed_kernel(
         "spmv",
         lambda acc: _spmv_impl(
-            a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view, acc
+            a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view, walk,
+            acc,
         ),
         flops_estimated=a_view.nnz,
         nnz_in=a_view.nnz + len(v_keys),
     )
+
+
+def _mask_rows(a_view: CSRView, mask_view: MaskView | None):
+    """The rows a selective, non-complemented mask can write, or None when
+    the row path intersects every row."""
+    if (
+        mask_view is not None
+        and not mask_view.complemented
+        and len(mask_view.pattern) <= a_view.nrows // 2
+    ):
+        return mask_view.pattern
+    return None
+
+
+def _line_counts(view: CSRView, lines: np.ndarray) -> np.ndarray:
+    return view.indptr[lines + 1] - view.indptr[lines]
+
+
+def spmv_walks(
+    a_view: CSRView,
+    walk_view: CSRView | None,
+    v_keys: np.ndarray,
+    mask_view: MaskView | None,
+) -> bool:
+    """Whether :func:`spmv` takes the column walk: *walk_view* (the CSR of
+    ``a_view``'s transpose) is cached and Σ deg(v) in it is below the row
+    path's work — ``nnz(A)``, or Σ nnz(A(i,:)) over the mask's rows."""
+    if walk_view is None or len(v_keys) == 0:
+        return False
+    sel = _mask_rows(a_view, mask_view)
+    if sel is None:
+        rows_work = a_view.nnz
+    else:
+        rows_work = int(_line_counts(a_view, sel).sum())
+    return int(_line_counts(walk_view, v_keys).sum()) < rows_work
 
 
 def _spmv_impl(
@@ -328,108 +430,114 @@ def _spmv_impl(
     semiring: Semiring,
     swap: bool = False,
     mask_view: MaskView | None = None,
+    walk: tuple | None = None,
     acc: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    out_dtype = semiring.d_out.np_dtype
     if a_view.nnz == 0 or len(v_keys) == 0:
-        return _empty(out_dtype)
-
-    if (
-        mask_view is not None
-        and not mask_view.complemented
-        and len(mask_view.pattern) <= a_view.nrows // 2
-    ):
-        return _spmv_pull(
-            a_view, a_vals, v_keys, v_vals, semiring, swap,
-            mask_view.pattern, acc,
+        return _empty(semiring.d_out.np_dtype)
+    walk_view = walk[0] if walk is not None else None
+    if spmv_walks(a_view, walk_view, v_keys, mask_view):
+        return _spmv_columns(
+            walk_view, walk[1], v_keys, v_vals, semiring, swap, mask_view, acc
         )
-
-    return _spmv_push(
+    sel = _mask_rows(a_view, mask_view)
+    return _spmv_rows(
         a_view, a_vals, v_keys, v_vals, semiring, swap,
-        slice(0, a_view.nrows), acc,
+        slice(0, a_view.nrows) if sel is None else sel, acc,
     )
 
 
-def _spmv_push(
+def _spmv_rows(
     a_view: CSRView,
     a_vals: np.ndarray,
     v_keys: np.ndarray,
     v_vals: np.ndarray,
     semiring: Semiring,
     swap: bool,
-    rows: slice,
+    rows: slice | np.ndarray,
     acc: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push direction over a contiguous block of A's rows: intersect every
-    stored column with v.  Keys are absolute row ids."""
-    out_dtype = semiring.d_out.np_dtype
-    lo, hi = rows.start, rows.stop
-    a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
-    if a_lo == a_hi or len(v_keys) == 0:
-        return _empty(out_dtype)
-
-    cols = a_view.indices[a_lo:a_hi]
+    """Row intersection: intersect each selected row's stored columns with
+    v.  *rows* is a ``slice`` — the full call or a shard worker's window —
+    or the sorted row ids of a selective mask.  Keys are absolute row ids."""
+    if isinstance(rows, slice):
+        lo, hi = rows.start, rows.stop
+        sel = slice(int(a_view.indptr[lo]), int(a_view.indptr[hi]))
+        row_ids = a_view.row_ids(lo, hi)  # nondecreasing: row-major
+        direction = "rows"
+    else:
+        counts = _line_counts(a_view, rows)
+        sel = ranges_concat(a_view.indptr[rows], counts)
+        row_ids = np.repeat(rows.astype(np.int64), counts)
+        direction = "mask_rows"
+    cols = a_view.indices[sel]
+    if len(cols) == 0 or len(v_keys) == 0:
+        return _empty(semiring.d_out.np_dtype)
     pos = np.searchsorted(v_keys, cols)
     pos_c = np.minimum(pos, len(v_keys) - 1)
     hit = v_keys[pos_c] == cols
     if not hit.any():
-        return _empty(out_dtype)
-
-    row_ids = a_view.row_ids(lo, hi)[hit]  # nondecreasing: row-major
-    left = a_vals[a_lo:a_hi][hit]
-    right = v_vals[pos_c[hit]]
-    if acc is not None:
-        acc.append(len(left))
-        _obs_spans.annotate(direction="push")
-    prods = (
-        semiring.mul.apply_arrays(right, left)
-        if swap
-        else semiring.mul.apply_arrays(left, right)
+        return _empty(semiring.d_out.np_dtype)
+    return _spmv_fold(
+        row_ids[hit], a_vals[sel][hit], v_vals[pos_c[hit]],
+        semiring, swap, direction, acc,
     )
-    uniq, starts = group_starts(row_ids)
-    vals = segment_reduce(prods, starts, semiring.add)
-    if not semiring.d_out.is_udt and vals.dtype != out_dtype:
-        vals = vals.astype(out_dtype)
-    return uniq, vals
 
 
-def _spmv_pull(
-    a_view: CSRView,
-    a_vals: np.ndarray,
+def _spmv_columns(
+    walk_view: CSRView,
+    cast,
     v_keys: np.ndarray,
     v_vals: np.ndarray,
     semiring: Semiring,
     swap: bool,
-    rows_sel: np.ndarray,
+    mask_view: MaskView | None,
     acc: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pull direction: gather only the selected rows, then intersect with v."""
-    out_dtype = semiring.d_out.np_dtype
-    if len(rows_sel) == 0:
-        return _empty(out_dtype)
-    counts = (a_view.indptr[rows_sel + 1] - a_view.indptr[rows_sel])
-    gather = ranges_concat(a_view.indptr[rows_sel], counts)
-    if len(gather) == 0:
-        return _empty(out_dtype)
-    cols = a_view.indices[gather]
-    pos = np.searchsorted(v_keys, cols)
-    pos_c = np.minimum(pos, len(v_keys) - 1)
-    hit = v_keys[pos_c] == cols
-    if not hit.any():
-        return _empty(out_dtype)
-    rows = np.repeat(rows_sel.astype(np.int64), counts)[hit]
-    left = a_vals[gather][hit]
-    right = v_vals[pos_c[hit]]
+    """Column walk: gather the lines of Aᵀ that v names, in ascending v
+    order, and stable-sort the products by output row.  Each row then
+    folds its products in ascending column order — the order the row
+    intersection visits them — so T is bit-identical to it."""
+    counts = _line_counts(walk_view, v_keys)
+    gather = ranges_concat(walk_view.indptr[v_keys], counts)
+    out_ids = walk_view.indices[gather]
+    right = np.repeat(v_vals, counts)
+    if mask_view is not None:
+        # mask push-down, as in SpGEMM: drop products the mask forbids
+        keep = mask_view.allows(out_ids)
+        if not keep.all():
+            out_ids, right, gather = out_ids[keep], right[keep], gather[keep]
+    if len(out_ids) == 0:
+        return _empty(semiring.d_out.np_dtype)
+    order = stable_order(out_ids, walk_view.ncols)
+    return _spmv_fold(
+        out_ids[order], cast(walk_view.values[gather[order]]), right[order],
+        semiring, swap, "columns", acc,
+    )
+
+
+def _spmv_fold(
+    out_ids: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    semiring: Semiring,
+    swap: bool,
+    direction: str,
+    acc: list | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply the paired A and v values and fold each output's run;
+    *out_ids* is nondecreasing."""
     if acc is not None:
         acc.append(len(left))
-        _obs_spans.annotate(direction="pull")
+        _obs_spans.annotate(direction=direction)
     prods = (
         semiring.mul.apply_arrays(right, left)
         if swap
         else semiring.mul.apply_arrays(left, right)
     )
-    uniq, starts = group_starts(rows)
+    uniq, starts = group_starts(out_ids)
     vals = segment_reduce(prods, starts, semiring.add)
+    out_dtype = semiring.d_out.np_dtype
     if not semiring.d_out.is_udt and vals.dtype != out_dtype:
         vals = vals.astype(out_dtype)
     return uniq, vals

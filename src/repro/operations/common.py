@@ -252,7 +252,7 @@ def execute_standard(
         if get_backend() == "processes":
             from ..shard.scheduler import compute
 
-            t = compute(spec)
+            t = compute(spec, mask_view)
         if t is None:
             t = spec.kernel(mask_view)
         if capture is not None:

@@ -49,6 +49,29 @@ def _check_mul_domains(op: Semiring, a_type, b_type) -> None:
         )
 
 
+def _spmv_kernel(op: Semiring, A: Matrix, by_csc: bool, u: Vector, swap: bool):
+    """The kernel of ``mxv``/``vxm``: rows of ``A.csc()`` (*by_csc*) or of
+    ``A.csr()`` against *u*, with the other view offered for the column
+    walk when it is already cached."""
+    a_dom, u_dom = (op.d_in2, op.d_in1) if swap else (op.d_in1, op.d_in2)
+
+    def cast_a(vals):
+        return cast_array(vals, A.type, a_dom)
+
+    def kernel(mask_view):
+        a_view = A.csc() if by_csc else A.csr()
+        walk_view = A.cached_view(csc=not by_csc)
+        u_keys, u_raw = u._content()
+        return spmv(
+            a_view, cast_a(a_view.values), u_keys,
+            cast_array(u_raw, u.type, u_dom), op, swap=swap,
+            mask_view=mask_view,
+            walk=None if walk_view is None else (walk_view, cast_a),
+        )
+
+    return kernel
+
+
 def mxm(
     C: Matrix,
     Mask: Matrix | None,
@@ -126,17 +149,11 @@ def mxv(
     _check_mul_domains(op, A.type, u.type)
     validate_accum(accum, w, op.d_out)
 
-    def kernel(mask_view):
-        a_view = A.csc() if d.transpose0 else A.csr()
-        a_vals = cast_array(a_view.values, A.type, op.d_in1)
-        u_keys, u_raw = u._content()
-        u_vals = cast_array(u_raw, u.type, op.d_in2)
-        return spmv(a_view, a_vals, u_keys, u_vals, op, mask_view=mask_view)
-
     submit_standard_op(
         w, mask, accum, desc,
-        label="mxv", t_type=op.d_out, kernel=kernel, inputs=(A, u),
-        op_token=op,
+        label="mxv", t_type=op.d_out,
+        kernel=_spmv_kernel(op, A, d.transpose0, u, swap=False),
+        inputs=(A, u), op_token=op,
     )
     return w
 
@@ -174,20 +191,12 @@ def vxm(
     _check_mul_domains(op, u.type, A.type)
     validate_accum(accum, w, op.d_out)
 
-    def kernel(mask_view):
-        # t(j) = ⊕_i u(i) ⊗ Ae(i,j): run the row-oriented kernel on Aeᵀ,
-        # with the multiply operands swapped back into u ⊗ A order.
-        a_view = A.csr() if d.transpose1 else A.csc()
-        a_vals = cast_array(a_view.values, A.type, op.d_in2)
-        u_keys, u_raw = u._content()
-        u_vals = cast_array(u_raw, u.type, op.d_in1)
-        return spmv(
-            a_view, a_vals, u_keys, u_vals, op, swap=True, mask_view=mask_view
-        )
-
+    # t(j) = ⊕_i u(i) ⊗ Ae(i,j): run the row-oriented kernel on Aeᵀ, with
+    # the multiply operands swapped back into u ⊗ A order
     submit_standard_op(
         w, mask, accum, desc,
-        label="vxm", t_type=op.d_out, kernel=kernel, inputs=(u, A),
-        op_token=op,
+        label="vxm", t_type=op.d_out,
+        kernel=_spmv_kernel(op, A, not d.transpose1, u, swap=True),
+        inputs=(u, A), op_token=op,
     )
     return w

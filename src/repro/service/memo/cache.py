@@ -20,6 +20,7 @@ reclaims that dead space (counted as invalidations).
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -81,12 +82,24 @@ def _object_from_contents(contents: dict, dtype: str):
 
 
 def _approx_bytes(value: Any) -> int:
-    # budget accounting only needs the right order of magnitude; repr is
-    # one C-level traversal vs. a Python-level recursive walk, and insert
-    # runs on the miss path of every cacheable request
+    """What *value* costs in memory, close to a deep ``sys.getsizeof``.
+
+    Fetched contents hold lists of Python scalars, which cost an object per
+    element — about three times their ``repr``.  Insert runs on the miss
+    path of every cacheable request, so such a list is charged as its own
+    size plus one element's size per entry, without visiting the rest."""
     if isinstance(value, (bytes, bytearray)):
         return len(value)
-    return len(repr(value))
+    if isinstance(value, dict):
+        return sys.getsizeof(value) + sum(
+            _approx_bytes(k) + _approx_bytes(v) for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        size = sys.getsizeof(value)
+        if value and isinstance(value[0], (int, float)):
+            return size + len(value) * sys.getsizeof(value[0])
+        return size + sum(_approx_bytes(v) for v in value)
+    return sys.getsizeof(value)
 
 
 def build_entry(decision: CacheDecision, session: Session, result: dict) -> CacheEntry:

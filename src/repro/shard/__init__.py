@@ -19,7 +19,7 @@ Modules
                row window → reply)
 ``pool``       persistent spawn pool, master/worker dispatch, crash → Panic
 ``merge``      stripe concatenation
-``scheduler``  ``compute(spec)``: T for one op from the pool — what
+``scheduler``  ``compute(spec, mask_view)``: T for one op from the pool — what
                ``execute_standard`` asks under this backend; publication
                cache, obs wiring
 """

@@ -11,7 +11,9 @@ resolve, so those ops simply run their own kernel in the parent.
 
 Unshippable ≠ failure.  The gate returning ``None`` is the common case —
 UDT domains (object arrays can't live in shared memory), sub-threshold
-work (IPC latency would dominate), and every non-multiply op class.
+work (IPC latency would dominate), an ``mxv``/``vxm`` the parent would run
+as a column walk (less work than the row intersection the stripes split),
+and every non-multiply op class.
 Fused chains never get here: they have no T of their own to ship.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from ..algebra.monoid import Monoid
 from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
 from ..algebra.semiring import Semiring
-from ..operations._kernels import estimate_flops, spgemm_row_work
+from ..operations._kernels import estimate_flops, spgemm_row_work, spmv_walks
 from ..parallel import parallel_threshold, shard_workers, row_blocks
 from ..types import cast_array
 
@@ -79,12 +81,13 @@ def _registry_monoid(op) -> Monoid | None:
     return None
 
 
-def plan_spec(spec, publish) -> NodePlan | None:
+def plan_spec(spec, publish, mask_view) -> NodePlan | None:
     """Gate *spec* and, when shippable, plan its block tasks.
 
     *publish* is the scheduler's publication hook:
     ``publish(view) -> BlockLayout`` (cached per cached view, so repeated
-    ops over the same unchanged matrix ship no new bytes).
+    ops over the same unchanged matrix ship no new bytes).  *mask_view* is
+    the op's built mask, which the in-process SpMV direction depends on.
     """
     kind = spec.kind
     if kind not in SHIPPABLE_KINDS:
@@ -131,19 +134,24 @@ def plan_spec(spec, publish) -> NodePlan | None:
             return None
         if kind == "mxv":
             A, u = spec.inputs
-            a_view = A.csc() if d.transpose0 else A.csr()
+            by_csc = d.transpose0
             v_dst, swap = sr.d_in2, False
         else:
             u, A = spec.inputs
             # vxm runs the row kernel on the transposed orientation
-            a_view = A.csr() if d.transpose1 else A.csc()
+            by_csc = not d.transpose1
             v_dst, swap = sr.d_in1, True
         if A.type.is_udt or u.type.is_udt or spec.t_type.is_udt:
             return None
+        a_view = A.csc() if by_csc else A.csr()
         if a_view.nnz < threshold:
             return None
-        la = publish(a_view)
         v_keys, v_raw = u._content()
+        if spmv_walks(
+            a_view, A.cached_view(csc=not by_csc), v_keys, mask_view
+        ):
+            return None
+        la = publish(a_view)
         v_vals = cast_array(v_raw, u.type, v_dst)
         plan = NodePlan(
             out_dtype=spec.t_type.np_dtype,

@@ -123,12 +123,14 @@ def _emit_task_spans(sink, results) -> None:
         sp.tid = 1_000_000 + r.worker_id
 
 
-def compute(spec):
+def compute(spec, mask_view):
     """``(t_keys, t_vals)`` for *spec* from the worker pool, or ``None``
     when the caller should run the kernel itself (the gate said no, or a
-    task errored).  Raises ``Panic`` if the pool dies under the op."""
+    task errored).  *mask_view* is the op's built mask; it informs the gate
+    only, since T ships unmasked.  Raises ``Panic`` if the pool dies under
+    the op."""
     try:
-        plan = plan_spec(spec, _publish)
+        plan = plan_spec(spec, _publish, mask_view)
     except Exception:
         return None  # planning must never kill an op: run locally
     if plan is None or not plan.tasks:

@@ -30,7 +30,7 @@ def _run_task(task, seg_cache: dict, cast_cache: dict):
     from ..operations._kernels import (
         _reduce_rows_impl,
         _spgemm_block,
-        _spmv_push,
+        _spmv_rows,
     )
     from ..types import cast_array, lookup_type
     from .layout import attach_csr
@@ -62,7 +62,7 @@ def _run_task(task, seg_cache: dict, cast_cache: dict):
             a_view, task.a, task.a_type,
             sr.d_in2 if task.swap else sr.d_in1,
         )
-        keys, vals = _spmv_push(
+        keys, vals = _spmv_rows(
             a_view, a_vals, task.v_keys, task.v_vals, sr, task.swap, rows, acc
         )
         return keys, vals, sum(acc)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -103,6 +104,43 @@ def test_battery_exercises_the_cache():
     assert cache["misses"] > 0
     assert cache["invalidations"] > 0
     assert stats["snapshots"]["published"] > 1
+
+
+def _deep_size(value) -> int:
+    if isinstance(value, dict):
+        return sys.getsizeof(value) + sum(
+            _deep_size(k) + _deep_size(v) for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return sys.getsizeof(value) + sum(_deep_size(v) for v in value)
+    return sys.getsizeof(value)
+
+
+def test_entry_charge_tracks_its_object_size():
+    """The byte budget charges what an entry holds in memory: within 1.5×
+    of a deep ``sys.getsizeof`` walk of everything it keeps."""
+    ops = _schedule(0)
+    svc = Service(ServiceConfig(workers=2, cache=True))
+    try:
+        for i in range(_SESSIONS):
+            svc.open_session(f"s{i}")
+        svc.request(SHARED_SESSION, "define", shared_graph_payload(0))
+        for sess, kind, payload in ops:
+            try:
+                svc.request(sess, kind, payload)
+            except ServiceError:
+                pass
+        entries = list(svc.memo._entries.values())
+    finally:
+        svc.shutdown()
+    assert any(e.contents for e in entries)
+    for e in entries:
+        deep = (
+            _deep_size(e.response) + _deep_size(e.contents)
+            + sum(sys.getsizeof(b) for b in e.blobs.values())
+            + (sys.getsizeof(e.store_blob) if e.store_blob else 0)
+        )
+        assert deep / 1.5 <= e.nbytes <= deep * 1.5, (e.kind, e.nbytes, deep)
 
 
 def test_write_then_immediately_read_is_not_served_stale():

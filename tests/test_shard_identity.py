@@ -140,3 +140,30 @@ def test_mxv_vxm_reduce_bit_identical(rng):
     for mode, got, shipped in runs:
         assert shipped == 6, mode  # three ops, one stripe per worker each
         _assert_bitwise(want, got, mode)
+
+
+@pytest.mark.parametrize("nnz_u,shipped_tasks", [(1, 0), (40, 2)],
+                         ids=["walkable", "dense_vector"])
+def test_mxv_gate_reads_the_kernels_direction(rng, nnz_u, shipped_tasks):
+    """With A's transpose view cached, a one-entry ``mxv`` is a column walk
+    in process, so the gate ships nothing even at threshold 0; a dense
+    vector still ships one stripe per worker.  Both stay bit-identical."""
+    n = 40
+    At = random_matrix(rng, n, n, 0.3, domain=grb.FP64).extract_tuples()
+    u_idx = np.sort(rng.choice(n, size=nnz_u, replace=False))
+    u_vals = rng.uniform(-1.0, 1.0, nnz_u)
+
+    def build():
+        A = grb.Matrix.from_coo(grb.FP64, n, n, *At)
+        A.nvals()  # complete the build before asking for a view
+        A.csc()
+        u = grb.Vector.from_coo(grb.FP64, n, u_idx, u_vals)
+        w = grb.Vector(grb.FP64, n)
+        grb.mxv(w, None, None, grb.PLUS_TIMES[grb.FP64], A, u)
+        grb.wait()
+        return [w.extract_tuples()]
+
+    want, runs = _serial_then_sharded(build)
+    for mode, got, shipped in runs:
+        assert shipped == shipped_tasks, mode
+        _assert_bitwise(want, got, mode)
