@@ -137,9 +137,9 @@ class BenchPlannerAblation:
 
     CONFIGS = [
         ("planner off", dict(enabled=False), 1),
-        ("dead-op only", dict(fusion=False, cse=False, parallel=False), 1),
-        ("+fusion", dict(cse=False, parallel=False), 1),
-        ("+cse", dict(parallel=False), 1),
+        ("dead-op only", dict(fusion=False, cse=False), 1),
+        ("+fusion", dict(cse=False), 1),
+        ("+cse", dict(), 1),
         ("+parallel(2)", dict(), 2),
     ]
 

@@ -12,9 +12,10 @@ dataflow DAG (:mod:`.graph`) and run through a pass pipeline (:mod:`.passes`):
 3. **CSE** — identical pure ops on unchanged inputs share one kernel
    evaluation;
 4. **level-order scheduling** — hazard-independent ops dispatch
-   concurrently on the :mod:`repro.parallel` thread pool.
+   concurrently on the :mod:`repro.parallel` thread pool whenever it has
+   more than one thread.
 
-Every pass can be toggled via :func:`configure` / :func:`override`
+Passes 1–3 can each be toggled via :func:`configure` / :func:`override`
 (``repro.planner.configure(fusion=False)``); per-pass counters surface in
 ``QueueStats`` and ``repro.obs.Capture.queue_delta()``.
 """

@@ -27,8 +27,6 @@ class PlannerOptions:
     fusion: bool = True
     #: reuse the internal result T of identical pure ops on unchanged inputs
     cse: bool = True
-    #: dispatch independent DAG levels on the parallel thread pool
-    parallel: bool = True
 
 
 _options = PlannerOptions()

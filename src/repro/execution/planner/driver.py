@@ -5,9 +5,9 @@ pipeline (dead-op → fusion → CSE, each individually switchable via
 :mod:`.config`) and returns an :class:`ExecutionPlan` whose :meth:`run`
 executes the surviving nodes level by level (with the planner off: the ops
 themselves, one per level, in program order).  Nodes within a level share no
-hazards, so when the parallel pass is on and :func:`repro.parallel.
-get_num_threads` allows it, a level's nodes are dispatched concurrently on
-the shared thread pool — with nested kernel parallelism suppressed via
+hazards, so when :func:`repro.parallel.get_num_threads` is above 1 a
+level's nodes are dispatched concurrently on the shared thread pool — with
+nested kernel parallelism suppressed via
 :func:`repro.parallel.serial_section` so scheduler workers never re-enter
 the pool they occupy.
 """
@@ -194,11 +194,9 @@ class ExecutionPlan:
         self,
         levels: list[list[OpNode]],
         stats: QueueStats,
-        parallel: bool,
     ):
         self._levels = levels
         self._stats = stats
-        self._parallel = parallel
         self.failed_ops: list[DeferredOp] = []
 
     def _fail(self, lvl: int, failing: list[OpNode]) -> None:
@@ -209,7 +207,7 @@ class ExecutionPlan:
 
     def run(self) -> None:
         for lvl, level in enumerate(self._levels):
-            if self._parallel and len(level) > 1 and get_num_threads() > 1:
+            if len(level) > 1 and get_num_threads() > 1:
                 self._run_level_parallel(lvl, level)
             else:
                 self._run_level_serial(lvl, level)
@@ -292,4 +290,4 @@ def build_plan(
     col = _explain.current_explain()
     if col is not None:
         col.record_plan(_explain_record(levels, provenance, optimize, n_elided))
-    return ExecutionPlan(levels, stats, parallel=optimize and opts.parallel)
+    return ExecutionPlan(levels, stats)

@@ -5,10 +5,11 @@ Random GraphBLAS programs are generated over the full method surface —
 every operation, mask kind, accumulator, descriptor bit, built-in domain
 and the power-set UDT — and each program is run against the spec-literal
 reference oracle (:mod:`repro.reference`) and the optimized backend in
-blocking mode and in nonblocking mode under every planner-pass ablation.
-Any disagreement is shrunk to a minimal witness and frozen as a pytest
-regression.  See ``docs/fuzzing.md`` for the quickstart and
-``python -m repro.fuzz --help`` for the CLI.
+every mode of a product of execution axes (blocking or nonblocking under
+planner-pass ablations, threads, the process backend, codegen).  Any
+disagreement is shrunk, under the modes where it showed, to a minimal
+witness and frozen as a pytest regression.  See ``docs/fuzzing.md`` for
+the quickstart and ``python -m repro.fuzz --help`` for the CLI.
 """
 
 from .coverage import SpecCoverage, measure_corpus
@@ -16,8 +17,7 @@ from .executor import (
     DivergenceReport,
     ExecMode,
     check_error_conformance,
-    default_modes,
-    exhaustive_modes,
+    modes,
     run_differential,
     run_optimized,
     run_reference,
@@ -44,8 +44,7 @@ __all__ = [
     "generate_error_program",
     "ERROR_KINDS",
     "ExecMode",
-    "default_modes",
-    "exhaustive_modes",
+    "modes",
     "run_reference",
     "run_optimized",
     "run_differential",

@@ -1,11 +1,13 @@
 """CLI driver: ``python -m repro.fuzz --seed 0 --n 500``.
 
-Generates a corpus, runs every program differentially (reference oracle
-vs optimized blocking vs nonblocking under planner-pass ablations),
-fuzzes the error model for conformance, prints the spec-coverage table,
-and exits nonzero if any divergence survives.  Divergences are shrunk
-and frozen into ``tests/regressions/`` before the run fails, so a red
-CI job always leaves a replayable witness behind.
+Generates a corpus and runs every check family under every mode of the
+chosen ``--axes`` product: the program differential (reference oracle
+vs the optimized backend), the error model, and — when named as axes —
+the cached service (``memo``) and streaming ingest (``streaming``).
+Prints the spec-coverage table and exits nonzero if any divergence
+survives.  Divergences are shrunk under the modes that found them and
+frozen into ``tests/regressions/`` before the run fails, so a red CI job
+always leaves a replayable witness behind.
 
 Environment:
 
@@ -18,20 +20,19 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
+import runpy
 import sys
 import time
-from pathlib import Path
 
 from .corpus import emit_regression, load_corpus, save_corpus
 from .coverage import SpecCoverage
 from .executor import (
-    PROCESSES,
+    AXES,
+    applied,
     check_error_conformance,
     check_memo_conformance,
-    codegen_modes,
-    default_modes,
-    exhaustive_modes,
+    mode_named,
+    modes,
     run_differential,
 )
 from .generator import generate_corpus, generate_error_program
@@ -49,28 +50,13 @@ def _parse_args(argv):
                    help="number of programs (REPRO_FUZZ_BUDGET overrides)")
     p.add_argument("--errors", type=int, default=None,
                    help="error-model programs to fuzz (default: n // 5)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="all 16 planner-pass combinations (slower)")
-    p.add_argument("--processes", action="store_true",
-                   help="add the sharded multi-process backend, nonblocking "
-                        "and blocking (2-worker pool)")
-    p.add_argument("--codegen", action="store_true",
-                   help="run every planner ablation again under the codegen "
-                        "kernel backend (generated fused kernels must stay "
-                        "bit-identical to the interpreter)")
-    p.add_argument("--memo", action="store_true",
-                   help="add the cached multi-tenant service to the "
-                        "differential pair: every program runs cold and "
-                        "warm through one cache-enabled Service and must "
-                        "match the oracle bit-for-bit")
-    p.add_argument("--streaming", action="store_true",
-                   help="fuzz the streaming subsystem: random edge-delta "
-                        "schedules through EdgeBuffer, the merged content "
-                        "and pagerank/bfs/components on it diffed against "
-                        "a scratch-built graph in both execution modes")
+    p.add_argument("--axes", default="", metavar="A,B,...|all",
+                   help=f"differential axes to multiply in, from {', '.join(AXES)} "
+                        "(default: blocking plus six planner ablations)")
     p.add_argument("--replay", metavar="PATH",
                    help="replay programs from a corpus .jsonl or an emitted "
-                        "regression .py instead of generating")
+                        "regression .py (under the modes it recorded) "
+                        "instead of generating")
     p.add_argument("--save-corpus", metavar="PATH",
                    help="write the generated corpus as JSON lines")
     p.add_argument("--emit-dir", default="tests/regressions",
@@ -80,14 +66,32 @@ def _parse_args(argv):
     return p.parse_args(argv)
 
 
-def _load_replay(path: str) -> list[Program]:
-    text = Path(path).read_text(encoding="utf-8")
-    if path.endswith(".py"):
-        m = re.search(r'PROGRAM_JSON = r"""\s*(\{.*\})\s*"""', text, re.S)
-        if not m:
-            sys.exit(f"no PROGRAM_JSON block found in {path}")
-        return [Program.from_json(m.group(1))]
-    return load_corpus(path)
+def _load_replay(path: str):
+    """``(programs, recorded mode names)`` from a corpus or a witness."""
+    if not path.endswith(".py"):
+        return load_corpus(path), ()
+    witness = runpy.run_path(path)
+    return [Program.from_json(witness["PROGRAM_JSON"])], witness.get("MODES", ())
+
+
+def _family(label: str, cases, check) -> int:
+    """Run ``check(i, case)`` on every case; print each complaint, return
+    how many there were."""
+    t0 = time.perf_counter()
+    failures = 0
+    for i, case in enumerate(cases):
+        complaint = check(i, case)
+        if complaint is not None:
+            print(f"[{label} {i}] DIVERGENCE: {complaint}")
+            failures += 1
+        if (i + 1) % 100 == 0:
+            rate = (i + 1) / (time.perf_counter() - t0)
+            print(f"... {label} {i + 1}/{len(cases)} ({rate:.1f}/s)")
+    print(
+        f"{label}: {len(cases)} case(s) in {time.perf_counter() - t0:.1f}s "
+        f"— {failures} divergence(s)"
+    )
+    return failures
 
 
 def main(argv=None) -> int:
@@ -98,16 +102,15 @@ def main(argv=None) -> int:
     if args.errors is None:
         args.errors = max(args.n // 5, 1)
 
-    modes = exhaustive_modes() if args.exhaustive else default_modes()
-    if args.codegen:
-        seen = {m.name for m in modes}
-        modes = modes + [m for m in codegen_modes() if m.name not in seen]
-    if args.processes:
-        modes = modes + list(PROCESSES)
-    print(f"modes: {', '.join(m.name for m in modes)}")
-
+    axes = {a for a in args.axes.split(",") if a}
+    axes = set(AXES) if "all" in axes else axes
+    try:
+        mode_list = modes(axes)
+    except ValueError as exc:
+        sys.exit(str(exc))
     if args.replay:
-        programs = _load_replay(args.replay)
+        programs, recorded = _load_replay(args.replay)
+        mode_list = [mode_named(m) for m in recorded] or mode_list
         print(f"replaying {len(programs)} program(s) from {args.replay}")
     else:
         t0 = time.perf_counter()
@@ -116,88 +119,67 @@ def main(argv=None) -> int:
             f"generated {len(programs)} programs from seed {args.seed} "
             f"({time.perf_counter() - t0:.2f}s)"
         )
+    print(f"modes ({len(mode_list)}): {', '.join(m.name for m in mode_list)}")
+    if "threads" in axes and not any(m.threads > 1 for m in mode_list):
+        print("threads axis skipped: one CPU, the thread count clamps to 1")
     if args.save_corpus:
         save_corpus(programs, args.save_corpus)
         print(f"corpus saved to {args.save_corpus}")
 
     coverage = SpecCoverage()
-    failures = []
-    t0 = time.perf_counter()
-    for i, program in enumerate(programs):
+
+    def differential(i, program):
         coverage.record(program)
-        report = run_differential(program, modes)
-        if report is not None:
-            print(f"[{i}] DIVERGENCE: {program!r}")
-            if not args.no_shrink:
-                report = shrink_report(report)
-                print(f"    shrunk to {len(report.program.calls)} call(s)")
-                path = emit_regression(
-                    report, f"seed{args.seed}_case{i}", args.emit_dir
-                )
-                print(f"    regression written: {path}")
-            print("    " + str(report).replace("\n", "\n    "))
-            failures.append(report)
-        if (i + 1) % 100 == 0:
-            rate = (i + 1) / (time.perf_counter() - t0)
-            print(f"... {i + 1}/{len(programs)} programs ({rate:.1f}/s)")
-    elapsed = time.perf_counter() - t0
-    print(
-        f"differential: {len(programs)} programs x {len(modes)} modes in "
-        f"{elapsed:.1f}s — {len(failures)} divergence(s)"
-    )
-
-    memo_failures = []
-    if args.memo:
-        from ..service import Service, ServiceConfig
-
-        svc = Service(ServiceConfig(workers=2))
-        try:
-            t0 = time.perf_counter()
-            for i, program in enumerate(programs):
-                complaint = check_memo_conformance(program, svc)
-                if complaint is not None:
-                    print(f"[memo {i}] DIVERGENCE: {program!r}")
-                    print(f"    {complaint}")
-                    memo_failures.append((i, complaint))
-            cache = svc.stats()["cache"]
-            print(
-                f"memo: {len(programs)} programs x (cold+warm) through the "
-                f"cached service in {time.perf_counter() - t0:.1f}s — "
-                f"{len(memo_failures)} divergence(s), "
-                f"hit_rate={cache['hit_rate']:.2f} "
-                f"({cache['hits']}h/{cache['misses']}m/{cache['bypasses']}b)"
-            )
-        finally:
-            svc.shutdown()
-
-    streaming_failures = []
-    if args.streaming:
-        from .streaming import check_streaming_conformance
-
-        t0 = time.perf_counter()
-        for i in range(args.n):
-            complaint = check_streaming_conformance(args.seed + i)
-            if complaint is not None:
-                print(f"[streaming {i}] DIVERGENCE: seed={args.seed + i}")
-                print(f"    {complaint}")
-                streaming_failures.append((i, complaint))
-        print(
-            f"streaming: {args.n} delta schedules x 2 modes in "
-            f"{time.perf_counter() - t0:.1f}s — "
-            f"{len(streaming_failures)} divergence(s)"
+        report = run_differential(program, mode_list)
+        if report is None or args.no_shrink:
+            return None if report is None else str(report)
+        # shrink and freeze under the modes that failed: only they are
+        # sure to reproduce the divergence
+        small = shrink_report(report)
+        path = emit_regression(small, f"seed{args.seed}_case{i}", args.emit_dir)
+        return (
+            f"{small}\n  shrunk from {len(report.program.calls)} call(s); "
+            f"regression written: {path}"
         )
 
-    error_failures = []
+    failures = _family("differential", programs, differential)
+    if "memo" in axes:
+        from ..service import Service, ServiceConfig
+
+        # service sessions are nonblocking: memo runs under those modes,
+        # through one cache-enabled service per mode
+        for mode in [m for m in mode_list if m.nonblocking]:
+            config = ServiceConfig(workers=2, backend=mode.backend,
+                                   kernel_backend=mode.kernel_backend)
+            with applied(mode), Service(config) as svc:
+                failures += _family(
+                    f"memo {mode.name}", programs,
+                    lambda _, p: check_memo_conformance(p, svc),
+                )
+                # the warm path must really hit for the check to bite
+                cache = svc.stats()["cache"]
+                print(
+                    f"  hit_rate={cache['hit_rate']:.2f} ({cache['hits']}h/"
+                    f"{cache['misses']}m/{cache['bypasses']}b)"
+                )
+    if "streaming" in axes:
+        from .streaming import check_streaming_conformance
+
+        failures += _family(
+            "streaming", [args.seed + i for i in range(args.n)],
+            lambda _, seed: check_streaming_conformance(seed, mode_list),
+        )
     if not args.replay and args.errors:
-        for i in range(args.errors):
-            program, kind = generate_error_program(args.seed, i)
-            complaint = check_error_conformance(program)
-            if complaint is not None:
-                print(f"[error-fuzz {i}/{kind}] {complaint}")
-                error_failures.append((kind, complaint))
-        print(
-            f"error-model: {args.errors} programs — "
-            f"{len(error_failures)} conformance failure(s)"
+
+        def error_model(_, case):
+            program, kind = case
+            complaint = check_error_conformance(program, mode_list)
+            return None if complaint is None else f"{kind}: {complaint}"
+
+        failures += _family(
+            "error-model",
+            [generate_error_program(args.seed, i) for i in range(args.errors)],
+            error_model,
         )
 
     print()
@@ -206,7 +188,7 @@ def main(argv=None) -> int:
     # single program and cannot span the whole spec surface
     gaps = [] if args.replay else coverage.gaps()
 
-    if failures or memo_failures or streaming_failures or error_failures or gaps:
+    if failures or gaps:
         return 1
     print("\nOK: optimized backend conforms to the reference oracle")
     return 0

@@ -4,8 +4,10 @@ A corpus is a JSON-lines file of serialized programs — enough to replay
 any run bit-for-bit without the generator.  When the differential driver
 finds a divergence, :func:`emit_regression` freezes the *shrunk* witness
 as a standalone pytest file in ``tests/regressions/``: the program JSON
-is embedded in the test source, so the regression suite needs neither
-the corpus nor the generator's RNG stream to re-check the fix forever.
+and the names of the modes it failed under are embedded in the test
+source, so the regression suite needs neither the corpus nor the
+generator's RNG stream to re-check the fix forever, under the modes
+where the bug showed.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ Shrunk witness of an oracle divergence found by the conformance fuzzer
 
 {failure_comment}
 
-Replay by hand with::
+Replay by hand (under the same modes) with::
 
     PYTHONPATH=src python -m repro.fuzz --replay {filename}
 """
 
-from repro.fuzz.executor import run_differential
+from repro.fuzz.executor import mode_named, run_differential
 from repro.fuzz.program import Program
+
+#: the modes the divergence showed under — the witness replays there
+MODES = ({modes}
+)
 
 PROGRAM_JSON = r"""
 {program_json}
@@ -53,7 +59,8 @@ PROGRAM_JSON = r"""
 
 
 def test_{slug}():
-    report = run_differential(Program.from_json(PROGRAM_JSON))
+    modes = [mode_named(m) for m in MODES]
+    report = run_differential(Program.from_json(PROGRAM_JSON), modes)
     assert report is None, f"divergence resurfaced:\\n{{report}}"
 '''
 
@@ -77,7 +84,7 @@ def emit_regression(report, name: str, directory="tests/regressions") -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"test_{slug}.py"
     failure_comment = "\n".join(
-        f"    [{mode}] {detail}" for mode, detail in report.failures
+        f"    [{mode.name}] {detail}" for mode, detail in report.failures
     ) or "    (failure detail unavailable)"
     path.write_text(
         _TEMPLATE.format(
@@ -85,6 +92,7 @@ def emit_regression(report, name: str, directory="tests/regressions") -> Path:
             seed=report.program.seed,
             failure_comment=failure_comment,
             filename=path.name,
+            modes="".join(f'\n    "{m.name}",' for m in report.modes()),
             program_json=report.program.to_json(indent=2),
         ),
         encoding="utf-8",

@@ -1,14 +1,13 @@
-"""Differential executor: one program, three-plus ways.
+"""Differential executor: one program, every execution strategy.
 
 Each fuzz program runs against
 
 1. the spec-literal **reference oracle** (:mod:`repro.reference` — dict
-   content, pointwise pipeline),
-2. the optimized backend in **blocking** mode, and
-3. the optimized backend in **nonblocking** mode under the drain-time
-   planner, across pass-ablation configurations (planner off, each pass
-   individually disabled, each pass alone, or — exhaustively — all 16
-   on/off combinations of dead-op/fusion/CSE/parallel).
+   content, pointwise pipeline), and
+2. the optimized backend under every :class:`ExecMode` of a product of
+   axes (:func:`modes`): blocking or nonblocking under a planner-pass
+   ablation, one thread or two, the thread or the sharded process
+   backend, the interpreter or the codegen kernel suite.
 
 All runs rebuild the program's collections from the declarative form, so
 no state leaks between backends; results are compared with dtype-aware
@@ -22,18 +21,19 @@ values in a corrupt representation still fails.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Any
 
 __all__ = [
+    "AXES",
     "ExecMode",
-    "PROCESSES",
-    "default_modes",
-    "ablation_modes",
-    "exhaustive_modes",
-    "codegen_modes",
+    "modes",
+    "mode_named",
+    "applied",
     "Snapshot",
     "DivergenceReport",
     "run_reference",
@@ -46,87 +46,139 @@ __all__ = [
     "dispatch_call",
 ]
 
+#: the planner passes a mode can switch off, in name order
+_PASSES = ("dead_op", "fusion", "cse")
+
 
 @dataclass(frozen=True)
 class ExecMode:
-    """One way to run a program on the optimized backend."""
+    """One way to run a check on the optimized backend."""
 
-    name: str
     nonblocking: bool = False
-    #: planner knob overrides applied before the run (nonblocking only);
-    #: stored as a sorted tuple of (knob, value) so the mode is hashable
-    planner: tuple = ()
-    #: execution backend for the run ("serial" | "threads" | "processes");
-    #: "processes" drops the parallel threshold to 0 and forces a small
-    #: 2-worker pool so every shippable op actually shards
+    #: planner knobs (nonblocking only; blocking calls never plan)
+    enabled: bool = True
+    dead_op: bool = True
+    fusion: bool = True
+    cse: bool = True
+    #: execution backend: "threads" or the sharded "processes" pool
     backend: str = "threads"
-    #: kernel backend for the run ("interpreter" | "codegen")
+    #: thread count; above 1 the parallel threshold drops to 0, so the
+    #: planner's level dispatch and the row-split kernels really fan out
+    threads: int = 1
+    #: kernel suite: "interpreter" or "codegen"
     kernel_backend: str = "interpreter"
 
-    def knobs(self) -> dict:
-        return dict(self.planner)
+    @property
+    def name(self) -> str:
+        if not self.nonblocking:
+            name = "blocking"
+        elif not self.enabled:
+            name = "nb-planner-off"
+        else:
+            off = [k.replace("_", "") for k in _PASSES if not getattr(self, k)]
+            name = "nb-planner" if not off else (
+                "nb-passes-off" if len(off) == len(_PASSES)
+                else "nb-no-" + "-".join(off)
+            )
+        if self.threads > 1:
+            name += f"-{self.threads}threads"
+        if self.backend != "threads":
+            name += f"-{self.backend}"
+        if self.kernel_backend != "interpreter":
+            name += f"-{self.kernel_backend}"
+        return name
 
 
-def _nb(name: str, **knobs: bool) -> ExecMode:
-    return ExecMode(name, nonblocking=True, planner=tuple(sorted(knobs.items())))
+BLOCKING = ExecMode()
+
+#: ``--axes`` names: four mode axes whose values multiply, and two check
+#: families (``memo``, ``streaming``) that run under every mode
+AXES = ("passes", "threads", "processes", "codegen", "memo", "streaming")
 
 
-BLOCKING = ExecMode("blocking")
+def modes(axes=()) -> list[ExecMode]:
+    """The full product of the chosen *axes* (``"all"``: every one).
 
-#: the sharded process backend under the full planner and under plain
-#: blocking calls — both reach the pool through ``execute_standard``, and
-#: both must stay bit-identical to the oracle
-PROCESSES = (
-    ExecMode("nb-processes", nonblocking=True, backend="processes"),
-    ExecMode("b-processes", backend="processes"),
-)
-
-def ablation_modes() -> list[ExecMode]:
-    """The curated planner-pass ablation lattice (fast enough for CI)."""
-    return [
-        _nb("nb-planner"),                       # all passes on (defaults)
-        _nb("nb-planner-off", enabled=False),    # drain in program order
-        _nb("nb-no-deadop", dead_op=False),
-        _nb("nb-no-fusion", fusion=False),
-        _nb("nb-no-cse", cse=False),
-        _nb("nb-no-parallel", parallel=False),
-        _nb("nb-passes-off", dead_op=False, fusion=False, cse=False,
-            parallel=False),                     # DAG scheduler alone
-    ]
-
-
-def default_modes() -> list[ExecMode]:
-    return [BLOCKING] + ablation_modes()
-
-
-def codegen_modes() -> list[ExecMode]:
-    """Every ablation mode re-run with generated kernels, plus blocking.
-
-    Pass ablations matter here: fusion-off modes prove the codegen backend
-    is inert when no chains form, and planner-off modes prove it never
-    leaks into the program-order path.
+    No axes: blocking plus six ablations (planner on, off, each pass
+    alone off, all off).  ``passes`` takes all 2³ pass combinations;
+    ``threads`` and ``processes`` each add a value to one execution axis;
+    ``codegen`` adds the codegen kernel suite.  ``threads`` is dropped on
+    a one-CPU host, where the thread count clamps to 1 and its modes
+    would only repeat the others.
     """
-    import dataclasses
+    axes = set(AXES) if "all" in axes else set(axes)
+    unknown = axes - set(AXES)
+    if unknown:
+        raise ValueError(f"unknown axes {sorted(unknown)}; valid: {AXES}")
+    if (os.cpu_count() or 1) < 2:
+        axes.discard("threads")
+    return _product(axes)
 
-    return [BLOCKING] + [
-        dataclasses.replace(
-            m, name=m.name.replace("nb-", "nb-cg-"), kernel_backend="codegen"
-        )
-        for m in ablation_modes()
+
+def _product(axes) -> list[ExecMode]:
+    passes = [BLOCKING, ExecMode(nonblocking=True, enabled=False)]
+    for on in product((True, False), repeat=len(_PASSES)):
+        # the curated lattice skips the one-pass-on points
+        if "passes" in axes or sum(on) != 1:
+            passes.append(ExecMode(nonblocking=True, **dict(zip(_PASSES, on))))
+    executions = [dict()]
+    if "threads" in axes:
+        executions.append(dict(threads=2))
+    if "processes" in axes:
+        executions.append(dict(backend="processes"))
+    kernels = ["interpreter"] + (["codegen"] if "codegen" in axes else [])
+    return [
+        ExecMode(**{**asdict(p), **ex, "kernel_backend": kb})
+        for kb, ex, p in product(kernels, executions, passes)
     ]
 
 
-def exhaustive_modes() -> list[ExecMode]:
-    """Blocking, planner-off, and all 16 pass on/off combinations."""
-    modes = [BLOCKING, _nb("nb-planner-off", enabled=False)]
-    for dead, fus, cse, par in product((False, True), repeat=4):
-        tag = "".join(
-            c for c, on in zip("dfcp", (dead, fus, cse, par)) if on
-        ) or "none"
-        modes.append(
-            _nb(f"nb-{tag}", dead_op=dead, fusion=fus, cse=cse, parallel=par)
-        )
-    return modes
+def mode_named(name: str) -> ExecMode:
+    """The mode called *name* (as printed in reports and regressions)."""
+    return {m.name: m for m in _product(AXES)}[name]
+
+
+def _or_default(mode_list):
+    return modes() if mode_list is None else list(mode_list)
+
+
+@contextmanager
+def applied(mode: ExecMode):
+    """Run the body in a fresh context under *mode*'s execution model,
+    planner knobs, backends and thread count; restore every process-wide
+    setting and reset the context on exit.  Every check family runs in
+    here, so a mode means the same thing to all of them."""
+    from .. import context, parallel
+    from ..execution import planner
+
+    context._reset()
+    restore = [
+        (parallel.set_backend, parallel.get_backend()),
+        # get_num_threads() reads 1 under a non-thread backend
+        (parallel.set_num_threads, parallel.config._num_threads),
+        (parallel.set_parallel_threshold, parallel.parallel_threshold()),
+        (parallel.set_shard_workers, parallel.shard_workers()),
+        (parallel.set_kernel_backend, parallel.get_kernel_backend()),
+    ]
+    try:
+        if mode.nonblocking:
+            context.init(context.Mode.NONBLOCKING)
+            planner.configure(
+                **{k: getattr(mode, k) for k in ("enabled",) + _PASSES}
+            )
+        parallel.set_backend(mode.backend)
+        parallel.set_num_threads(mode.threads)
+        parallel.set_kernel_backend(mode.kernel_backend)
+        if mode.backend == "processes" or mode.threads > 1:
+            # make parallelism bite on fuzz-sized programs
+            parallel.set_parallel_threshold(0)
+        if mode.backend == "processes":
+            parallel.set_shard_workers(2)
+        yield
+    finally:
+        for setter, value in restore:
+            setter(value)
+        context._reset()
 
 
 # --------------------------------------------------------------------------
@@ -526,9 +578,9 @@ def _snapshot_obj(decl, obj) -> dict:
 def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snapshot:
     """Run a program on the optimized backend under *mode*.
 
-    Resets the library context around the run (the fuzzer owns the
-    process), applies the mode's planner knobs, completes the sequence,
-    validates every collection's structural invariants, and snapshots.
+    Runs under :func:`applied` (a fresh context, the mode's settings),
+    completes the sequence, validates every collection's structural
+    invariants, and snapshots.
 
     With ``obs_capture=True`` the program's calls (and the final
     ``wait``) execute under :func:`repro.obs.capture`; the capture
@@ -536,63 +588,27 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
     snapshotting and validation happen *outside* the window so they
     never perturb the counters.
     """
-    from .. import context, obs, parallel, validation
-    from ..execution import planner
+    from .. import context, obs, validation
 
-    context._reset()
-    prior = (
-        parallel.get_backend(),
-        parallel.parallel_threshold(),
-        parallel.shard_workers(),
-        parallel.get_kernel_backend(),
-    )
-    try:
-        if mode.nonblocking:
-            context.init(context.Mode.NONBLOCKING)
-        knobs = mode.knobs()
-        if knobs:
-            planner.configure(**knobs)
-        if mode.backend != "threads":
-            parallel.set_backend(mode.backend)
-        if mode.kernel_backend != "interpreter":
-            parallel.set_kernel_backend(mode.kernel_backend)
-        if mode.backend == "processes":
-            # make sharding bite on fuzz-sized programs: no threshold
-            # and a 2-worker pool
-            parallel.set_parallel_threshold(0)
-            parallel.set_shard_workers(2)
+    with applied(mode), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         env = Env()
         dtypes = {d.name: d.dtype for d in program.decls}
         scalars: list[Any] = []
-        counters: dict[str, int] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if obs_capture:
-                # builds go inside the window too: blocking runs them
-                # eagerly, nonblocking drains them at wait() — counting
-                # both keeps the counters mode-comparable
-                with obs.capture() as cap:
-                    objs = {d.name: _build_grb(d, env) for d in program.decls}
-                    for call in program.calls:
-                        _dispatch_optimized(call, objs, env, scalars, dtypes)
-                    context.wait()
-                counters = dict(cap.counters)
-            else:
-                objs = {d.name: _build_grb(d, env) for d in program.decls}
-                for call in program.calls:
-                    _dispatch_optimized(call, objs, env, scalars, dtypes)
-                context.wait()
-            validation.check_all(objs.values())
-            snap = Snapshot(scalars=scalars, counters=counters)
-            for d in program.decls:
-                snap.objects[d.name] = _snapshot_obj(d, objs[d.name])
+        # builds go inside the window too: blocking runs them eagerly,
+        # nonblocking drains them at wait() — counting both keeps the
+        # counters mode-comparable
+        with obs.capture() if obs_capture else nullcontext() as cap:
+            objs = {d.name: _build_grb(d, env) for d in program.decls}
+            for call in program.calls:
+                _dispatch_optimized(call, objs, env, scalars, dtypes)
+            context.wait()
+        validation.check_all(objs.values())
+        counters = {} if cap is None else dict(cap.counters)
+        snap = Snapshot(scalars=scalars, counters=counters)
+        for d in program.decls:
+            snap.objects[d.name] = _snapshot_obj(d, objs[d.name])
         return snap
-    finally:
-        parallel.set_backend(prior[0])
-        parallel.set_parallel_threshold(prior[1])
-        parallel.set_shard_workers(prior[2])
-        parallel.set_kernel_backend(prior[3])
-        context._reset()
 
 
 # --------------------------------------------------------------------------
@@ -604,10 +620,11 @@ class DivergenceReport:
     """Everything needed to reproduce and triage one oracle divergence."""
 
     program: Any
-    failures: list[tuple[str, str]]  # (mode name, detail)
+    failures: list[tuple[ExecMode, str]]  # (mode, detail)
 
-    def modes(self) -> list[str]:
-        return [m for m, _ in self.failures]
+    def modes(self) -> list[ExecMode]:
+        """The failing modes, in run order: shrink and replay under these."""
+        return list(dict.fromkeys(m for m, _ in self.failures))
 
     def signature(self) -> frozenset[str]:
         """Mode-independent failure categories (for shrink-move honesty).
@@ -632,23 +649,22 @@ class DivergenceReport:
     def __str__(self) -> str:
         lines = [f"divergence in {self.program!r}:"]
         for mode, detail in self.failures:
-            lines.append(f"  [{mode}] {detail}")
+            lines.append(f"  [{mode.name}] {detail}")
         return "\n".join(lines)
 
 
 def run_differential(program, modes=None) -> DivergenceReport | None:
     """Run *program* on the oracle and every mode; None means conformant."""
-    modes = default_modes() if modes is None else modes
     ref = run_reference(program)
-    failures: list[tuple[str, str]] = []
-    for mode in modes:
+    failures: list[tuple[ExecMode, str]] = []
+    for mode in _or_default(modes):
         try:
             got = run_optimized(program, mode)
         except Exception as exc:  # any escape from a valid program diverges
-            failures.append((mode.name, f"raised {type(exc).__name__}: {exc}"))
+            failures.append((mode, f"raised {type(exc).__name__}: {exc}"))
             continue
         for msg in compare_snapshots(program, ref, got):
-            failures.append((mode.name, msg))
+            failures.append((mode, msg))
     return DivergenceReport(program, failures) if failures else None
 
 
@@ -737,52 +753,46 @@ def check_memo_conformance(program, service) -> str | None:
 # Error-model conformance (paper section V)
 # --------------------------------------------------------------------------
 
-def _error_outcome(program, nonblocking: bool) -> tuple[str, Any, str | None]:
-    """Run the program, expecting its final call to raise an ApiError.
+def _error_outcome(program, mode: ExecMode) -> tuple[str, Any, str | None]:
+    """Run the program under *mode*, expecting its final call to raise.
 
     Returns ``(error class name, GrB_Info, complaint-or-None)``.
     """
-    from .. import context
     from ..info import GraphBLASError, info_of
 
-    context._reset()
-    try:
-        if nonblocking:
-            context.init(context.Mode.NONBLOCKING)
+    with applied(mode), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         env = Env()
         objs = {d.name: _build_grb(d, env) for d in program.decls}
         dtypes = {d.name: d.dtype for d in program.decls}
         scalars: list[Any] = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for call in program.calls[:-1]:
-                try:
-                    _dispatch_optimized(call, objs, env, scalars, dtypes)
-                except GraphBLASError as exc:
-                    return type(exc).__name__, info_of(exc), (
-                        f"valid prefix call {call.kind} raised {exc!r}"
-                    )
+        for call in program.calls[:-1]:
             try:
-                _dispatch_optimized(program.calls[-1], objs, env, scalars, dtypes)
+                _dispatch_optimized(call, objs, env, scalars, dtypes)
             except GraphBLASError as exc:
-                return type(exc).__name__, info_of(exc), None
+                return type(exc).__name__, info_of(exc), (
+                    f"valid prefix call {call.kind} raised {exc!r}"
+                )
+        try:
+            _dispatch_optimized(program.calls[-1], objs, env, scalars, dtypes)
+        except GraphBLASError as exc:
+            return type(exc).__name__, info_of(exc), None
         return "<none>", None, "invalid final call did not raise"
-    finally:
-        context._reset()
 
 
-def check_error_conformance(program) -> str | None:
+def check_error_conformance(program, modes=None) -> str | None:
     """API errors must be identical — class and ``GrB_Info`` code, raised at
-    call time — in blocking and nonblocking mode.  None means conformant."""
-    b_cls, b_info, b_complaint = _error_outcome(program, nonblocking=False)
-    n_cls, n_info, n_complaint = _error_outcome(program, nonblocking=True)
-    if b_complaint:
-        return f"blocking: {b_complaint}"
-    if n_complaint:
-        return f"nonblocking: {n_complaint}"
-    if (b_cls, b_info) != (n_cls, n_info):
-        return (
-            f"error mismatch: blocking raised {b_cls}/{b_info!r}, "
-            f"nonblocking raised {n_cls}/{n_info!r}"
-        )
+    call time — under every mode.  None means conformant."""
+    first = None
+    for mode in _or_default(modes):
+        cls, info, complaint = _error_outcome(program, mode)
+        if complaint:
+            return f"{mode.name}: {complaint}"
+        if first is None:
+            first = (mode.name, cls, info)
+        elif (cls, info) != first[1:]:
+            return (
+                f"error mismatch: {first[0]} raised {first[1]}/{first[2]!r}, "
+                f"{mode.name} raised {cls}/{info!r}"
+            )
     return None

@@ -689,7 +689,7 @@ def generate_error_program(seed: int, index: int) -> tuple[Program, str]:
 
     Returns ``(program, error_kind)``; the executor asserts both backends
     reject the final call with the same error class and ``GrB_Info`` code,
-    at call time, in both execution modes (the paper's "methods return
+    at call time, under every fuzz mode (the paper's "methods return
     after input arguments have been verified").
     """
     cfg = GenConfig(min_ops=1, max_ops=4, p_wait=0.0, p_reduce_scalar=0.0,

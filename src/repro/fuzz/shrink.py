@@ -183,14 +183,15 @@ def differential_predicate(baseline_report, modes=None):
     """Predicate preserving the baseline report's failure *signature*.
 
     A candidate counts as a smaller witness only when it still diverges
-    AND every failure category it shows was already present in the
-    baseline — so a shrink move that merely breaks the program's shapes
-    (an API error the oracle cannot observe) is rejected instead of
-    hijacking the shrink.
+    (under *modes*, default the baseline's failing ones) AND every
+    failure category it shows was already present in the baseline — so a
+    shrink move that merely breaks the program's shapes (an API error the
+    oracle cannot observe) is rejected instead of hijacking the shrink.
     """
     from .executor import run_differential
 
     baseline = baseline_report.signature()
+    modes = baseline_report.modes() if modes is None else modes
 
     def predicate(p) -> bool:
         rep = run_differential(p, modes)
@@ -202,11 +203,14 @@ def differential_predicate(baseline_report, modes=None):
 def shrink_report(report, *, modes=None, max_rounds: int = 200):
     """Shrink a :class:`~repro.fuzz.executor.DivergenceReport`.
 
-    Re-runs the full differential check on every candidate, requiring the
-    original failure signature to survive.  Returns the minimized report.
+    Re-runs the differential check under *modes* (default: the modes the
+    report failed under, the only ones sure to reproduce it) on every
+    candidate, requiring the original failure signature to survive.
+    Returns the minimized report.
     """
     from .executor import run_differential
 
+    modes = report.modes() if modes is None else modes
     small = shrink(
         report.program,
         differential_predicate(report, modes),

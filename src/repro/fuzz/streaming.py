@@ -5,10 +5,9 @@ through :class:`repro.stream.EdgeBuffer`.  After every flush the merged
 matrix content is diffed against a dict last-writer-wins model of the
 whole edit history, and PageRank, BFS levels and connected components on
 the flushed matrix are diffed against the same algorithms on a matrix
-built from scratch out of the model.  Every scenario runs under both
-execution modes (blocking and nonblocking with the full drain-time
-planner) — the deferred rebuild must be mode-invariant like any other
-operation.
+built from scratch out of the model.  Every scenario runs under every
+fuzz :class:`~repro.fuzz.executor.ExecMode` it is given — the deferred
+rebuild must be mode-invariant like any other operation.
 
 Oracles:
 
@@ -26,17 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import context
 from ..algorithms.bfs import bfs_levels
 from ..algorithms.components import connected_components
 from ..algorithms.pagerank import pagerank
 from ..containers.matrix import Matrix
 from ..stream import EdgeBuffer
 from ..types import FP64
+from .executor import _or_default, applied
 
 __all__ = ["check_streaming_conformance"]
-
-_MODES = ("blocking", "nonblocking_planner")
 
 
 def _random_graph(rng, n: int, symmetric: bool) -> Matrix:
@@ -165,19 +162,15 @@ def _scenario(seed: int) -> str | None:
     return None
 
 
-def check_streaming_conformance(seed: int) -> str | None:
-    """Run one seeded streaming scenario under both execution modes.
+def check_streaming_conformance(seed: int, modes=None) -> str | None:
+    """Run one seeded streaming scenario under every mode (default: the
+    fuzzer's default modes).
 
     Returns a human-readable complaint on the first divergence, else None.
     """
-    for mode in _MODES:
-        context._reset()
-        if mode == "nonblocking_planner":
-            context.init(context.Mode.NONBLOCKING)
-        try:
+    for mode in _or_default(modes):
+        with applied(mode):
             complaint = _scenario(seed)
-        finally:
-            context._reset()
         if complaint is not None:
-            return f"[{mode}] {complaint}"
+            return f"[{mode.name}] {complaint}"
     return None

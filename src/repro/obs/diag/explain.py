@@ -177,7 +177,7 @@ def explain_program(program, mode=None) -> dict:
     from ...fuzz import executor as fuzz_executor
 
     if mode is None:
-        mode = fuzz_executor._nb("nb-explain")
+        mode = fuzz_executor.ExecMode(nonblocking=True)
     with collect() as col:
         fuzz_executor.run_optimized(program, mode)
     return col.record()

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..algebra.monoid import Monoid
-from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
+from ..algebra.predefined import SEMIRING_REGISTRY
 from ..algebra.semiring import Semiring
 from ..operations._kernels import estimate_flops, spgemm_row_work, spmv_walks
 from ..parallel import parallel_threshold, shard_workers, row_blocks
@@ -32,7 +31,9 @@ from ..types import cast_array
 
 __all__ = ["ShardTask", "NodePlan", "plan_spec", "SHIPPABLE_KINDS"]
 
-SHIPPABLE_KINDS = ("mxm", "mxv", "vxm", "reduce")
+#: row ``reduce`` stays in process: one pass over A is too little work to
+#: pay for the IPC at any measured size
+SHIPPABLE_KINDS = ("mxm", "mxv", "vxm")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class ShardTask:
     """One block task: operator names + shm layouts + index windows."""
 
     kind: str
-    #: registry name of the Semiring (mxm/mxv/vxm) or Monoid (reduce)
+    #: registry name of the Semiring
     op_name: str
     #: layout of the (already published) primary matrix operand, in the
     #: orientation the descriptor demands
@@ -75,12 +76,6 @@ def _registry_semiring(op) -> Semiring | None:
     return None
 
 
-def _registry_monoid(op) -> Monoid | None:
-    if isinstance(op, Monoid) and MONOID_REGISTRY.get(op.name) is op:
-        return op
-    return None
-
-
 def plan_spec(spec, publish, mask_view) -> NodePlan | None:
     """Gate *spec* and, when shippable, plan its block tasks.
 
@@ -92,14 +87,14 @@ def plan_spec(spec, publish, mask_view) -> NodePlan | None:
     kind = spec.kind
     if kind not in SHIPPABLE_KINDS:
         return None
+    sr = _registry_semiring(spec.op_token)
+    if sr is None:
+        return None
     d = spec.desc
     threshold = parallel_threshold()
     stripes = shard_workers()
 
     if kind == "mxm":
-        sr = _registry_semiring(spec.op_token)
-        if sr is None:
-            return None
         A, B = spec.inputs
         if A.type.is_udt or B.type.is_udt or spec.t_type.is_udt:
             return None
@@ -128,62 +123,26 @@ def plan_spec(spec, publish, mask_view) -> NodePlan | None:
             )
         return plan
 
-    if kind in ("mxv", "vxm"):
-        sr = _registry_semiring(spec.op_token)
-        if sr is None:
-            return None
-        if kind == "mxv":
-            A, u = spec.inputs
-            by_csc = d.transpose0
-            v_dst, swap = sr.d_in2, False
-        else:
-            u, A = spec.inputs
-            # vxm runs the row kernel on the transposed orientation
-            by_csc = not d.transpose1
-            v_dst, swap = sr.d_in1, True
-        if A.type.is_udt or u.type.is_udt or spec.t_type.is_udt:
-            return None
-        a_view = A.csc() if by_csc else A.csr()
-        if a_view.nnz < threshold:
-            return None
-        v_keys, v_raw = u._content()
-        if spmv_walks(
-            a_view, A.cached_view(csc=not by_csc), v_keys, mask_view
-        ):
-            return None
-        la = publish(a_view)
-        v_vals = cast_array(v_raw, u.type, v_dst)
-        plan = NodePlan(
-            out_dtype=spec.t_type.np_dtype,
-            seg_names=(la.seg_name,),
-        )
-        for blk in row_blocks(np.diff(a_view.indptr), stripes):
-            plan.tasks.append(
-                ShardTask(
-                    kind=kind,
-                    op_name=sr.name,
-                    a=la,
-                    a_type=A.type.name,
-                    lo=blk.start,
-                    hi=blk.stop,
-                    v_keys=v_keys,
-                    v_vals=v_vals,
-                    swap=swap,
-                )
-            )
-        return plan
-
-    # kind == "reduce": matrix → vector row reduction
-    red = _registry_monoid(spec.reducer)
-    if red is None:
+    # mxv / vxm
+    if kind == "mxv":
+        A, u = spec.inputs
+        by_csc = d.transpose0
+        v_dst, swap = sr.d_in2, False
+    else:
+        u, A = spec.inputs
+        # vxm runs the row kernel on the transposed orientation
+        by_csc = not d.transpose1
+        v_dst, swap = sr.d_in1, True
+    if A.type.is_udt or u.type.is_udt or spec.t_type.is_udt:
         return None
-    (A,) = spec.inputs
-    if A.type.is_udt or spec.t_type.is_udt:
-        return None
-    a_view = A.csc() if d.transpose0 else A.csr()
+    a_view = A.csc() if by_csc else A.csr()
     if a_view.nnz < threshold:
         return None
+    v_keys, v_raw = u._content()
+    if spmv_walks(a_view, A.cached_view(csc=not by_csc), v_keys, mask_view):
+        return None
     la = publish(a_view)
+    v_vals = cast_array(v_raw, u.type, v_dst)
     plan = NodePlan(
         out_dtype=spec.t_type.np_dtype,
         seg_names=(la.seg_name,),
@@ -191,12 +150,15 @@ def plan_spec(spec, publish, mask_view) -> NodePlan | None:
     for blk in row_blocks(np.diff(a_view.indptr), stripes):
         plan.tasks.append(
             ShardTask(
-                kind="reduce",
-                op_name=red.name,
+                kind=kind,
+                op_name=sr.name,
                 a=la,
                 a_type=A.type.name,
                 lo=blk.start,
                 hi=blk.stop,
+                v_keys=v_keys,
+                v_vals=v_vals,
+                swap=swap,
             )
         )
     return plan

@@ -26,12 +26,8 @@ __all__ = ["worker_main"]
 
 def _run_task(task, seg_cache: dict, cast_cache: dict):
     """Execute one ShardTask → (keys, vals, flops)."""
-    from ..algebra.predefined import MONOID_REGISTRY, SEMIRING_REGISTRY
-    from ..operations._kernels import (
-        _reduce_rows_impl,
-        _spgemm_block,
-        _spmv_rows,
-    )
+    from ..algebra.predefined import SEMIRING_REGISTRY
+    from ..operations._kernels import _spgemm_block, _spmv_rows
     from ..types import cast_array, lookup_type
     from .layout import attach_csr
 
@@ -66,12 +62,6 @@ def _run_task(task, seg_cache: dict, cast_cache: dict):
             a_view, a_vals, task.v_keys, task.v_vals, sr, task.swap, rows, acc
         )
         return keys, vals, sum(acc)
-    if task.kind == "reduce":
-        mon = MONOID_REGISTRY[task.op_name]
-        a_vals = cast(a_view, task.a, task.a_type, mon.domain)
-        keys, vals = _reduce_rows_impl(a_view, a_vals, mon, rows)
-        # one ⊕ fold per stored element of the window
-        return keys, vals, int(a_view.indptr[task.hi] - a_view.indptr[task.lo])
     raise ValueError(f"unknown shard task kind {task.kind!r}")
 
 

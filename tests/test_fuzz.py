@@ -3,24 +3,27 @@ execution, shrinking, corpus round-trips, and the mutation check (a
 deliberately injected kernel bug must be caught and shrunk to ≤ 4 ops —
 see EXPERIMENTS.md)."""
 
+import runpy
+
 import numpy as np
 import pytest
 
 import repro.operations.common as op_common
+import repro.shard.scheduler as scheduler
 from repro.fuzz import (
     CANONICAL_OPS,
     Program,
-    default_modes,
-    exhaustive_modes,
     generate_corpus,
     generate_program,
     load_corpus,
     measure_corpus,
+    modes,
     run_differential,
     run_reference,
     save_corpus,
     shrink,
 )
+from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.executor import BLOCKING, values_equal
 from repro.fuzz.shrink import differential_predicate
 
@@ -69,10 +72,21 @@ class TestDifferential:
             assert report is None, f"\n{report}"
 
     def test_exhaustive_modes_on_a_few(self):
-        modes = exhaustive_modes()
-        assert len(modes) == 18  # blocking + planner-off + 2^4 combos
+        exhaustive = modes(["passes"])
+        assert len(exhaustive) == 10  # blocking + planner-off + 2^3 combos
         for p in generate_corpus(11, 4):
-            assert run_differential(p, modes) is None
+            assert run_differential(p, exhaustive) is None
+
+    # one CPU clamps the thread count to 1: the threads axis is dropped
+    # rather than repeating every mode
+    @pytest.mark.parametrize("cpus, threads, all_", [(2, 14, 60), (1, 7, 40)])
+    def test_mode_counts(self, cpus, threads, all_, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert len(modes()) == 7
+        assert len(modes(["threads"])) == threads
+        assert len(modes(["processes", "threads"])) == threads + 7
+        # 10 pass points x 2-3 executions x 2 kernel suites
+        assert len({m.name for m in modes(["all"])}) == all_
 
     def test_tolerance_is_dtype_aware(self):
         assert values_equal(1.0, 1.0 + 1e-12, "FP64")
@@ -124,7 +138,8 @@ class TestShrinker:
 class TestMutationCheck:
     """EXPERIMENTS.md mutation check: inject a masked-write bug (REPLACE
     treated as merge), assert the fuzzer catches it and the shrinker
-    reduces the witness to ≤ 4 ops."""
+    reduces the witness to ≤ 4 ops; and a bug only one backend has must
+    leave a witness that replays under the modes that found it."""
 
     def test_replace_as_merge_is_caught_and_shrunk(self, monkeypatch):
         real = op_common.masked_write
@@ -146,4 +161,30 @@ class TestMutationCheck:
         assert len(small.calls) <= 4
         # with the real kernel restored, the witness conforms again
         monkeypatch.setattr(op_common, "masked_write", real)
-        assert run_differential(small, default_modes()) is None
+        assert run_differential(small, modes()) is None
+
+    @pytest.mark.parametrize("axes", ["processes", "processes,threads"])
+    def test_backend_only_bug_is_shrunk_emitted_and_replayed(
+        self, axes, monkeypatch, tmp_path
+    ):
+        real = scheduler.compute
+
+        def buggy(spec, mask_view):  # bug: every shipped value is off by one
+            out = real(spec, mask_view)
+            return None if out is None else (out[0], out[1] + 1)
+
+        monkeypatch.setattr(scheduler, "compute", buggy)
+        argv = ["--seed", "0", "--n", "1", "--errors", "0", "--axes", axes,
+                "--emit-dir", str(tmp_path)]
+        assert fuzz_main(argv) == 1
+        (path,) = tmp_path.glob("test_*.py")
+        witness = runpy.run_path(str(path))
+        assert witness["MODES"]
+        assert all(m.endswith("-processes") for m in witness["MODES"])
+        with pytest.raises(AssertionError, match="divergence resurfaced"):
+            witness["test_seed0_case0"]()
+        replay = ["--replay", str(path), "--no-shrink"]
+        assert fuzz_main(replay) == 1  # under the recorded modes
+        monkeypatch.setattr(scheduler, "compute", real)
+        witness["test_seed0_case0"]()
+        assert fuzz_main(replay) == 0

@@ -1,15 +1,16 @@
 """Error-model conformance under fuzzing (ISSUE satellite): API errors —
 dimension mismatches, bad indices, domain violations — must raise
 identically (same exception class, same ``GrB_Info`` code) at call time
-in blocking and nonblocking mode.  The paper's section V makes API
-errors synchronous regardless of mode; these tests drive that contract
-with generated invalid programs rather than hand-picked ones."""
+under every fuzz mode, blocking and nonblocking alike.  The paper's
+section V makes API errors synchronous regardless of mode; these tests
+drive that contract with generated invalid programs rather than
+hand-picked ones."""
 
 import pytest
 
 from repro import info
 from repro.fuzz import ERROR_KINDS, check_error_conformance, generate_error_program
-from repro.fuzz.executor import _error_outcome
+from repro.fuzz.executor import _error_outcome, modes
 
 
 @pytest.mark.parametrize("index", range(3 * len(ERROR_KINDS)))
@@ -26,13 +27,13 @@ def test_every_error_kind_is_generated():
 
 @pytest.mark.parametrize("index", range(len(ERROR_KINDS)))
 def test_errors_carry_real_info_codes(index):
-    """The invalid call must raise at call time in both modes with a
+    """The invalid call must raise at call time in every mode with a
     genuine GrB_Info code.  Bad-index programs surface the spec's
     ``GrB_INDEX_OUT_OF_BOUNDS`` *execution* error; everything else must
     be an API error."""
     program, kind = generate_error_program(0, index)
-    for nonblocking in (False, True):
-        cls_name, code, complaint = _error_outcome(program, nonblocking)
+    for mode in modes():
+        cls_name, code, complaint = _error_outcome(program, mode)
         assert complaint is None, f"{kind}: {complaint}"
         cls = getattr(info, cls_name)
         assert issubclass(cls, info.GraphBLASError)

@@ -22,7 +22,7 @@ import pytest
 from repro.fuzz import generate_program
 from repro.fuzz.executor import (
     BLOCKING,
-    _nb,
+    ExecMode,
     compare_snapshots,
     run_optimized,
 )
@@ -31,10 +31,8 @@ SEED = 20170529
 N_PROGRAMS = 100
 
 #: same physical schedule as blocking: drain in DAG order, no rewrites
-PASSES_OFF = _nb(
-    "nb-passes-off", dead_op=False, fusion=False, cse=False, parallel=False
-)
-FULL_PLANNER = _nb("nb-planner")
+PASSES_OFF = ExecMode(nonblocking=True, dead_op=False, fusion=False, cse=False)
+FULL_PLANNER = ExecMode(nonblocking=True)
 
 #: the counters that measure *work done*; identical schedules must match
 WORK_COUNTERS = (

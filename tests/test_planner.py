@@ -281,24 +281,6 @@ class TestScheduler:
             for g, ww in zip(M.extract_tuples(), w):
                 assert np.array_equal(g, ww) and g.dtype == ww.dtype
 
-    def test_parallel_knob_disables(self, rng):
-        grb.init(grb.Mode.NONBLOCKING)
-        planner.configure(parallel=False)
-        parallel.set_num_threads(2)
-        try:
-            A = random_matrix(rng, 8, 8, 0.4)
-            B = random_matrix(rng, 8, 8, 0.4)
-            C1 = grb.Matrix(grb.INT64, 8, 8)
-            C2 = grb.Matrix(grb.INT64, 8, 8)
-            s = grb.PLUS_TIMES[grb.INT64]
-            # different operand orders: no CSE, so the level stays width 2
-            grb.mxm(C1, None, None, s, A, B)
-            grb.mxm(C2, None, None, s, B, A)
-            grb.wait()  # level of width 2 must drain serially without error
-        finally:
-            parallel.set_num_threads(1)
-        assert context.queue_stats()["max_width"] >= 2
-
 
 class TestKnobs:
     def test_unknown_knob_rejected(self):

@@ -130,7 +130,6 @@ class TestReplaceMaskOnFusedPair:
             dict(fusion=False),
             dict(cse=False),
             dict(dead_op=False),
-            dict(parallel=False),
             dict(enabled=False),
         ):
             context._reset()
