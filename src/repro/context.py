@@ -22,7 +22,7 @@ belongs to the thread that queued it.  The paper's per-thread-sequence
 discipline applies verbatim: each thread gets its own queue inside the
 context, and sequences must not share non-read-only objects.
 
-:func:`_reset` restores the pristine pre-init state — it is not part of the
+:func:`_reset` restores the fresh pre-init state — it is not part of the
 GraphBLAS API and exists for test isolation only.
 """
 
@@ -333,7 +333,7 @@ def queue_stats() -> dict[str, int]:
 
 
 def _reset() -> None:
-    """Testing hook: restore the pristine default context."""
+    """Testing hook: restore the fresh default context."""
     global _ctx
     with _lifecycle_lock:
         _ctx = Context(Mode.BLOCKING)

@@ -625,21 +625,20 @@ def run_batch(service, session: Session, batch: list) -> None:
                 try:
                     t_i0 = time.perf_counter()
                     with tracing.use(req.trace):
-                        result = None
-                        decision = None
+                        decision = entry = None
                         if memo is not None and not is_writer and req.version is not None:
                             decision = req.memo_decision
                             if decision.cacheable:
                                 entry = memo.lookup(
                                     req.version.vid, decision.digest
                                 )
-                                if entry is not None:
-                                    result = materialize(entry, decision, session)
-                                meta["cache"] = "hit" if result is not None else "miss"
+                                meta["cache"] = "miss" if entry is None else "hit"
                             else:
                                 memo.note_bypass(decision.reason)
                                 meta["cache"] = "bypass"
-                        if result is None:
+                        if entry is not None:
+                            result = materialize(entry, decision, session)
+                        else:
                             result = _ISSUE[req.kind](
                                 service, session, req.payload, ectx
                             )

@@ -2,7 +2,7 @@
 
 The planner's CSE pass deduplicates identical subexpressions *within one
 drain*; this package is the same idea lifted across requests, sessions,
-and time.  A cacheable request is canonicalized into a dataflow digest
+and time.  A cacheable request is keyed on its exact text
 (:mod:`.hashing`), paired with the shared-store snapshot version it was
 admitted against, and looked up in an LRU byte-budgeted store
 (:mod:`.cache`).  A hit replays the original request's observable

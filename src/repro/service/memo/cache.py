@@ -1,20 +1,19 @@
 """The cross-request result cache: LRU entries keyed on
-``(snapshot version, canonical program digest)``.
+``(snapshot version, exact request text)``.
 
 An entry is everything needed to *replay a request's observable effects*
-without executing it: the response dict, plus serialized blobs of every
-object the request declared into its session (a cached program still has
-side effects — its declared temporaries must land in the hitting
-session's store, under the hitting request's own names).  Blobs and
-fetched contents are keyed by **state digest**, not user name, so an
-alpha-renamed twin of the original request materializes the same bytes
-under its own identifiers.
+without executing it: the response dict, plus serialized blobs of the
+objects the request declared into its session and then wrote (a cached
+program still has side effects — its declared temporaries must land in
+the hitting session's store).  A hit sent the same text, so blobs and
+fetched contents are keyed by the declared names themselves.
 
 Coherence is structural, not temporal: the snapshot version in the key
 pins the shared-store content the entry was computed against, so a
 writer publishing version *n+1* makes every version-*n* entry
-unreachable by construction.  :meth:`ResultCache.on_publish` merely
-reclaims that dead space (counted as invalidations).
+unreachable by construction.  :meth:`ResultCache.on_publish` carries
+over the version-*n* entries the publish left untouched and reclaims the
+rest (counted as invalidations).
 """
 
 from __future__ import annotations
@@ -44,12 +43,14 @@ class CacheEntry:
     """One replayable result (immutable once inserted)."""
 
     kind: str
-    #: response template — everything name-independent (``scalars``,
-    #: ``nvals``, query answers); materialization deep-copies it
+    #: response template — everything but the fetched contents
+    #: (``scalars``, ``nvals``, query answers); materialization
+    #: deep-copies it
     response: dict
-    #: state digest → serialized declared object (programs)
+    #: declared name → serialized object, for the objects a call wrote
+    #: and no fetched contents determine (programs)
     blobs: dict = field(default_factory=dict)
-    #: state digest → fetched-contents dict (programs)
+    #: fetched name → fetched-contents dict (programs)
     contents: dict = field(default_factory=dict)
     #: serialized ``store_as`` result (algorithms)
     store_blob: bytes | None = None
@@ -60,25 +61,18 @@ class CacheEntry:
     shared_reads: frozenset = frozenset()
 
 
-#: sentinel "kind" for states with no fetched contents (never matches)
-_NO_CONTENTS = {"kind": ""}
-
-
 def _object_from_contents(contents: dict, dtype: str):
     """Rebuild a collection from its fetched-contents dict (the inverse
-    of the executor's fetch rendering); None for kinds that need a blob."""
+    of the executor's fetch rendering)."""
     dom = lookup_type(dtype)
     if contents["kind"] == "vector":
         return Vector.from_coo(
             dom, contents["shape"][0], contents["indices"], contents["values"]
         )
-    if contents["kind"] == "matrix":
-        nrows, ncols = contents["shape"]
-        return Matrix.from_coo(
-            dom, nrows, ncols,
-            contents["rows"], contents["cols"], contents["values"],
-        )
-    return None
+    nrows, ncols = contents["shape"]
+    return Matrix.from_coo(
+        dom, nrows, ncols, contents["rows"], contents["cols"], contents["values"],
+    )
 
 
 def _approx_bytes(value: Any) -> int:
@@ -109,21 +103,22 @@ def build_entry(decision: CacheDecision, session: Session, result: dict) -> Cach
     after the handler returned: serializing a declared object is a
     sequence point that forces exactly this request's pending deferred
     ops, so the blobs capture this request's view — never a later batch
-    member's mutations.
+    member's mutations.  The entry copies the reply's lists, so a caller
+    editing its miss reply cannot change what a later hit returns.
     """
     if decision.kind == "program":
         contents = {
-            state: result["fetched"][name] for name, state in decision.fetches
+            name: {k: list(v) if type(v) is list else v for k, v in c.items()}
+            for name, c in result.get("fetched", {}).items()
         }
-        pristine = decision.pristine or {}
-        blobs: dict[str, bytes] = {}
-        for name, _dtype, state in decision.declared:
-            if state in blobs or state in pristine:
-                continue
-            if contents.get(state, _NO_CONTENTS)["kind"] in ("vector", "matrix"):
-                continue  # the fetched contents already determine the object
-            blobs[state] = serialize(session.objects[name])
-        response = {"scalars": result["scalars"]}
+        blobs = {
+            d["name"]: serialize(session.objects[d["name"]])
+            for d in decision.declares
+            if d["name"] in decision.written
+            # fetched vector/matrix contents already determine the object
+            and contents.get(d["name"], {}).get("kind") not in ("vector", "matrix")
+        }
+        response = {"scalars": list(result["scalars"])}
         entry = CacheEntry("program", response, blobs=blobs, contents=contents)
     elif decision.kind == "algorithm" and decision.store_as is not None:
         blob = serialize(session.objects[decision.store_as])
@@ -132,7 +127,9 @@ def build_entry(decision: CacheDecision, session: Session, result: dict) -> Cach
     else:
         entry = CacheEntry(decision.kind, dict(result))
     entry.nbytes = (
-        sum(len(b) for b in entry.blobs.values())
+        # the key is the request text, as large as its payload
+        len(decision.digest)
+        + sum(len(b) for b in entry.blobs.values())
         + (len(entry.store_blob) if entry.store_blob else 0)
         + _approx_bytes(entry.response)
         + _approx_bytes(entry.contents)
@@ -143,52 +140,30 @@ def build_entry(decision: CacheDecision, session: Session, result: dict) -> Cach
 
 def materialize(
     entry: CacheEntry, decision: CacheDecision, session: Session
-) -> dict | None:
-    """Replay *entry* for the (alpha-equivalent) hit request.
+) -> dict:
+    """Replay *entry* for the hit request, which sent the same text.
 
-    Stores declared objects into the session under the hit request's own
-    names and rebuilds the response with the hit request's identifiers.
-    Returns None when the entry cannot serve the decision (defensive:
-    equal digests guarantee state-set equality, so this indicates a
-    hashing bug rather than an expected path) — the caller then executes
-    normally.
+    Stores the declared objects into the session — from the request's
+    own declaration through the executor's path when no call wrote them,
+    else from a blob or their fetched contents — and returns a copy of
+    the response.
     """
     if entry.kind == "program":
-        pristine = decision.pristine or {}
-        for _name, _dtype, state in decision.declared:
-            if state not in entry.blobs and state not in pristine and (
-                entry.contents.get(state, _NO_CONTENTS)["kind"]
-                not in ("vector", "matrix")
-            ):
-                return None
-        for _name, state in decision.fetches:
-            if state not in entry.contents:
-                return None
-        for name, dtype, state in decision.declared:
-            blob = entry.blobs.get(state)
-            if blob is not None:
-                obj = deserialize(blob)
-            elif state in pristine:
-                # never written: rebuild from the hit request's own
-                # (digest-equal) declaration through the executor's path
-                obj = build_decl(
-                    Decl.from_dict({**pristine[state], "name": name}),
-                    session.env,
-                )
+        for d in decision.declares:
+            name, dtype = d["name"], d["dtype"]
+            if name not in decision.written:
+                obj = build_decl(Decl.from_dict({"entries": [], **d}), session.env)
+            elif name in entry.blobs:
+                obj = deserialize(entry.blobs[name])
             else:
-                obj = _object_from_contents(entry.contents[state], dtype)
+                obj = _object_from_contents(entry.contents[name], dtype)
             session.objects[name] = obj
             session.dtypes[name] = dtype
         response = copy.deepcopy(entry.response)
-        if decision.fetches:
-            response["fetched"] = {
-                name: copy.deepcopy(entry.contents[state])
-                for name, state in decision.fetches
-            }
+        if entry.contents:
+            response["fetched"] = copy.deepcopy(entry.contents)
         return response
     if entry.kind == "algorithm" and decision.store_as is not None:
-        if entry.store_blob is None:
-            return None
         obj = deserialize(entry.store_blob)
         session.objects[decision.store_as] = obj
         session.dtypes[decision.store_as] = obj.type.name
@@ -255,12 +230,14 @@ class ResultCache:
         Stale entries are already unreachable (readers pin the new
         version, and the version id is in the key).  *changed* is the set
         of bare shared names whose objects this publication replaced:
-        entries reading any of them are dropped, entries reading only
-        *untouched* names are **re-keyed** to the new version instead —
-        their result is observationally identical there (copy-on-write
-        keeps untouched objects byte-for-byte the same object), so the
-        cache survives a stream of publishes that never touch what it
-        holds.
+        entries of version ``new_vid - 1`` reading only *untouched* names
+        are **re-keyed** to the new version — their result is
+        observationally identical there (copy-on-write keeps untouched
+        objects byte-for-byte the same object), so the cache survives a
+        stream of publishes that never touch what it holds.  Every other
+        older entry is dropped: one reading a changed name is stale, and
+        one of an older version was inserted late, by a reader pinned
+        past a publish it was never checked against.
         """
         reg = metrics.registry
         with self._mu:
@@ -269,7 +246,7 @@ class ResultCache:
             for k, e in self._entries.items():
                 if k[0] >= new_vid:
                     continue
-                if not (e.shared_reads & changed):
+                if k[0] == new_vid - 1 and not (e.shared_reads & changed):
                     moves.append((k, e))
                 else:
                     dead.append(k)

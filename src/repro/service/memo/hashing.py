@@ -1,13 +1,14 @@
-"""Request canonicalization: is it cacheable, and under which digest?
+"""Request keys: is a request cacheable, and under which key?
 
 :func:`analyze_request` inspects one admitted data request and either
-produces a :class:`CacheDecision` carrying a **canonical program key**
-— built on :mod:`repro.execution.planner.canonical`, the CSE
-fingerprint generalized across requests — or a typed bypass reason.
-States chain as plain tuple trees (no hashing while walking the
-program); only the handful of *final* states are condensed to hex
-digests, once each, so downstream cache keys and entry maps stay cheap
-flat strings.
+produces a :class:`CacheDecision` carrying the request's **exact text
+key** — the kind plus the payload as ``json.dumps(payload,
+sort_keys=True)`` — or a typed bypass reason.  Two requests share a key
+only when they are the same request as sent, so a hit's names, fetch set
+and declarations are the original's.  The key is text, not a tree
+compared with ``==``: under ``==`` ``0.0`` and ``-0.0`` are equal, yet a
+program declaring either fetches its own sign back.  A payload JSON
+cannot encode bypasses as ``unhashable``.
 
 Cacheability is deliberately conservative; a request is cacheable only
 when serving it from an old result is *observationally identical* to
@@ -25,22 +26,14 @@ executing it:
   process-stable identity, so such programs always execute;
 * the request kind is ``program``, ``algorithm``, or ``query`` — the
   read-path kinds; mutations are never cached.
-
-Alpha-equivalence comes from canonicalizing *dataflow*, not names: a
-declared temporary's identity is the state tuple of its declaration and
-of the chain of operations writing it, so renamed temporaries and
-reordered independent operations converge to the same state.  Response
-parts whose order is observable (scalar results) are chained in order;
-parts whose order is not (the set of declared objects, the fetched set)
-enter the key as sorted multisets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from typing import Any
 
-from ...execution.planner.canonical import DataflowHasher, digest
 from ...fuzz.program import _CANONICAL
 from ..session import SHARED_PREFIX
 
@@ -51,6 +44,9 @@ CACHEABLE_KINDS = frozenset(("program", "algorithm", "query"))
 
 #: argument keys holding operand *names* (everything else is structural)
 _NAME_KEYS = ("a", "b", "u", "mask")
+
+#: keys every declaration must carry (``entries`` defaults to empty)
+_DECL_KEYS = frozenset(("name", "kind", "dtype", "shape"))
 
 #: operator-token argument keys, with the registry resolving each
 _TOKEN_KEYS = ("semiring", "binop", "monoid", "unary", "iuop", "accum")
@@ -64,22 +60,15 @@ class CacheDecision:
     kind: str
     #: bypass reason (stable token, for metrics) when not cacheable
     reason: str = ""
-    #: canonical program key (cache key half; version is the other) — a
-    #: hashable tuple tree compared exactly, so no collision risk
-    digest: Any = None
-    #: ``(user_name, dtype_token, state)`` per declared object, in
-    #: declaration order — the hit path materializes these
-    declared: tuple = ()
-    #: ``(user_name, state)`` per fetched name
-    fetches: tuple = ()
+    #: exact text key (cache key half; version is the other)
+    digest: str | None = None
+    #: the program's declarations, as sent — a hit rebuilds the objects
+    #: no call writes from these instead of a serialized blob
+    declares: tuple = ()
+    #: declared names some call writes (programs)
+    written: frozenset = frozenset()
     #: user-chosen ``store_as`` name of an algorithm request
     store_as: str | None = None
-    #: ``state -> declaration spec`` for declared objects whose final
-    #: state is still their declaration state — i.e. never written by
-    #: any call.  A hit rebuilds these from the hit request's own
-    #: (key-equal, hence identical) declaration instead of a serialized
-    #: blob, so entries skip serializing them entirely.
-    pristine: Any = None
     #: bare (prefix-stripped) shared-store names the request reads — the
     #: delta-aware invalidation set: a publish that leaves all of them
     #: untouched re-keys the entry to the new version instead of dropping
@@ -88,51 +77,6 @@ class CacheDecision:
 
 def _bypass(kind: str, reason: str) -> CacheDecision:
     return CacheDecision(cacheable=False, kind=kind, reason=reason)
-
-
-def _plain(value: Any) -> Any:
-    """Canonicalize *value* to a hashable tree.
-
-    Strings, numbers, bools and None pass through; lists/tuples become
-    tuples; dicts become key-sorted ``(key, value)`` pair tuples; numpy
-    scalars unwrap via ``.item()``.  Anything else raises ``TypeError``
-    — the caller's "unhashable → bypass" rule.  The trees feed straight
-    into :class:`DataflowHasher` states and cache keys, so hashability
-    here is what makes the whole decision dict-keyable downstream.
-    """
-    t = type(value)
-    if t is str or t is int or t is float or t is bool or value is None:
-        return value
-    if t is list or t is tuple:
-        return tuple(_plain(v) for v in value)
-    if t is dict:
-        return tuple(sorted(
-            ((str(k), _plain(v)) for k, v in value.items()),
-            key=lambda kv: kv[0],
-        ))
-    item = getattr(value, "item", None)
-    if callable(item):  # numpy scalars (and 0-d arrays)
-        try:
-            return _plain(item())
-        except (TypeError, ValueError):
-            raise TypeError(f"not canonicalizable: {value!r}") from None
-    # subclasses (IntEnum, str-enums, ...) normalize to the base type
-    if isinstance(value, str):
-        return str(value)
-    if isinstance(value, bool):
-        return bool(value)
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        return tuple(_plain(v) for v in value)
-    if isinstance(value, dict):
-        return tuple(sorted(
-            ((str(k), _plain(v)) for k, v in value.items()),
-            key=lambda kv: kv[0],
-        ))
-    raise TypeError(f"not canonicalizable: {value!r}")
 
 
 _REGISTRY_TABLE: dict[str, Any] = {}
@@ -162,186 +106,110 @@ def _registry_token_ok(key: str, token: Any) -> bool:
 # Per-kind analyzers
 # --------------------------------------------------------------------------
 
-def _analyze_program(payload: dict) -> CacheDecision:
+def _analyze_program(payload: dict, key: str) -> CacheDecision:
     declares = payload.get("declare", []) or []
     raw_calls = payload.get("calls")
     fetch = payload.get("fetch", []) or []
     if not isinstance(raw_calls, list) or not isinstance(declares, list):
         return _bypass("program", "malformed")
 
-    hasher = DataflowHasher()
     shared_reads: set[str] = set()
-    declared: list[tuple[str, str, Any]] = []  # states filled in at the end
     decl_names: set[str] = set()
-    decl_dtypes: dict[str, str] = {}
-    decl_states: dict[str, Any] = {}
-    decl_specs: dict[str, dict] = {}
     for d in declares:
-        if not isinstance(d, dict):
+        if not isinstance(d, dict) or not _DECL_KEYS <= d.keys():
             return _bypass("program", "malformed")
-        try:
-            name, kind_, dtype = d["name"], d["kind"], d["dtype"]
-            shape = _plain(list(d["shape"]))
-            entries = _plain(list(d.get("entries", [])))
-            kind_, dtype = _plain(kind_), _plain(dtype)
-        except (KeyError, TypeError):
-            return _bypass("program", "malformed")
+        name = d["name"]
         if not isinstance(name, str) or name.startswith(SHARED_PREFIX):
             return _bypass("program", "shared-out")
-        if dtype == "PSET":
+        if d["dtype"] == "PSET":
             return _bypass("program", "udf")
-        decl_states[name] = hasher.declare(name, kind_, dtype, shape, entries)
-        decl_specs[name] = {
-            "name": name, "kind": kind_, "dtype": dtype,
-            "shape": shape, "entries": entries,
-        }
         decl_names.add(name)
-        decl_dtypes[name] = dtype
-        declared.append((name, dtype, ""))
 
-    scalar_chain: list[Any] = []
+    written: set[str] = set()
     for c in raw_calls:
-        if isinstance(c, dict):
-            kind_, out = c.get("kind"), c.get("out")
-            args = c.get("args", {})
-        else:  # an in-process fuzz Call object
-            kind_, out, args = getattr(c, "kind", None), getattr(c, "out", None), \
-                getattr(c, "args", {})
+        if not isinstance(c, dict):
+            return _bypass("program", "malformed")
+        kind_, out, args = c.get("kind"), c.get("out"), c.get("args", {})
         if kind_ == "wait":
             continue  # a sequence point, observationally a no-op
         if kind_ not in _CANONICAL or not isinstance(args, dict):
             return _bypass("program", "unknown-op")
-        for key in _TOKEN_KEYS:
-            tok = args.get(key)
-            if tok is not None and not _registry_token_ok(key, tok):
+        for tkey in _TOKEN_KEYS:
+            tok = args.get(tkey)
+            if tok is not None and not _registry_token_ok(tkey, tok):
                 return _bypass("program", "udf")
-        reads: list[tuple[str, str | None]] = []
-        for key in _NAME_KEYS:
-            ref = args.get(key)
+        for nkey in _NAME_KEYS:
+            ref = args.get(nkey)
             if ref is None:
-                reads.append((key, None))
                 continue
             if not isinstance(ref, str):
                 return _bypass("program", "malformed")
-            if ref not in decl_names and not ref.startswith(SHARED_PREFIX):
-                return _bypass("program", "private-ref")
             if ref.startswith(SHARED_PREFIX):
                 shared_reads.add(ref[len(SHARED_PREFIX):])
-            reads.append((key, ref))
-        if out is not None and out not in decl_names:
-            # writing into a pre-existing session object: the write is a
-            # visible mutation the cache could not replay
-            return _bypass("program", "external-out")
-        try:
-            attrs = tuple(sorted(
-                ((str(k), _plain(v))
-                 for k, v in args.items() if k not in _NAME_KEYS),
-                key=lambda kv: kv[0],
-            ))
-        except (TypeError, RecursionError):
-            return _bypass("program", "unhashable")
-        call_state = hasher.record(kind_, attrs, reads, out)
-        if _CANONICAL.get(kind_) == "reduce" and out is None:
-            # scalar results never land under a name; condense now
-            scalar_chain.append(digest(call_state))
+            elif ref not in decl_names:
+                return _bypass("program", "private-ref")
+        if out is not None:
+            if out not in decl_names:
+                # writing into a pre-existing session object: the write is
+                # a visible mutation the cache could not replay
+                return _bypass("program", "external-out")
+            written.add(out)
 
-    # condense each *final* state to hex exactly once per name — entry
-    # maps, sorts and the cache key then handle flat strings only
-    state_hex: dict[str, str] = {}
-
-    def _hex(name: str) -> str:
-        h = state_hex.get(name)
-        if h is None:
-            h = digest(hasher.state(name))
-            state_hex[name] = h
-        return h
-
-    fetches: list[tuple[str, Any]] = []
     for name in fetch:
         if not isinstance(name, str):
             return _bypass("program", "malformed")
-        if name not in decl_names and not name.startswith(SHARED_PREFIX):
-            return _bypass("program", "private-ref")
         if name.startswith(SHARED_PREFIX):
             shared_reads.add(name[len(SHARED_PREFIX):])
-        fetches.append((name, _hex(name)))
+        elif name not in decl_names:
+            return _bypass("program", "private-ref")
 
-    # pristine ⇔ never written: the "decl"/"call" state tags make this a
-    # property of the state value, so any key-equal request agrees on it
-    # and carries an identical declaration for the state
-    pristine = {
-        _hex(name): decl_specs[name]
-        for name, _dtype, _ in declared
-        if decl_states[name] == hasher.state(name)
-    }
-    declared = [(name, dtype, _hex(name)) for name, dtype, _ in declared]
-    program_digest = (
-        "program",
-        tuple(sorted((state, dtype) for _, dtype, state in declared)),
-        tuple(scalar_chain),
-        tuple(sorted(state for _, state in fetches)),
-    )
     return CacheDecision(
-        cacheable=True,
-        kind="program",
-        digest=program_digest,
-        declared=tuple(declared),
-        fetches=tuple(fetches),
-        pristine=pristine,
+        cacheable=True, kind="program", digest=key,
+        declares=tuple(declares), written=frozenset(written),
         shared_reads=frozenset(shared_reads),
     )
 
 
-def _analyze_algorithm(payload: dict) -> CacheDecision:
+def _analyze_algorithm(payload: dict, key: str) -> CacheDecision:
     graph = payload.get("graph")
-    algo = payload.get("algo")
     store_as = payload.get("store_as")
     if not isinstance(graph, str) or not graph.startswith(SHARED_PREFIX):
         return _bypass("algorithm", "private-ref")
-    if not isinstance(algo, str):
+    if not isinstance(payload.get("algo"), str):
         return _bypass("algorithm", "malformed")
     if store_as is not None and (
         not isinstance(store_as, str) or store_as.startswith(SHARED_PREFIX)
     ):
         return _bypass("algorithm", "shared-out")
-    try:
-        args = _plain(payload.get("args", {}) or {})
-    except (TypeError, RecursionError):
-        return _bypass("algorithm", "unhashable")
-    d = (
-        "algorithm", algo, DataflowHasher().external(graph), args,
-        store_as is not None,
-    )
     return CacheDecision(
-        cacheable=True, kind="algorithm", digest=d, store_as=store_as,
+        cacheable=True, kind="algorithm", digest=key, store_as=store_as,
         shared_reads=frozenset((graph[len(SHARED_PREFIX):],)),
     )
 
 
-def _analyze_query(payload: dict) -> CacheDecision:
+def _analyze_query(payload: dict, key: str) -> CacheDecision:
     name = payload.get("name")
     if not isinstance(name, str) or not name.startswith(SHARED_PREFIX):
         return _bypass("query", "private-ref")
-    what = payload.get("what", "nvals")
-    try:
-        coords = _plain({
-            k: payload.get(k) for k in ("row", "col", "index") if k in payload
-        })
-    except (TypeError, RecursionError):
-        return _bypass("query", "unhashable")
-    d = ("query", DataflowHasher().external(name), str(what), coords)
     return CacheDecision(
-        cacheable=True, kind="query", digest=d,
+        cacheable=True, kind="query", digest=key,
         shared_reads=frozenset((name[len(SHARED_PREFIX):],)),
     )
+
+
+_ANALYZERS = {
+    "program": _analyze_program,
+    "algorithm": _analyze_algorithm,
+    "query": _analyze_query,
+}
 
 
 def analyze_request(kind: str, payload: dict) -> CacheDecision:
     """Classify one data request for the cross-request result cache."""
     if kind not in CACHEABLE_KINDS:
         return _bypass(kind, "kind")
-    if kind == "program":
-        return _analyze_program(payload)
-    if kind == "algorithm":
-        return _analyze_algorithm(payload)
-    return _analyze_query(payload)
+    try:
+        key = kind + " " + json.dumps(payload, sort_keys=True)
+    except (TypeError, ValueError, RecursionError):
+        return _bypass(kind, "unhashable")
+    return _ANALYZERS[kind](payload, key)

@@ -82,7 +82,7 @@ class ServiceConfig:
     #: process-wide :func:`repro.parallel.shard_workers` setting alone)
     shard_workers: int | None = None
     #: cross-request result cache (memoization of cacheable reads on
-    #: shared graphs, keyed by snapshot version + canonical program hash)
+    #: shared graphs, keyed by snapshot version + exact request text)
     cache: bool = True
     #: flight-recorder dump directory (None → $REPRO_DIAG_DIR or tmpdir)
     diag_dir: str | None = None
@@ -287,9 +287,9 @@ class Service:
             trace=trace, timing=timing, explain=explain,
         )
         if self.memo is not None:
-            # pure in (kind, payload): canonicalize on the submitting
-            # thread, outside the admission lock, so the worker's issue
-            # loop only pays for the lookup
+            # pure in (kind, payload): key it on the submitting thread,
+            # outside the admission lock, so the worker's issue loop only
+            # pays for the lookup
             req.memo_decision = analyze_request(req.kind, req.payload)
         reg = metrics.registry
         with self._work:

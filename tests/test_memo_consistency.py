@@ -31,6 +31,7 @@ from repro.service.loadgen import (
     _shared_read_pool,
     shared_graph_payload,
 )
+from repro.service.memo import CacheEntry, ResultCache
 
 _SHARED_N = 32
 _SESSIONS = 3
@@ -166,3 +167,33 @@ def test_write_then_immediately_read_is_not_served_stale():
         assert after["timing"]["cache"] == "miss"   # old entry invalidated
         assert after["timing"]["shared_version"] > first["timing"][
             "shared_version"]
+
+
+def test_late_insert_is_not_rekeyed_past_a_publish_it_missed():
+    # a reader pinned at v5 inserts after v6 replaced H; v7 touches only G
+    cache = ResultCache()
+    entry = CacheEntry("query", {"nvals": 5}, shared_reads=frozenset({"H"}))
+    cache.on_publish(6, {"H"})
+    cache.insert(5, "k", entry)
+    cache.on_publish(7, {"G"})
+    assert cache.lookup(7, "k") is None
+    assert cache.stats()["entries"] == 0
+
+
+def test_editing_a_miss_reply_does_not_change_a_later_hit():
+    payload = {
+        "declare": [{"name": "v", "kind": "vector", "dtype": "FP64",
+                     "shape": [4], "entries": [[1, 2.0]]}],
+        "calls": [{"kind": "reduce_scalar", "out": None,
+                   "args": {"a": "v", "monoid": "GrB_PLUS_MONOID_FP64"}}],
+        "fetch": ["v"],
+    }
+    with Service(ServiceConfig(cache=True)) as svc:
+        miss = svc.request(svc.open_session(), "program", payload, timing=True)
+        assert miss["timing"]["cache"] == "miss"
+        miss["fetched"]["v"]["values"][0] = 999.0
+        miss["scalars"].append("junk")
+        hit = svc.request(svc.open_session(), "program", payload, timing=True)
+    assert hit["timing"]["cache"] == "hit"
+    assert hit["fetched"]["v"]["values"] == [2.0]
+    assert hit["scalars"] == [2.0]

@@ -1,22 +1,25 @@
-"""Canonical program hashing: alpha-equivalent programs share a digest,
-semantically different programs never do.
+"""Request keys: the memo keys a request on its exact text, and
+semantically different programs never share a key.
 
 The property half reuses the conformance fuzzer's generator as the
-program source: over a generated corpus, consistently renaming every
-temporary and swapping adjacent dataflow-independent calls must preserve
-the canonical digest, while reordering *dependent* calls must change it.
-The directed half hand-builds a masked/accumulated program and flips one
-semantic knob at a time — operator token, dtype, shape, entries, mask
-interpretation, descriptor bit, accumulator, fetch set — asserting each
-flip lands in a different cache key.
+program source: over a generated corpus, enough programs are cacheable,
+they do not all share one key, and reordering *dependent* calls changes
+the key.  The directed half hand-builds a masked/accumulated program and
+flips one semantic knob at a time — operator token, dtype, shape,
+entries, mask interpretation, descriptor bit, accumulator, fetch set —
+asserting each flip lands in a different cache key, and checks that
+``0.0`` and ``-0.0`` declarations, equal under ``==``, stay apart.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.fuzz.generator import generate_corpus
 from repro.fuzz.program import Call, Decl, Program
+from repro.service import Service, ServiceConfig
 from repro.service.memo import analyze_request
 
 _NAME_KEYS = ("a", "b", "u", "mask")
@@ -34,20 +37,6 @@ def _decision(program: Program):
     return analyze_request("program", _payload(program))
 
 
-def _rename(program: Program, fn) -> Program:
-    q = program.copy()
-    for d in q.decls:
-        d.name = fn(d.name)
-    for c in q.calls:
-        if c.out is not None:
-            c.out = fn(c.out)
-        for key in _NAME_KEYS:
-            v = c.args.get(key)
-            if isinstance(v, str) and not v.startswith("shared:"):
-                c.args[key] = fn(v)
-    return q
-
-
 def _reads(call: Call) -> set[str]:
     out = set()
     for key in _NAME_KEYS:
@@ -55,19 +44,6 @@ def _reads(call: Call) -> set[str]:
         if isinstance(v, str):
             out.add(v)
     return out
-
-
-def _independent(c1: Call, c2: Call) -> bool:
-    """True when swapping c1/c2 cannot change any observable result."""
-    if c1.kind == "wait" or c2.kind == "wait":
-        return False
-    if c1.out is None and c2.out is None:
-        return False        # two scalar reduces: their chain is ordered
-    if c1.out is not None and (c1.out == c2.out or c1.out in _reads(c2)):
-        return False
-    if c2.out is not None and c2.out in _reads(c1):
-        return False
-    return True
 
 
 CORPUS = list(generate_corpus(11, 60))
@@ -83,31 +59,9 @@ def test_generator_yields_enough_cacheable_programs():
             assert d.reason
 
 
-def test_alpha_renaming_preserves_the_digest():
-    for p in CACHEABLE:
-        q = _rename(p, lambda n: f"ren_{n}_z")
-        dp, dq = _decision(p), _decision(q)
-        assert dq.cacheable
-        assert dq.digest == dp.digest, p
-
-
 def test_rename_is_not_a_trivial_hash_of_nothing():
     digests = {_decision(p).digest for p in CACHEABLE}
     assert len(digests) > 1
-
-
-def test_swapping_independent_adjacent_calls_preserves_the_digest():
-    checked = 0
-    for p in CACHEABLE:
-        for i in range(len(p.calls) - 1):
-            if not _independent(p.calls[i], p.calls[i + 1]):
-                continue
-            q = p.copy()
-            q.calls[i], q.calls[i + 1] = q.calls[i + 1], q.calls[i]
-            assert _decision(q).digest == _decision(p).digest, (p, i)
-            checked += 1
-            break
-    assert checked >= 5
 
 
 def test_swapping_dependent_calls_changes_the_digest():
@@ -250,3 +204,27 @@ def test_shared_reads_are_cacheable_and_name_sensitive():
     q = _base()
     q.calls[0].args["b"] = "shared:H"
     assert _decision(q).digest != d.digest
+
+
+def test_signed_zero_splits_the_key():
+    def declaring(zero: float) -> dict:
+        return {
+            "declare": [{"name": "v", "kind": "vector", "dtype": "FP64",
+                         "shape": [4], "entries": [[0, zero]]}],
+            "calls": [],
+            "fetch": ["v"],
+        }
+
+    pos, neg = declaring(0.0), declaring(-0.0)
+    assert pos == neg  # one tuple-tree compare would merge them
+    d_pos, d_neg = analyze_request("program", pos), analyze_request("program", neg)
+    assert d_pos.cacheable and d_neg.cacheable
+    assert d_pos.digest != d_neg.digest
+
+    with Service(ServiceConfig(cache=True)) as svc:
+        first = svc.request(svc.open_session(), "program", pos, timing=True)
+        second = svc.request(svc.open_session(), "program", neg, timing=True)
+    assert first["timing"]["cache"] == "miss"
+    assert second["timing"]["cache"] == "miss"
+    [value] = second["fetched"]["v"]["values"]
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
