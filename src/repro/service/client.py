@@ -1,72 +1,176 @@
-"""Client front-ends: the in-process :class:`Client` and the JSON-lines
-:class:`TCPClient`.
+"""Client front-ends: the in-process :class:`Client` and the TCP
+:class:`TCPClient`, plus the wire codec both ends of a TCP connection use.
 
-Both speak the same request model (:mod:`repro.service.request`), so code
-written against one works against the other; the TCP client only adds the
-wire encoding (one JSON object per line, blobs base64 in ``blob_b64``).
+Both clients speak the same request model (:mod:`repro.service.request`)
+and return the same replies — plain dicts whose fetched contents are lists
+of Python scalars — so code written against one works against the other.
 Clients are synchronous by default — each call waits for its future /
 response — with ``submit`` exposed for pipelined use.
+
+The wire.  A message without binary content is one JSON object on one
+line, so ``nc`` and hand-written clients need nothing else.  A message
+that carries ``bytes`` values or numeric arrays sends them as raw
+length-prefixed *frames* ahead of its JSON line::
+
+    #<len>,<len>,...\n<frame 0><frame 1>...{"json": ...}\n
+
+In the JSON line each frame appears as a placeholder: ``{"$frame": i,
+"dtype": "<f8"}`` for a one-dimensional array of a numeric numpy dtype
+(bool, signed or unsigned int, float) and a bare ``{"$frame": i}`` for
+bytes.  The decoder turns an array frame back into a list of Python
+scalars with ``np.frombuffer(frame, dtype).tolist()`` — the very values
+and types ``json`` would have produced from the list — and a bytes frame
+into ``bytes``; arrays of any other dtype travel as JSON lists.  A whole
+message, header, frames and JSON line together, may not exceed
+:data:`MAX_MESSAGE_BYTES`; a peer that breaks the framing gets a
+:class:`BadRequest` and the connection is closed.
 """
 
 from __future__ import annotations
 
-import base64
+import io
 import json
 import socket
 from concurrent.futures import Future
 from typing import Any, Iterable
+
+import numpy as np
 
 from ..io.serialize import serialize
 from ..obs.tracing import TraceContext
 from . import errors as _errors
 from .errors import BadRequest, ServiceError
 
-__all__ = ["Client", "TCPClient", "wire_encode", "wire_decode", "error_from_wire"]
+__all__ = [
+    "Client", "TCPClient", "wire_encode", "wire_decode", "read_message",
+    "decode_line", "error_from_wire", "MAX_MESSAGE_BYTES",
+]
 
+#: the largest message either end reads — header, frames and JSON line
+#: together; a longer one is refused before its frames are buffered
+MAX_MESSAGE_BYTES = 256 << 20
 
-def _encode_blobs(value):
-    """Recursively replace bytes values with ``<key>_b64`` base64 strings."""
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if isinstance(v, (bytes, bytearray)):
-                out[str(k) + "_b64"] = base64.b64encode(bytes(v)).decode("ascii")
-            else:
-                out[str(k)] = _encode_blobs(v)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_encode_blobs(v) for v in value]
-    return value
+#: numpy dtype kinds an array frame may carry: bool, int, uint, float
+NUMERIC_KINDS = "biuf"
 
-
-def _decode_blobs(value):
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if k.endswith("_b64") and isinstance(v, str):
-                out[k[:-4]] = base64.b64decode(v)
-            else:
-                out[k] = _decode_blobs(v)
-        return out
-    if isinstance(value, list):
-        return [_decode_blobs(v) for v in value]
-    return value
+#: frames are read in chunks of at most this size, so a header that
+#: announces a large frame costs memory only as its bytes arrive
+_CHUNK = 1 << 20
 
 
 def wire_encode(obj: dict) -> bytes:
-    """Encode a request/response dict as one JSON line (blobs → base64)."""
-    return json.dumps(_encode_blobs(obj), separators=(",", ":")).encode() + b"\n"
+    """Encode a request/response dict as one wire message.
+
+    ``bytes`` values and one-dimensional numeric arrays become frames;
+    without any, the message is a single JSON line."""
+    frames: list = []
+
+    def placeholder(v):
+        if isinstance(v, (bytes, bytearray)):
+            frames.append(v)
+            return {"$frame": len(frames) - 1}
+        if (isinstance(v, np.ndarray) and v.ndim == 1
+                and v.dtype.kind in NUMERIC_KINDS):
+            frames.append(np.ascontiguousarray(v))
+            return {"$frame": len(frames) - 1, "dtype": v.dtype.str}
+        raise TypeError(f"{type(v).__name__} cannot travel on the wire")
+
+    line = json.dumps(obj, separators=(",", ":"), default=placeholder)
+    if not frames:
+        return line.encode() + b"\n"
+    sizes = ",".join(str(memoryview(f).nbytes) for f in frames)
+    return b"".join([f"#{sizes}\n".encode(), *frames, line.encode(), b"\n"])
 
 
-def wire_decode(line: bytes) -> dict:
-    """Decode one JSON line (base64 blobs → bytes)."""
+def _read_exact(rfile, n: int) -> bytes:
+    chunks = []
+    while n > 0:
+        chunk = rfile.read(min(n, _CHUNK))
+        if not chunk:
+            raise ConnectionError("peer closed the connection mid-frame")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _line(rfile, budget: int, limit: int) -> bytes:
+    line = rfile.readline(budget)
+    if len(line) >= budget and not line.endswith(b"\n"):
+        raise BadRequest(f"wire message exceeds the {limit}-byte cap")
+    return line
+
+
+def read_message(rfile, limit: int = MAX_MESSAGE_BYTES):
+    """Read one wire message from a binary file object.
+
+    Returns ``(json_line, frames)``, or None at a clean end of stream.
+    Raises :class:`BadRequest` when the framing is broken — the stream is
+    then out of step and the caller must close it — and
+    :class:`ConnectionError` when the peer leaves mid-message.
+    """
+    line = _line(rfile, limit, limit)
+    if not line.startswith(b"#"):
+        return (line, []) if line else None
+    sizes = []
+    for field in line[1:].rstrip(b"\r\n").split(b","):
+        # isdigit() refuses signs, blanks and non-ASCII digits; twelve
+        # digits already exceed any cap
+        if not field.isdigit() or len(field) > 12:
+            raise BadRequest(f"bad frame length {field[:32]!r} in wire header")
+        sizes.append(int(field))
+    budget = limit - len(line) - sum(sizes)
+    if budget <= 0:
+        raise BadRequest(f"wire message exceeds the {limit}-byte cap")
+    frames = [_read_exact(rfile, n) for n in sizes]
+    line = _line(rfile, budget, limit)
+    if not line:
+        raise ConnectionError("peer closed the connection before the JSON line")
+    return line, frames
+
+
+def decode_line(line: bytes, frames: list = ()) -> dict:
+    """Decode a message's JSON line, resolving frame placeholders."""
+
+    def resolve(d: dict):
+        if "$frame" not in d:
+            return d
+        i, dtype = d["$frame"], d.get("dtype")
+        if (type(i) is not int or not 0 <= i < len(frames)
+                or not d.keys() <= {"$frame", "dtype"}):
+            raise BadRequest(f"bad frame placeholder {d!r}")
+        if dtype is None:
+            return frames[i]
+        try:
+            dt = np.dtype(dtype) if isinstance(dtype, str) else None
+        except (TypeError, ValueError):
+            dt = None
+        if dt is None or dt.kind not in NUMERIC_KINDS:
+            raise BadRequest(f"frame {i} has non-numeric dtype {dtype!r}")
+        if len(frames[i]) % dt.itemsize:
+            raise BadRequest(
+                f"frame {i} is {len(frames[i])} bytes, not a whole number "
+                f"of {dt.str} items"
+            )
+        return np.frombuffer(frames[i], dt).tolist()
+
     try:
-        doc = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(line.decode(), object_hook=resolve)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BadRequest(f"malformed wire line: {exc}") from None
     if not isinstance(doc, dict):
         raise BadRequest("wire line must be a JSON object")
-    return _decode_blobs(doc)
+    return doc
+
+
+def wire_decode(data: bytes) -> dict:
+    """Decode one whole wire message held in *data*."""
+    try:
+        msg = read_message(io.BytesIO(data), len(data) + 1)
+    except ConnectionError as exc:
+        raise BadRequest(f"truncated wire message: {exc}") from None
+    if msg is None:
+        raise BadRequest("empty wire message")
+    return decode_line(*msg)
 
 
 def error_from_wire(err: dict) -> ServiceError:
@@ -170,7 +274,7 @@ class Client:
 
 
 class TCPClient:
-    """Synchronous JSON-lines client for ``python -m repro.service``.
+    """Synchronous wire-protocol client for ``python -m repro.service``.
 
     Speaks the identical surface as :class:`Client`; one request is in
     flight at a time per connection, so responses arrive in order.
@@ -216,10 +320,13 @@ class TCPClient:
             doc["timeout"] = timeout
         self._sock.sendall(wire_encode(doc))
         while True:
-            line = self._rfile.readline()
-            if not line:
+            try:
+                msg = read_message(self._rfile)
+            except ConnectionError:
+                msg = None
+            if msg is None:
                 raise ServiceError("server closed the connection")
-            resp = wire_decode(line)
+            resp = decode_line(*msg)
             if resp.get("id") != self._ids:
                 continue  # stale response from an abandoned pipeline
             if resp.get("ok"):

@@ -26,7 +26,6 @@ over-approximation ``GrB_wait`` itself makes when a sequence fails.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import time
 from typing import Any, Callable
@@ -45,11 +44,12 @@ from ..obs import diag, metrics, spans, tracing
 from ..obs.diag import explain as diag_explain
 from ..stream import EdgeBuffer
 from ..types.grb_type import lookup_type
+from .client import NUMERIC_KINDS
 from .errors import BadRequest, DeadlineExceeded, ObjectNotFound
 from .memo import build_entry, materialize
 from .session import SHARED_PREFIX, Session
 
-__all__ = ["run_batch", "ALGORITHMS", "jsonable"]
+__all__ = ["run_batch", "ALGORITHMS", "jsonable", "plain"]
 
 
 # --------------------------------------------------------------------------
@@ -81,7 +81,8 @@ def jsonable(v: Any) -> Any:
     if callable(item) and np.ndim(v) == 0:
         return v.item()
     if isinstance(v, np.ndarray):
-        return [jsonable(x) for x in v.tolist()]
+        out = v.tolist()
+        return out if v.dtype.kind in NUMERIC_KINDS else jsonable(out)
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -91,24 +92,46 @@ def jsonable(v: Any) -> Any:
     return v
 
 
+def plain(v: Any) -> Any:
+    """The in-process form of a reply: a fresh copy in which every array
+    is a list of Python scalars, so the caller owns what it receives."""
+    if isinstance(v, dict):
+        return {k: plain(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [plain(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return v
+
+
+def _column(a: np.ndarray):
+    """A fetched array as a reply holds it: a numeric array stays an array,
+    read-only because the reply and a memo entry may share it; any other
+    dtype (UDT, object) becomes a JSON-able list."""
+    if a.dtype.kind in NUMERIC_KINDS:
+        a.flags.writeable = False
+        return a
+    return jsonable(a)
+
+
 def _contents(obj) -> dict:
-    """JSON-able content of a collection (the ``fetch`` payload)."""
+    """Content of a collection (the ``fetch`` payload)."""
     if isinstance(obj, Matrix):
         rows, cols, vals = obj.extract_tuples()
         return {
             "kind": "matrix",
             "shape": [obj.nrows, obj.ncols],
-            "rows": jsonable(rows),
-            "cols": jsonable(cols),
-            "values": jsonable(vals),
+            "rows": _column(rows),
+            "cols": _column(cols),
+            "values": _column(vals),
         }
     if isinstance(obj, Vector):
         idx, vals = obj.extract_tuples()
         return {
             "kind": "vector",
             "shape": [obj.size],
-            "indices": jsonable(idx),
-            "values": jsonable(vals),
+            "indices": _column(idx),
+            "values": _column(vals),
         }
     if isinstance(obj, Scalar):
         if obj.nvals() == 0:
@@ -247,10 +270,8 @@ def _issue_define(service, session: Session, payload: dict, ectx: _Exec):
 def _issue_upload(service, session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     blob = payload.get("blob")
-    if blob is None and "blob_b64" in payload:
-        blob = base64.b64decode(payload["blob_b64"])
     if not isinstance(blob, (bytes, bytearray)):
-        raise BadRequest("upload needs a 'blob' (bytes) or 'blob_b64' field")
+        raise BadRequest("upload needs a 'blob' (bytes) field")
     obj = deserialize(bytes(blob))
     _store(session, name, obj)
     _mark_fresh(ectx, name)

@@ -18,12 +18,13 @@ rest (counted as invalidations).
 
 from __future__ import annotations
 
-import copy
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from ...containers.matrix import Matrix
 from ...containers.vector import Vector
@@ -44,8 +45,8 @@ class CacheEntry:
 
     kind: str
     #: response template — everything but the fetched contents
-    #: (``scalars``, ``nvals``, query answers); materialization
-    #: deep-copies it
+    #: (``scalars``, ``nvals``, query answers); shared with the replies
+    #: it serves, which nothing edits (in-process callers get a copy)
     response: dict
     #: declared name → serialized object, for the objects a call wrote
     #: and no fetched contents determine (programs)
@@ -76,12 +77,10 @@ def _object_from_contents(contents: dict, dtype: str):
 
 
 def _approx_bytes(value: Any) -> int:
-    """What *value* costs in memory, close to a deep ``sys.getsizeof``.
-
-    Fetched contents hold lists of Python scalars, which cost an object per
-    element — about three times their ``repr``.  Insert runs on the miss
-    path of every cacheable request, so such a list is charged as its own
-    size plus one element's size per entry, without visiting the rest."""
+    """What *value* costs in memory, close to a deep ``sys.getsizeof``;
+    an array (fetched contents) is charged its ``nbytes``."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, dict):
@@ -89,10 +88,7 @@ def _approx_bytes(value: Any) -> int:
             _approx_bytes(k) + _approx_bytes(v) for k, v in value.items()
         )
     if isinstance(value, (list, tuple)):
-        size = sys.getsizeof(value)
-        if value and isinstance(value[0], (int, float)):
-            return size + len(value) * sys.getsizeof(value[0])
-        return size + sum(_approx_bytes(v) for v in value)
+        return sys.getsizeof(value) + sum(_approx_bytes(v) for v in value)
     return sys.getsizeof(value)
 
 
@@ -103,14 +99,13 @@ def build_entry(decision: CacheDecision, session: Session, result: dict) -> Cach
     after the handler returned: serializing a declared object is a
     sequence point that forces exactly this request's pending deferred
     ops, so the blobs capture this request's view — never a later batch
-    member's mutations.  The entry copies the reply's lists, so a caller
-    editing its miss reply cannot change what a later hit returns.
+    member's mutations.  The entry shares the reply's read-only arrays and
+    containers: the TCP front-end only encodes them, and an in-process
+    caller receives its own copy (:func:`repro.service.executor.plain`),
+    so no caller can change what a later hit returns.
     """
     if decision.kind == "program":
-        contents = {
-            name: {k: list(v) if type(v) is list else v for k, v in c.items()}
-            for name, c in result.get("fetched", {}).items()
-        }
+        contents = result.get("fetched", {})
         blobs = {
             d["name"]: serialize(session.objects[d["name"]])
             for d in decision.declares
@@ -118,7 +113,7 @@ def build_entry(decision: CacheDecision, session: Session, result: dict) -> Cach
             # fetched vector/matrix contents already determine the object
             and contents.get(d["name"], {}).get("kind") not in ("vector", "matrix")
         }
-        response = {"scalars": list(result["scalars"])}
+        response = {"scalars": result["scalars"]}
         entry = CacheEntry("program", response, blobs=blobs, contents=contents)
     elif decision.kind == "algorithm" and decision.store_as is not None:
         blob = serialize(session.objects[decision.store_as])
@@ -145,8 +140,8 @@ def materialize(
 
     Stores the declared objects into the session — from the request's
     own declaration through the executor's path when no call wrote them,
-    else from a blob or their fetched contents — and returns a copy of
-    the response.
+    else from a blob or their fetched contents — and returns the response,
+    a new top-level dict over the entry's shared, never-edited contents.
     """
     if entry.kind == "program":
         for d in decision.declares:
@@ -159,16 +154,16 @@ def materialize(
                 obj = _object_from_contents(entry.contents[name], dtype)
             session.objects[name] = obj
             session.dtypes[name] = dtype
-        response = copy.deepcopy(entry.response)
+        response = dict(entry.response)
         if entry.contents:
-            response["fetched"] = copy.deepcopy(entry.contents)
+            response["fetched"] = entry.contents
         return response
     if entry.kind == "algorithm" and decision.store_as is not None:
         obj = deserialize(entry.store_blob)
         session.objects[decision.store_as] = obj
         session.dtypes[decision.store_as] = obj.type.name
-        return {"stored": decision.store_as, **copy.deepcopy(entry.response)}
-    return copy.deepcopy(entry.response)
+        return {"stored": decision.store_as, **entry.response}
+    return dict(entry.response)
 
 
 class ResultCache:

@@ -1,13 +1,26 @@
-"""Threaded JSON-lines TCP front-end for the in-process service.
+"""Threaded TCP front-end for the in-process service.
 
-One JSON object per line in each direction.  Requests carry ``id``,
+One message per request and per response, in the wire format of
+:mod:`repro.service.client`: a JSON object on one line, preceded by a
+``#<len>,<len>,...`` header and raw frames when it carries ``bytes`` or
+numeric arrays (``{"$frame": i}`` / ``{"$frame": i, "dtype": ...}``
+placeholders in the JSON stand for them).  Requests carry ``id``,
 ``kind``, ``session``, optional ``timeout``, ``trace`` (a client-minted
 ``{"trace_id", "request_id"}`` identity), ``timing`` (opt into the
 latency decomposition) and a kind-specific ``payload`` object; responses
 echo the ``id`` with either ``{"ok": true, "result": {...}}`` or
 ``{"ok": false, "error": {"kind": ..., "message": ..., "info": ...}}``.
-Binary blobs travel base64-encoded under ``<field>_b64`` keys at any
-nesting depth.
+A reply's fetched index and value arrays leave the executor as numpy
+arrays and cross the socket as frames, never as per-element Python
+objects; a reply without them is one plain JSON line, as is every reply
+to a frame-less ``ping`` or admin request.
+
+A message is capped at :data:`~repro.service.client.MAX_MESSAGE_BYTES`.
+Broken framing — a bad header, a header over the cap, a line over the
+cap — gets a ``BadRequest`` reply and the connection closed, since the
+stream is out of step; a bad placeholder, dtype or JSON line after
+complete frames gets a ``BadRequest`` reply and the connection serves
+on; a peer leaving mid-frame is a clean close.
 
 Four bare plaintext commands escape the JSON protocol for probes and
 scrapers: a line reading exactly ``metrics`` answers with Prometheus
@@ -33,7 +46,7 @@ import threading
 
 from ..obs.export import prometheus_text
 from ..obs.tracing import TraceContext
-from .client import error_from_wire, wire_decode, wire_encode  # noqa: F401
+from .client import decode_line, read_message, wire_encode
 from .errors import BadRequest, ServiceError, SessionNotFound
 from .request import ADMIN_KINDS, DATA_KINDS
 from .service import Service, ServiceConfig
@@ -49,27 +62,50 @@ class _Handler(socketserver.StreamRequestHandler):
         server: "Server" = self.server.owner  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline()
+                msg = read_message(self.rfile)
+            except BadRequest as exc:
+                # the framing is lost: answer once, then close the stream
+                self._send(_error_reply(None, exc))
+                return
             except (ConnectionError, OSError):
                 return
-            if not line:
+            if msg is None:
                 return
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped in PLAIN_COMMANDS:
-                try:
-                    self.wfile.write(
-                        server.handle_plain(stripped.decode()).encode()
-                    )
-                except (ConnectionError, OSError):
-                    pass
-                return  # one-shot: close so `nc`-style probes terminate
-            resp = server.handle_line(line)
-            try:
-                self.wfile.write(wire_encode(resp))
-            except (ConnectionError, OSError):
+            line, frames = msg
+            if not frames:
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                if stripped in PLAIN_COMMANDS:
+                    try:
+                        self.wfile.write(
+                            server.handle_plain(stripped.decode()).encode()
+                        )
+                    except (ConnectionError, OSError):
+                        pass
+                    return  # one-shot: close so `nc`-style probes terminate
+            if not self._send(server.handle_line(line, frames)):
                 return
+
+    def _send(self, resp: dict) -> bool:
+        try:
+            self.wfile.write(wire_encode(resp))
+        except (ConnectionError, OSError):
+            return False
+        return True
+
+
+def _error_reply(rid, exc: Exception) -> dict:
+    info = getattr(exc, "info", None)
+    return {
+        "id": rid,
+        "ok": False,
+        "error": {
+            "kind": type(exc).__name__,
+            "message": str(exc),
+            "info": getattr(info, "name", None),
+        },
+    }
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -78,7 +114,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
 
 class Server:
-    """JSON-lines TCP server wrapping one :class:`Service`."""
+    """Wire-protocol TCP server wrapping one :class:`Service`."""
 
     def __init__(
         self,
@@ -98,11 +134,12 @@ class Server:
         return self._tcp.server_address[:2]
 
     # -------------------------------------------------------------- protocol
-    def handle_line(self, line: bytes) -> dict:
-        """Dispatch one request line; always returns a response dict."""
+    def handle_line(self, line: bytes, frames: list = ()) -> dict:
+        """Dispatch one request (its JSON line and frames); always returns
+        a response dict, whose fetched contents are still numpy arrays."""
         rid = None
         try:
-            doc = wire_decode(line)
+            doc = decode_line(line, frames)
             rid = doc.get("id")
             kind = doc.get("kind")
             session = doc.get("session")
@@ -114,26 +151,18 @@ class Server:
             elif kind in DATA_KINDS:
                 if not session:
                     raise BadRequest("data requests need a 'session' field")
-                result = self.service.request(
+                # the raw reply: its arrays go out as frames, untouched
+                result = self.service._admit(
                     session, kind, payload, timeout=doc.get("timeout"),
                     trace=TraceContext.from_wire(doc.get("trace")),
                     timing=bool(doc.get("timing")),
                     explain=bool(doc.get("explain")),
-                )
+                ).result(timeout=60.0)
             else:
                 raise BadRequest(f"unknown request kind {kind!r}")
             return {"id": rid, "ok": True, "result": result}
         except Exception as exc:  # every failure becomes a typed wire error
-            info = getattr(exc, "info", None)
-            return {
-                "id": rid,
-                "ok": False,
-                "error": {
-                    "kind": type(exc).__name__,
-                    "message": str(exc),
-                    "info": getattr(info, "name", None),
-                },
-            }
+            return _error_reply(rid, exc)
 
     def _admin(self, kind: str, session: str | None, payload: dict) -> dict:
         svc = self.service

@@ -45,7 +45,7 @@ from ..obs.tracing import TraceContext
 from .. import parallel
 from ..parallel import get_num_threads
 from .errors import QueueFull, ServiceClosed, SessionNotFound
-from .executor import run_batch, validate_session
+from .executor import plain, run_batch, validate_session
 from .memo import ResultCache, analyze_request
 from .request import Request, new_request
 from .session import SHARED_SESSION, Session
@@ -280,7 +280,42 @@ class Service:
         *timing* opts the response into the per-request latency
         decomposition; *explain* attaches the drain-time planner's
         EXPLAIN record for this request (Descriptor-style opt-in).
+
+        The future resolves to the reply as plain Python data — fetched
+        contents as lists of scalars — which the caller owns.
         """
+        raw = self._admit(
+            session, kind, payload, timeout=timeout, trace=trace,
+            timing=timing, explain=explain,
+        )
+        fut: Future = Future()
+
+        def _resolve(done: Future) -> None:
+            if not fut.set_running_or_notify_cancel():
+                return
+            exc = done.exception()
+            if exc is not None:
+                fut.set_exception(exc)
+            else:
+                fut.set_result(plain(done.result()))
+
+        raw.add_done_callback(_resolve)
+        return fut
+
+    def _admit(
+        self,
+        session: str,
+        kind: str,
+        payload: dict | None = None,
+        *,
+        timeout: float | None = None,
+        trace: TraceContext | None = None,
+        timing: bool = False,
+        explain: bool = False,
+    ) -> Future:
+        """:meth:`submit`, but the future resolves to the raw reply: its
+        fetched contents stay read-only numpy arrays, which may be shared
+        with a memo entry.  The TCP front-end encodes them as frames."""
         req = new_request(
             session, kind, payload,
             timeout=self.config.default_timeout if timeout is None else timeout,
@@ -330,11 +365,11 @@ class Service:
         explain: bool = False,
     ) -> dict:
         """Submit and wait: the synchronous convenience the Client uses."""
-        fut = self.submit(
+        fut = self._admit(
             session, kind, payload, timeout=timeout, trace=trace,
             timing=timing, explain=explain,
         )
-        return fut.result(timeout=wait_timeout)
+        return plain(fut.result(timeout=wait_timeout))
 
     # -------------------------------------------------------------- workers
     def _worker_loop(self) -> None:

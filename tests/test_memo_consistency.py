@@ -194,6 +194,16 @@ def test_editing_a_miss_reply_does_not_change_a_later_hit():
         miss["fetched"]["v"]["values"][0] = 999.0
         miss["scalars"].append("junk")
         hit = svc.request(svc.open_session(), "program", payload, timing=True)
+        # a hit reply shares nothing with the entry either, on both the
+        # synchronous and the future path
+        hit["fetched"]["v"]["indices"].append(3)
+        hit["fetched"]["v"]["values"][0] = -1.0
+        hit["scalars"][0] = "junk"
+        del hit["fetched"]["v"]["kind"]
+        later = svc.submit(svc.open_session(), "program", payload,
+                           timing=True).result(timeout=30)
     assert hit["timing"]["cache"] == "hit"
-    assert hit["fetched"]["v"]["values"] == [2.0]
-    assert hit["scalars"] == [2.0]
+    assert later["timing"]["cache"] == "hit"
+    assert later["fetched"]["v"] == {"kind": "vector", "shape": [4],
+                                     "indices": [1], "values": [2.0]}
+    assert later["scalars"] == [2.0]
