@@ -40,6 +40,15 @@ class MaskView:
         base = membership(keys, self.pattern)
         return ~base if self.complemented else base
 
+    def restrict(self, keys: np.ndarray, *arrays: np.ndarray) -> tuple:
+        """*keys* and their parallel *arrays*, cut down to the entries the
+        mask allows — how a source of T hands T over inside the mask.  The
+        inputs come back unchanged when every key is allowed."""
+        keep = self.allows(keys)
+        if keep.all():
+            return (keys, *arrays)
+        return (keys[keep], *(a[keep] for a in arrays))
+
     def count_allowed_in(self, total_space: int) -> int:
         """|structure| within a space of *total_space* positions."""
         n = len(self.pattern)

@@ -100,7 +100,9 @@ def build_numba_source(sig: dict) -> str:
     interpreter path is the identity and every operator has a curated
     scalar expression, so the whole chain collapses to one pass over the
     values.  ``apply`` never changes keys, so the links' mask filters
-    commute with the value maps and combine into one up-front AND.
+    commute with the value maps and combine into one up-front AND.  The
+    tail link's mask is one of them, so the chain hands T over inside it,
+    as every source of T must (:func:`repro.operations.common.write_step`).
 
     The plain ``import numba`` is deliberate: in a process without numba
     the module fails to exec and the chain is marked known-bad.
@@ -227,7 +229,8 @@ def _run_compiled(specs, fn, key) -> None:
         return
     _obs_spans.annotate(compiled=True)
     tail = specs[-1]
+    # masks[-1] is the tail's: fused_chain already cut T to it
     run_write_pipeline(
-        tail.out, tail.mask, tail.accum, tail.desc,
-        t_keys, t_vals, tail.t_type, mask_view=masks[-1],
+        tail.out, t_keys, t_vals, tail.t_type, tail.accum, masks[-1],
+        tail.desc.replace,
     )

@@ -1,10 +1,11 @@
 """The interpreter backend: hand-written kernels, link-by-link streaming.
 
 :func:`interpret_chain` generalizes PR 1's pair fusion to arbitrary-length
-chains.  The head's result streams through every middle link — each one a
-mask filter plus its transform, then a cast into the intermediate's domain
-(exactly what an overwrite-shaped write would have stored) — and the tail
-runs the full write pipeline against the real output.
+chains.  The head's result streams through every link — each one a mask
+filter plus its transform; a middle link then casts into the
+intermediate's domain (exactly what an overwrite-shaped write would have
+stored) — and the tail's T, already inside its mask, goes through the
+standard write step against the real output.
 
 Both backends lean on this module: ``operations.common.execute_chain``
 calls it for the ``interpreter`` backend, and codegen falls back here per
@@ -22,15 +23,14 @@ def _link_t(spec, keys, vals, mask_view):
     from ..types import cast_array
 
     if spec.reducer is not None:
-        # the unfused reduce kernel ignores the mask (it reduces the input,
-        # the pipeline filters the reduced vector) — stream order matches
+        # as the unfused reduce kernel: reduce the input, then cut the
+        # reduced vector to the mask
         v = cast_array(vals, spec.inputs[0].type, spec.t_type)
         keys, vals = K.reduce_rows_flat(
             keys, v, spec.inputs[0].ncols, spec.reducer
         )
-        if mask_view is not None and len(keys):
-            keep = mask_view.allows(keys)
-            keys, vals = keys[keep], vals[keep]
+        if mask_view is not None:
+            keys, vals = mask_view.restrict(keys, vals)
         return keys, vals
     if spec.post is not None:
         return K.fused_apply(keys, vals, mask_view, spec.post)
@@ -56,12 +56,8 @@ def interpret_chain(specs) -> None:
     tail = specs[-1]
     d = tail.desc
     mask_view = build_mask_view(tail.mask, d.mask_complement, d.mask_structure)
-    # a reduce tail leaves the mask filter to the pipeline's push-down
-    # (matching the unfused kernel exactly); apply/select filter up front
-    t_keys, t_vals = _link_t(
-        tail, keys, vals, None if tail.reducer is not None else mask_view
-    )
+    t_keys, t_vals = _link_t(tail, keys, vals, mask_view)
     run_write_pipeline(
-        tail.out, tail.mask, tail.accum, d, t_keys, t_vals, tail.t_type,
-        mask_view=mask_view,
+        tail.out, t_keys, t_vals, tail.t_type, tail.accum, mask_view,
+        d.replace,
     )

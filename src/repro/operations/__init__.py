@@ -1,5 +1,6 @@
 """The GraphBLAS operations of Table II, each following the shared
-form-inputs → compute-T → accumulate → masked-write pipeline of section VI."""
+form-inputs → compute-T → accumulate → masked-write pipeline of section VI;
+one step function (``common.write_step``) does the last two for all."""
 
 from .apply import apply, apply_bind_first, apply_bind_second, apply_index
 from .assign import (

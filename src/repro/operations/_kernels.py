@@ -139,10 +139,9 @@ def _spgemm_block(
     if mask_view is not None:
         # mask push-down: products whose destination the mask forbids can
         # never be written — drop them before the sort
-        keep = mask_view.allows(keys)
-        if not keep.all():
-            keys, left, right = keys[keep], left[keep], right[keep]
-            out_rows = out_rows[keep]
+        keys, left, right, out_rows = mask_view.restrict(
+            keys, left, right, out_rows
+        )
         if len(keys) == 0:
             return _empty(out_dtype)
 
@@ -365,7 +364,8 @@ def spmv(
       and is passed only when that view is already cached, since building
       it costs O(nnz(A)), which one call never earns back.
 
-    :func:`spmv_walks` picks the walk when its exact work is below the row
+    T comes back within the mask: the walk and ``mask_rows`` push it down,
+    and ``rows`` cuts its T once.  :func:`spmv_walks` picks the walk when its exact work is below the row
     path's; the shard gate reads the same choice.
 
     Observability mirrors :func:`spgemm`: a kernel span with estimated
@@ -441,10 +441,14 @@ def _spmv_impl(
             walk_view, walk[1], v_keys, v_vals, semiring, swap, mask_view, acc
         )
     sel = _mask_rows(a_view, mask_view)
-    return _spmv_rows(
+    t = _spmv_rows(
         a_view, a_vals, v_keys, v_vals, semiring, swap,
         slice(0, a_view.nrows) if sel is None else sel, acc,
     )
+    if sel is None and mask_view is not None:
+        # no row selection took the mask: cut T once
+        t = mask_view.restrict(*t)
+    return t
 
 
 def _spmv_rows(
@@ -504,9 +508,7 @@ def _spmv_columns(
     right = np.repeat(v_vals, counts)
     if mask_view is not None:
         # mask push-down, as in SpGEMM: drop products the mask forbids
-        keep = mask_view.allows(out_ids)
-        if not keep.all():
-            out_ids, right, gather = out_ids[keep], right[keep], gather[keep]
+        out_ids, right, gather = mask_view.restrict(out_ids, right, gather)
     if len(out_ids) == 0:
         return _empty(semiring.d_out.np_dtype)
     order = stable_order(out_ids, walk_view.ncols)
@@ -643,9 +645,8 @@ def _fused_apply_impl(
     mask_view: MaskView | None,
     post,
 ) -> tuple[np.ndarray, np.ndarray]:
-    if mask_view is not None and len(keys):
-        keep = mask_view.allows(keys)
-        keys, vals = keys[keep], vals[keep]
+    if mask_view is not None:
+        keys, vals = mask_view.restrict(keys, vals)
     return keys, post(vals)
 
 
@@ -682,9 +683,8 @@ def _fused_select_impl(
     from .._sparseutil import unflatten_keys
     from ..types import cast_array
 
-    if mask_view is not None and len(keys):
-        keep = mask_view.allows(keys)
-        keys, vals = keys[keep], vals[keep]
+    if mask_view is not None:
+        keys, vals = mask_view.restrict(keys, vals)
     if len(keys) == 0:
         return keys, vals.copy()
     iuop, thunk = spec.selector

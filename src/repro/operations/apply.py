@@ -89,9 +89,8 @@ def apply(
 
     def kernel(mask_view):
         keys, raw = _input_content(C, A, d)
-        if mask_view is not None and len(keys):
-            keep = mask_view.allows(keys)
-            keys, raw = keys[keep], raw[keep]
+        if mask_view is not None:
+            keys, raw = mask_view.restrict(keys, raw)
         return keys, post(raw)
 
     submit_standard_op(
@@ -125,9 +124,8 @@ def _apply_bound(C, Mask, accum, op, A, desc, scalar, first: bool, label: str):
 
     def kernel(mask_view):
         keys, raw = _input_content(C, A, d)
-        if mask_view is not None and len(keys):
-            keep = mask_view.allows(keys)
-            keys, raw = keys[keep], raw[keep]
+        if mask_view is not None:
+            keys, raw = mask_view.restrict(keys, raw)
         free_vals = cast_array(raw, A.type, free_in)
         bound_arr = np.full(
             len(keys), bound_val,
@@ -187,9 +185,8 @@ def apply_index(
 
     def kernel(mask_view):
         keys, raw = _input_content(C, A, d)
-        if mask_view is not None and len(keys):
-            keep = mask_view.allows(keys)
-            keys, raw = keys[keep], raw[keep]
+        if mask_view is not None:
+            keys, raw = mask_view.restrict(keys, raw)
         if isinstance(C, Matrix):
             rows, cols = unflatten_keys(keys, ncols)
         else:

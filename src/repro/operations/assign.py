@@ -10,6 +10,9 @@ Semantics beyond the standard pipeline: without an accumulator the region's
 previous content is *replaced* (stored C elements at region positions not
 covered by the source are deleted); with one, the source merges in via ⊙.
 The write-mask then applies over the whole output, as for any operation.
+Both run in the standard step 3, :func:`~repro.operations.common.write_step`:
+an assign only adds which of C's entries lie outside the region.  Row and
+column assign run that step on the extracted line and splice it back.
 Index lists must not contain duplicates (the C spec leaves duplicate
 behaviour undefined; we reject them).
 """
@@ -24,19 +27,18 @@ import numpy as np
 from .. import context
 from .._sparseutil import flatten_keys, unflatten_keys
 from ..containers.matrix import Matrix
-from ..containers.mask import build_mask_view
+from ..containers.mask import build_mask_view, validate_mask_domain
 from ..containers.vector import Vector
 from ..descriptor import ALL, Descriptor, effective
 from ..info import DimensionMismatch, InvalidValue
 from ..ops.base import BinaryOp
-from ..types import GrBType, cast_array
 from .common import (
-    accumulate,
     check_input,
     check_output,
-    masked_write,
+    run_write_pipeline,
     validate_accum,
     validate_mask_shape,
+    write_step,
 )
 from .extract import resolve_indices
 
@@ -54,13 +56,25 @@ __all__ = [
 from ..containers.scalar import Scalar as _ScalarObject
 
 
-def _resolve_scalar_source(value) -> tuple[Any, bool]:
-    """Resolve a plain scalar or an opaque ``GrB_Scalar`` source at
-    execution time: (value, present?)."""
+def _fill(value, t_keys: np.ndarray, dom) -> tuple[np.ndarray, np.ndarray]:
+    """T of a scalar source (a plain scalar or an opaque ``GrB_Scalar``,
+    resolved at execution time) over the sorted region keys *t_keys*.
+
+    An empty ``GrB_Scalar`` assigns nothing — with no accum the region's
+    previous entries are still deleted (spec 2.0)."""
+    dtype = object if dom.is_udt else dom.np_dtype
     if isinstance(value, _ScalarObject):
         value._check_valid()
-        return value._value, value._has_value
-    return value, True
+        if not value._has_value:
+            return t_keys[:0], np.empty(0, dtype=dtype)
+        value = value._value
+    if dom.is_udt:
+        t_vals = np.empty(len(t_keys), dtype=object)
+        t_vals[:] = value
+        return t_keys, t_vals
+    return t_keys, np.full(
+        len(t_keys), np.asarray([value]).astype(dtype)[0], dtype=dtype
+    )
 
 
 def _check_no_duplicates(idx: np.ndarray, what: str) -> None:
@@ -70,43 +84,52 @@ def _check_no_duplicates(idx: np.ndarray, what: str) -> None:
         )
 
 
-def _region_z(
-    C,
-    accum: BinaryOp | None,
-    t_keys: np.ndarray,
-    t_vals: np.ndarray,
-    t_type: GrBType,
-    region_keep: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build Z for an assign.
-
-    *region_keep*: boolean mask over C's stored entries marking those that
-    survive (outside the region), or ``None`` when an accumulator is given
-    (everything survives; the accumulator merges).
-    """
-    c_keys, c_vals = C._content()
-    if accum is not None:
-        return accumulate(c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum)
-    kept_keys = c_keys[region_keep]
-    kept_vals = c_vals[region_keep]
-    t_cast = cast_array(t_vals, t_type, C.type)
-    vals_dtype = object if C.type.is_udt else C.type.np_dtype
-    keys = np.concatenate([kept_keys, t_keys])
-    vals = np.concatenate([kept_vals, np.asarray(t_cast, dtype=vals_dtype)])
-    order = np.argsort(keys, kind="stable")
-    return keys[order], vals[order]
+def _index_outside(idx: np.ndarray, size: int):
+    """Which stored positions of a length-*size* line lie outside the
+    region *idx*, as a function of those positions; ``None`` when the
+    region is the whole line."""
+    if len(idx) == size:
+        return None
+    return lambda keys: ~np.isin(keys, idx)
 
 
-def _submit_assign(C, mask, accum, desc, label, inputs, make_t_and_keep, t_type):
+def _matrix_outside(C, ri: np.ndarray, ci: np.ndarray):
+    """:func:`_index_outside` for the region ``ri × ci`` of matrix C."""
+    if len(ri) == C.nrows and len(ci) == C.ncols:
+        return None
+
+    def outside(keys):
+        rows, cols = unflatten_keys(keys, C.ncols)
+        return ~(np.isin(rows, ri) & np.isin(cols, ci))
+
+    return outside
+
+
+def _scatter(u: Vector, idx: np.ndarray):
+    """T of a vector source: u's entries moved to their region positions,
+    sorted."""
+    u_keys, u_raw = u._content()
+    t_keys = idx[u_keys]
+    order = np.argsort(t_keys, kind="stable")
+    return t_keys[order], u_raw[order]
+
+
+def _submit_assign(C, mask, accum, desc, label, inputs, make_t, t_type, outside):
+    """Queue an assign: *make_t* builds T (sorted keys in C's index space)
+    at execution time; *outside* is the region's :func:`_index_outside`."""
     d = effective(desc)
+    if accum is not None:
+        outside = None  # with ⊙ every stored entry of C survives
 
     def thunk():
-        t_keys, t_vals, region_keep = make_t_and_keep()
-        z_keys, z_vals = _region_z(
-            C, accum, t_keys, t_vals, t_type, region_keep
-        )
+        t_keys, t_vals = make_t()
         mask_view = build_mask_view(mask, d.mask_complement, d.mask_structure)
-        masked_write(C, z_keys, z_vals, mask_view, d.replace)
+        if mask_view is not None:
+            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
+        run_write_pipeline(
+            C, t_keys, t_vals, t_type, accum, mask_view, d.replace,
+            None if outside is None else outside(C._content()[0]),
+        )
 
     reads = tuple(x for x in inputs if x is not None) + (C,)
     if mask is not None:
@@ -142,7 +165,6 @@ def matrix_assign(
         )
     validate_mask_shape(Mask, C)
     validate_accum(accum, C, A.type)
-    full_region = len(ri) == C.nrows and len(ci) == C.ncols
 
     def make():
         if d.transpose0:
@@ -156,19 +178,11 @@ def matrix_assign(
         a_rows, a_cols = unflatten_keys(a_keys, src_ncols)
         t_keys = flatten_keys(ri[a_rows], ci[a_cols], C.ncols)
         order = np.argsort(t_keys, kind="stable")
-        t_keys, t_vals = t_keys[order], raw[order]
-        if accum is not None:
-            return t_keys, t_vals, None
-        c_keys, _ = C._content()
-        if full_region:
-            keep = np.zeros(len(c_keys), dtype=bool)
-        else:
-            rows, cols = unflatten_keys(c_keys, C.ncols)
-            keep = ~(np.isin(rows, ri) & np.isin(cols, ci))
-        return t_keys, t_vals, keep
+        return t_keys[order], raw[order]
 
     _submit_assign(
-        C, Mask, accum, desc, "assign", (A,), make, A.type
+        C, Mask, accum, desc, "assign", (A,), make, A.type,
+        _matrix_outside(C, ri, ci),
     )
     return C
 
@@ -195,41 +209,17 @@ def matrix_assign_scalar(
     validate_accum(accum, C, C.type)
     if C.type.is_udt and not isinstance(value, _ScalarObject):
         C.type.validate_scalar(value)
-    full_region = len(ri) == C.nrows and len(ci) == C.ncols
 
     def make():
-        resolved, present = _resolve_scalar_source(value)
         t_keys = (
             ri[:, None].astype(np.int64) * np.int64(C.ncols) + ci[None, :]
         ).ravel()
-        t_keys = np.sort(t_keys)
-        if not present:
-            # empty GrB_Scalar source: assigns nothing — with no accum the
-            # region's previous entries are still deleted (spec 2.0)
-            t_keys = t_keys[:0]
-            t_vals = np.empty(0, dtype=object if C.type.is_udt else C.type.np_dtype)
-        elif C.type.is_udt:
-            t_vals = np.empty(len(t_keys), dtype=object)
-            t_vals[:] = resolved
-        else:
-            t_vals = np.full(
-                len(t_keys),
-                np.asarray([resolved]).astype(C.type.np_dtype)[0],
-                dtype=C.type.np_dtype,
-            )
-        if accum is not None:
-            return t_keys, t_vals, None
-        c_keys, _ = C._content()
-        if full_region:
-            keep = np.zeros(len(c_keys), dtype=bool)
-        else:
-            rows, cols = unflatten_keys(c_keys, C.ncols)
-            keep = ~(np.isin(rows, ri) & np.isin(cols, ci))
-        return t_keys, t_vals, keep
+        return _fill(value, np.sort(t_keys), C.type)
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
     _submit_assign(
-        C, Mask, accum, desc, "assign_scalar", srcs, make, C.type
+        C, Mask, accum, desc, "assign_scalar", srcs, make, C.type,
+        _matrix_outside(C, ri, ci),
     )
     return C
 
@@ -257,23 +247,11 @@ def vector_assign(
         )
     validate_mask_shape(mask, w)
     validate_accum(accum, w, u.type)
-    full_region = len(idx) == w.size
 
-    def make():
-        u_keys, u_raw = u._content()
-        t_keys = idx[u_keys]
-        order = np.argsort(t_keys, kind="stable")
-        t_keys, t_vals = t_keys[order], u_raw[order]
-        if accum is not None:
-            return t_keys, t_vals, None
-        w_keys, _ = w._content()
-        if full_region:
-            keep = np.zeros(len(w_keys), dtype=bool)
-        else:
-            keep = ~np.isin(w_keys, idx)
-        return t_keys, t_vals, keep
-
-    _submit_assign(w, mask, accum, desc, "assign", (u,), make, u.type)
+    _submit_assign(
+        w, mask, accum, desc, "assign", (u,), lambda: _scatter(u, idx), u.type,
+        _index_outside(idx, w.size),
+    )
     return w
 
 
@@ -296,34 +274,13 @@ def vector_assign_scalar(
     validate_accum(accum, w, w.type)
     if w.type.is_udt and not isinstance(value, _ScalarObject):
         w.type.validate_scalar(value)
-    full_region = len(idx) == w.size
-
-    def make():
-        resolved, present = _resolve_scalar_source(value)
-        t_keys = np.sort(idx)
-        if not present:
-            t_keys = t_keys[:0]
-            t_vals = np.empty(0, dtype=object if w.type.is_udt else w.type.np_dtype)
-        elif w.type.is_udt:
-            t_vals = np.empty(len(t_keys), dtype=object)
-            t_vals[:] = resolved
-        else:
-            t_vals = np.full(
-                len(t_keys),
-                np.asarray([resolved]).astype(w.type.np_dtype)[0],
-                dtype=w.type.np_dtype,
-            )
-        if accum is not None:
-            return t_keys, t_vals, None
-        w_keys, _ = w._content()
-        if full_region:
-            keep = np.zeros(len(w_keys), dtype=bool)
-        else:
-            keep = ~np.isin(w_keys, idx)
-        return t_keys, t_vals, keep
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
-    _submit_assign(w, mask, accum, desc, "assign_scalar", srcs, make, w.type)
+    _submit_assign(
+        w, mask, accum, desc, "assign_scalar", srcs,
+        lambda: _fill(value, np.sort(idx), w.type), w.type,
+        _index_outside(idx, w.size),
+    )
     return w
 
 
@@ -380,57 +337,31 @@ def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
         )
     if mask is not None:
         check_input(mask, "mask")
+        validate_mask_domain(mask)
         if not isinstance(mask, Vector) or mask.size != line_len:
             raise DimensionMismatch(
                 "row/col assign mask must be a vector over the assigned line"
             )
     validate_accum(accum, C, u.type)
+    outside = None if accum is not None else _index_outside(idx, line_len)
 
     def thunk():
         c_keys, c_vals = C._content()
         rows, cols = unflatten_keys(c_keys, C.ncols)
         on_line = rows == li if is_row else cols == li
         line_pos = cols[on_line] if is_row else rows[on_line]
-        line_vals = c_vals[on_line]
 
-        # assemble the new line content: start from the current line,
-        # apply region-assign semantics along it
-        u_keys, u_raw = u._content()
-        t_pos = idx[u_keys]
-        order = np.argsort(t_pos, kind="stable")
-        t_pos, t_vals = t_pos[order], u_raw[order]
-        if accum is None:
-            # region entries of the line are replaced: survivors are the
-            # line's stored entries outside the region, disjoint from T
-            survive = ~np.isin(line_pos, idx)
-            z_keys = np.concatenate([line_pos[survive], t_pos])
-            z_vals = np.concatenate(
-                [
-                    line_vals[survive],
-                    np.asarray(
-                        cast_array(t_vals, u.type, C.type),
-                        dtype=C.type.np_dtype if not C.type.is_udt else object,
-                    ),
-                ]
-            )
-            o = np.argsort(z_keys, kind="stable")
-            z_pos, z_vals = z_keys[o], z_vals[o]
-        else:
-            z_pos, z_vals = accumulate(
-                line_pos, line_vals, C.type, t_pos, t_vals, u.type, accum
-            )
-
+        # the line is a vector assign: its new content from the standard
+        # step, with the mask over the line's positions
+        t_pos, t_vals = _scatter(u, idx)
         mask_view = build_mask_view(mask, d.mask_complement, d.mask_structure)
         if mask_view is not None:
-            allowed = mask_view.allows(z_pos)
-            if d.replace:
-                z_pos, z_vals = z_pos[allowed], z_vals[allowed]
-            else:
-                outside = ~mask_view.allows(line_pos)
-                z_pos = np.concatenate([line_pos[outside], z_pos[allowed]])
-                z_vals = np.concatenate([line_vals[outside], z_vals[allowed]])
-                o = np.argsort(z_pos, kind="stable")
-                z_pos, z_vals = z_pos[o], z_vals[o]
+            t_pos, t_vals = mask_view.restrict(t_pos, t_vals)
+        z_pos, z_vals = write_step(
+            line_pos, c_vals[on_line], C.type, t_pos, t_vals, u.type,
+            accum, mask_view, d.replace,
+            None if outside is None else outside(line_pos),
+        )
 
         # splice the new line back into C
         keep_keys = c_keys[~on_line]

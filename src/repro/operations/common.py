@@ -12,7 +12,10 @@ step 1 always runs immediately ("methods return after input arguments have
 been verified", section IV).  Step 2 is where implementations may differ
 (section III-B): :func:`execute_standard` takes T from the op's kernel,
 from the CSE cache, or — under the ``processes`` backend — from the shard
-worker pool, and step 3 is the same code whichever it was.
+worker pool.  Every source hands T over already inside the mask, so step 3
+— :func:`write_step`, one function for every Table II operation, assign
+and row/col assign included — never tests T or Z against the mask again
+and tests each of C's stored keys at most once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = [
     "validate_accum",
     "validate_mask_shape",
     "accumulate",
-    "masked_write",
+    "write_step",
     "run_write_pipeline",
     "submit_standard_op",
     "execute_standard",
@@ -125,18 +128,14 @@ def accumulate(
     t_keys: np.ndarray,
     t_vals: np.ndarray,
     t_type: GrBType,
-    accum: BinaryOp | None,
+    accum: BinaryOp,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step 3a: ``Z = C ⊙ T`` (or ``Z = T`` without an accumulator).
+    """Step 3a with an accumulator: ``Z = C ⊙ T``, in C's domain.
 
-    The result is in C's domain.  Without an accumulator T is simply cast.
-    With one, the pattern is the union: C-only entries persist, T-only
-    entries are cast in, and intersecting entries combine via the
-    accumulator with the spec's casting at each boundary.
+    The pattern is the union: C-only entries persist, T-only entries are
+    cast in, and intersecting entries combine via the accumulator with the
+    spec's casting at each boundary.  The arrays are always fresh.
     """
-    out_dtype = c_type.np_dtype
-    if accum is None:
-        return t_keys, cast_array(t_vals, t_type, c_type)
 
     def combine(cv: np.ndarray, tv: np.ndarray) -> np.ndarray:
         a = cast_array(cv, c_type, accum.d_in1)
@@ -148,71 +147,86 @@ def accumulate(
         c_vals,
         t_keys,
         t_vals,
-        out_dtype,
+        c_type.np_dtype,
         combine,
         cast_a=lambda x: x,  # already in C's domain
         cast_b=lambda x: cast_array(x, t_type, c_type),
     )
 
 
-def masked_write(
-    C,
-    z_keys: np.ndarray,
-    z_vals: np.ndarray,
+def write_step(
+    c_keys: np.ndarray,
+    c_vals: np.ndarray,
+    c_type: GrBType,
+    t_keys: np.ndarray,
+    t_vals: np.ndarray,
+    t_type: GrBType,
+    accum: BinaryOp | None,
     mask_view: MaskView | None,
     replace: bool,
-) -> None:
-    """Step 3b: write Z into C under the mask (section VI's two options).
+    outside: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 3: C's new content from its stored ``(c_keys, c_vals)`` and T.
 
-    * no mask — C becomes Z;
-    * replace mode — C's old values are deleted, then Z∩mask is stored;
-    * merge mode — C entries outside the mask persist, the region inside
-      the mask is replaced by Z∩mask.
+    T must lie inside the mask.  Then ``Z ∩ M = (C ∩ M) ⊙ T``, and C's
+    entries outside M are C-only entries of Z, which ⊙ leaves as they are;
+    so C's keys are tested against the mask at most once, and only when
+    the result depends on it:
+
+    * with an accumulator, C becomes ``C ⊙ T`` — or ``(C ∩ M) ⊙ T`` in
+      replace mode, the one case that tests C;
+    * without one, C becomes T plus the stored entries of C that survive:
+      none without a mask or in replace mode, those outside the mask in
+      merge mode.
+
+    *outside* (assign only) marks C's entries outside the assign region.
+    Without an accumulator they survive too, unless replace mode's mask
+    excludes them.  The returned arrays never alias T's, so C owns them.
     """
+    if accum is not None:
+        if mask_view is not None and replace:
+            inside = mask_view.allows(c_keys)
+            c_keys, c_vals = c_keys[inside], c_vals[inside]
+        return accumulate(
+            c_keys, c_vals, c_type, t_keys, t_vals, t_type, accum
+        )
+    t_vals = cast_array(t_vals, t_type, c_type)
     if mask_view is None:
-        # Defensive copy: pass-through kernels (transpose, eWise with one
-        # empty side, accum-free casts) can hand us arrays aliasing an
-        # input's storage or cache; C must own its content.
-        C._set_content(z_keys.copy(), np.array(z_vals, copy=True))
-        return
-    allowed = mask_view.allows(z_keys)
-    zm_keys, zm_vals = z_keys[allowed], z_vals[allowed]
-    if replace:
-        C._set_content(zm_keys, zm_vals)
-        return
-    c_keys, c_vals = C._content()
-    outside = ~mask_view.allows(c_keys)
-    keys = np.concatenate([c_keys[outside], zm_keys])
-    vals = np.concatenate([c_vals[outside], zm_vals])
+        survive = outside
+    elif replace:
+        survive = None if outside is None else outside & mask_view.allows(c_keys)
+    else:
+        survive = ~mask_view.allows(c_keys)
+        if outside is not None:
+            survive |= outside
+    if survive is None or not survive.any():
+        # pass-through kernels (transpose, eWise with one empty side,
+        # accum-free casts) can hand over arrays aliasing an input's
+        # storage or cache; C must own its content
+        return t_keys.copy(), np.array(t_vals, copy=True)
+    keys = np.concatenate([c_keys[survive], t_keys])
+    vals = np.concatenate([c_vals[survive], t_vals])
     order = np.argsort(keys, kind="stable")
-    C._set_content(keys[order], vals[order])
+    return keys[order], vals[order]
 
 
 def run_write_pipeline(
     C,
-    mask,
-    accum: BinaryOp | None,
-    desc: Descriptor,
     t_keys: np.ndarray,
     t_vals: np.ndarray,
     t_type: GrBType,
-    mask_view: MaskView | None = None,
+    accum: BinaryOp | None,
+    mask_view: MaskView | None,
+    replace: bool,
+    outside: np.ndarray | None = None,
 ) -> None:
-    """Steps 3a+3b, executed at completion time inside the deferred thunk."""
-    if mask_view is None:
-        mask_view = build_mask_view(
-            mask, desc.mask_complement, desc.mask_structure
-        )
-    if mask_view is not None and len(t_keys):
-        # Mask push-down: T entries outside the mask can never be written
-        # (Z∩M only consults T∩M), so drop them before accumulation.
-        keep = mask_view.allows(t_keys)
-        t_keys, t_vals = t_keys[keep], t_vals[keep]
+    """:func:`write_step` against C itself, at completion time inside the
+    deferred thunk."""
     c_keys, c_vals = C._content()
-    z_keys, z_vals = accumulate(
-        c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum
-    )
-    masked_write(C, z_keys, z_vals, mask_view, desc.replace)
+    C._set_content(*write_step(
+        c_keys, c_vals, C.type, t_keys, t_vals, t_type,
+        accum, mask_view, replace, outside,
+    ))
     if _obs_spans.current() is not None or _metrics.registry.enabled:
         # the innermost open span here is the op body (kernel spans have
         # closed), so the realized output size lands on the right record
@@ -234,12 +248,13 @@ def execute_standard(
     *t* is a precomputed ``(t_keys, t_vals)`` from the CSE cache and skips
     the computation.  Otherwise, under the ``processes`` backend, the shard
     pool is asked first (:func:`repro.shard.scheduler.compute`) and the
-    spec's own kernel runs when it declines.  A shard's T arrives
-    *unmasked*; that is value-identical, because mask push-down only ever
-    drops whole output cells and the write pipeline filters T again.
-    *capture* receives T, whichever of the two computed it, so a later
-    duplicate can reuse it.  Whatever the source, the write pipeline runs
-    against the spec's own output/mask/accum/descriptor.
+    spec's own kernel runs when it declines.  Either way T arrives inside
+    the mask: the kernel restricts it, and so does :func:`compute` for the
+    unmasked stripes the workers return — value-identical, because mask
+    push-down only ever drops whole output cells.  *capture* receives that
+    T, so a later duplicate (same mask, by the CSE fingerprint) can reuse
+    it.  Whatever the source, :func:`write_step` runs against the spec's
+    own output/mask/accum/descriptor.
     """
     d = spec.desc
     if _obs_spans.current() is not None:
@@ -258,8 +273,7 @@ def execute_standard(
         if capture is not None:
             capture(*t)
     run_write_pipeline(
-        spec.out, spec.mask, spec.accum, d, t[0], t[1], spec.t_type,
-        mask_view=mask_view,
+        spec.out, t[0], t[1], spec.t_type, spec.accum, mask_view, d.replace
     )
 
 
@@ -269,14 +283,11 @@ def _producer_result(spec: OpSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Legality (established by the planner before calling): ``accum is None``
     and ``mask is None or replace``, so the output's prior content never
-    enters the result — it is exactly T, mask-filtered and cast.
+    enters the result — it is exactly T (already inside the mask), cast.
     """
     d = spec.desc
     mask_view = build_mask_view(spec.mask, d.mask_complement, d.mask_structure)
     t_keys, t_vals = spec.kernel(mask_view)
-    if mask_view is not None and len(t_keys):
-        keep = mask_view.allows(t_keys)
-        t_keys, t_vals = t_keys[keep], t_vals[keep]
     return t_keys, cast_array(t_vals, spec.t_type, spec.out.type)
 
 
@@ -318,11 +329,12 @@ def submit_standard_op(
 ) -> None:
     """Package a validated operation into the execution model.
 
-    *kernel* computes T from the inputs' content; it runs at execution time
-    and receives the materialized mask view so it can push the mask down
-    into the computation (kernels may ignore it — the pipeline filters T
-    again regardless).  API errors must already have been raised by the
-    caller; this function only routes the work.
+    *kernel* computes T from the inputs' content; it runs at execution time,
+    receives the materialized mask view (or ``None``) and returns T within
+    the mask — pushed down into the computation where that saves work,
+    else cut once with :meth:`MaskView.restrict`.  :func:`write_step`
+    relies on it and never filters T again.  API errors must already have
+    been raised by the caller; this function only routes the work.
 
     *op_token* (the operator's identity), *post* (an apply-style value map),
     *reducer* (a row-reduction monoid) and *selector* (a select predicate

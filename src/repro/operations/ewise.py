@@ -137,7 +137,7 @@ def ewise_add(
                 cast_array(bv, B.type, bop.d_in2),
             )
 
-        return union_keys(
+        t = union_keys(
             a_keys,
             a_raw,
             b_keys,
@@ -147,6 +147,7 @@ def ewise_add(
             cast_a=lambda x: cast_array(x, A.type, bop.d_out),
             cast_b=lambda x: cast_array(x, B.type, bop.d_out),
         )
+        return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
         C, Mask, accum, desc,
@@ -188,6 +189,8 @@ def ewise_mult(
         )
         if not bop.d_out.is_udt and vals.dtype != bop.d_out.np_dtype:
             vals = vals.astype(bop.d_out.np_dtype)
+        if mask_view is not None:
+            keys, vals = mask_view.restrict(keys, vals)
         return keys, vals
 
     submit_standard_op(
@@ -268,7 +271,7 @@ def ewise_union(
 
         from .._sparseutil import union_keys
 
-        return union_keys(
+        t = union_keys(
             a_keys,
             a_raw,
             b_keys,
@@ -278,6 +281,7 @@ def ewise_union(
             cast_a=only_a,
             cast_b=only_b,
         )
+        return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
         C, Mask, accum, desc,

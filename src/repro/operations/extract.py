@@ -108,6 +108,8 @@ def matrix_extract(
         orig = sel_r[sel_c]
         t_keys = flatten_keys(out_r[sel_c], out_c, len(ci))
         t_vals = raw[orig]
+        if mask_view is not None:
+            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
         order = np.argsort(t_keys, kind="stable")
         return t_keys[order], t_vals[order]
 
@@ -142,8 +144,9 @@ def vector_extract(
     def kernel(mask_view):
         keys, raw = u._content()
         sel, out_pos = _match_expand(keys, idx)
-        t_keys = out_pos
-        t_vals = raw[sel]
+        t_keys, t_vals = out_pos, raw[sel]
+        if mask_view is not None:
+            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
         order = np.argsort(t_keys, kind="stable")
         return t_keys[order].astype(np.int64), t_vals[order]
 
@@ -193,8 +196,9 @@ def col_extract(
         col_rows = view.indices[sl]
         col_vals = view.values[sl]
         sel, out_pos = _match_expand(col_rows, ri)
-        t_keys = out_pos
-        t_vals = col_vals[sel]
+        t_keys, t_vals = out_pos, col_vals[sel]
+        if mask_view is not None:
+            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
         order = np.argsort(t_keys, kind="stable")
         return t_keys[order].astype(np.int64), t_vals[order]
 

@@ -96,8 +96,7 @@ def kronecker(
         right = cast_array(np.tile(b_raw, len(a_keys)), B.type, mul.d_in2)
         keys = out_rows * np.int64(out_shape[1]) + out_cols
         if mask_view is not None:
-            keep = mask_view.allows(keys)
-            keys, left, right = keys[keep], left[keep], right[keep]
+            keys, left, right = mask_view.restrict(keys, left, right)
         vals = mul.apply_arrays(left, right)
         order = np.argsort(keys, kind="stable")
         return keys[order], vals[order]

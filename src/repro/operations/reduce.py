@@ -85,7 +85,8 @@ def reduce_to_vector(
     def kernel(mask_view):
         view = A.csc() if d.transpose0 else A.csr()
         vals = cast_array(view.values, A.type, red.domain)
-        return reduce_rows(view, vals, red)
+        t = reduce_rows(view, vals, red)
+        return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
         w, mask, accum, desc,

@@ -56,9 +56,8 @@ def select(
 
     def kernel(mask_view):
         keys, raw = _input_content(C, A, d)
-        if mask_view is not None and len(keys):
-            keep_mask = mask_view.allows(keys)
-            keys, raw = keys[keep_mask], raw[keep_mask]
+        if mask_view is not None:
+            keys, raw = mask_view.restrict(keys, raw)
         if len(keys) == 0:
             return keys, raw.copy()
         if isinstance(C, Matrix):

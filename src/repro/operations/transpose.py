@@ -48,7 +48,8 @@ def transpose(
 
     def kernel(mask_view):
         # not d.transpose0: the operation itself supplies one transpose
-        return _matrix_keys(A, not d.transpose0)
+        t = _matrix_keys(A, not d.transpose0)
+        return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
         C, Mask, accum, desc,

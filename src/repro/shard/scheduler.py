@@ -17,8 +17,9 @@ through that one executor.  :func:`compute`
    stream (:mod:`repro.shard.merge`);
 4. records what happened on the op span that is already open — per-worker
    task lanes, ``sharded=True`` and ``shard={tasks, flops, workers}`` —
-   and hands T back; mask, accumulator and replace/merge semantics all run
-   in the parent's write pipeline.
+   and hands T back cut to the op's mask (workers never see masks), as
+   every source of T does; accumulator and replace/merge semantics run in
+   the parent's write step.
 
 A task that errors makes :func:`compute` answer ``None`` too: the caller's
 own kernel then reproduces a genuine kernel error exactly, and rides out
@@ -126,9 +127,9 @@ def _emit_task_spans(sink, results) -> None:
 def compute(spec, mask_view):
     """``(t_keys, t_vals)`` for *spec* from the worker pool, or ``None``
     when the caller should run the kernel itself (the gate said no, or a
-    task errored).  *mask_view* is the op's built mask; it informs the gate
-    only, since T ships unmasked.  Raises ``Panic`` if the pool dies under
-    the op."""
+    task errored).  *mask_view* is the op's built mask: it informs the gate,
+    and the unmasked T the stripes ship is cut to it here.  Raises
+    ``Panic`` if the pool dies under the op."""
     try:
         plan = plan_spec(spec, _publish, mask_view)
     except Exception:
@@ -174,4 +175,5 @@ def compute(spec, mask_view):
             "workers": sorted({r.worker_id for r in done}),
         },
     )
-    return concat_stripes([(r.keys, r.vals) for r in done], plan.out_dtype)
+    t = concat_stripes([(r.keys, r.vals) for r in done], plan.out_dtype)
+    return t if mask_view is None else mask_view.restrict(*t)

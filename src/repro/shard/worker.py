@@ -9,8 +9,8 @@ task's row window, ship the partial back.  That body is the one the
 parent's serial path runs over ``slice(0, nrows)``, so a stripe is
 bit-identical to the same rows of the full call by construction.  Workers
 never create shared memory, never see masks or accumulators (the
-parent's write pipeline owns GraphBLAS semantics; an unmasked T only
-ever carries extra whole cells, which that pipeline drops), and never
+parent owns GraphBLAS semantics; an unmasked T only ever carries extra
+whole cells, which the parent cuts to the mask as T arrives), and never
 nest parallelism — the backend is pinned to ``serial`` so kernels cannot
 fan out beneath the pool.
 """

@@ -5,6 +5,7 @@ import pytest
 
 import repro as grb
 from repro.ops import binary
+from repro.reference import RefVector, ref_assign_vector
 
 from tests.conftest import random_matrix, random_vector
 
@@ -141,11 +142,78 @@ class TestRowColAssign:
         # only the masked column within the row is written
         assert C.to_dense(0).tolist() == [[1, 8, 3]]
 
+    @pytest.mark.parametrize("is_row", [True, False], ids=["row", "col"])
+    @pytest.mark.parametrize(
+        "mask_kind", [None, "value", "structure", "complement"]
+    )
+    @pytest.mark.parametrize("accum", [None, binary.PLUS[grb.INT64]],
+                             ids=["no_accum", "plus"])
+    @pytest.mark.parametrize("replace", [False, True],
+                             ids=["merge", "replace"])
+    def test_line_matches_reference(
+        self, rng, is_row, mask_kind, accum, replace
+    ):
+        # row/col assign is a vector assign on the extracted line: compare
+        # with the reference oracle run on that line, and the rest of C
+        # must not move
+        C = random_matrix(rng, 7, 8, 0.5)
+        line, n = 3, (C.ncols if is_row else C.nrows)
+        idx = rng.permutation(n)[:5].tolist()  # region in scatter order
+        u = random_vector(rng, len(idx), 0.7)
+        m = random_vector(rng, n, 0.6)  # stored zeros are false
+        flags = dict(
+            replace=replace,
+            mask_comp=mask_kind == "complement",
+            mask_struct=mask_kind == "structure",
+        )
+        d = grb.Descriptor()
+        if replace:
+            d.set(grb.OUTP, grb.REPLACE)
+        if flags["mask_comp"]:
+            d.set(grb.MASK, grb.SCMP)
+        if flags["mask_struct"]:
+            d.set(grb.MASK, grb.STRUCTURE)
+        mask = None if mask_kind is None else m
+        before = {(i, j): int(v) for i, j, v in C}
+
+        def pos(i, j):  # (on the line?, position along it)
+            return (i == line, j) if is_row else (j == line, i)
+
+        ref = ref_assign_vector(
+            RefVector(grb.INT64, n, {
+                pos(*k)[1]: v for k, v in before.items() if pos(*k)[0]
+            }),
+            None if mask is None else RefVector.from_grb(m),
+            accum, RefVector.from_grb(u), idx, **flags,
+        )
+        if is_row:
+            grb.row_assign(C, mask, accum, u, line, idx, d)
+        else:
+            grb.col_assign(C, mask, accum, u, idx, line, d)
+        want = {k: v for k, v in before.items() if not pos(*k)[0]}
+        want.update({
+            ((line, p) if is_row else (p, line)): int(v)
+            for p, v in ref.content.items()
+        })
+        assert {(i, j): int(v) for i, j, v in C} == want
+
     def test_row_out_of_range(self):
-        C = grb.Matrix(grb.INT64, 2, 2)
-        u = grb.Vector(grb.INT64, 2)
+        # API errors (section V) raise at call time, also in nonblocking
+        # mode, and leave the output unchanged and readable
+        grb.init(grb.Mode.NONBLOCKING)
+        C = grb.Matrix.from_coo(grb.INT64, 2, 2, [0, 1], [1, 0], [3, 4])
+        u = grb.Vector.from_coo(grb.INT64, 2, [0], [7])
         with pytest.raises(grb.InvalidValue):
             grb.row_assign(C, None, None, u, 5, grb.ALL)
+        # a mask's domain must be bool or built-in, as for every op
+        udt_mask = grb.Vector(grb.powerset_type(), 2)
+        with pytest.raises(grb.DomainMismatch):
+            grb.row_assign(C, udt_mask, None, u, 0, grb.ALL)
+        with pytest.raises(grb.DomainMismatch):
+            grb.col_assign(C, udt_mask, None, u, grb.ALL, 0)
+        assert grb.queue_stats()["enqueued"] == 0
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {(0, 1): 3, (1, 0): 4}
 
 
 class TestGenericDispatch:

@@ -136,18 +136,22 @@ class TestShrinker:
 
 
 class TestMutationCheck:
-    """EXPERIMENTS.md mutation check: inject a masked-write bug (REPLACE
+    """EXPERIMENTS.md mutation check: inject a write-step bug (REPLACE
     treated as merge), assert the fuzzer catches it and the shrinker
     reduces the witness to ≤ 4 ops; and a bug only one backend has must
     leave a witness that replays under the modes that found it."""
 
     def test_replace_as_merge_is_caught_and_shrunk(self, monkeypatch):
-        real = op_common.masked_write
+        real = op_common.write_step
 
-        def buggy(C, z_keys, z_vals, mask_view, replace):
-            real(C, z_keys, z_vals, mask_view, False)  # bug: REPLACE ignored
+        def buggy(c_keys, c_vals, c_type, t_keys, t_vals, t_type, accum,
+                  mask_view, replace, outside=None):
+            return real(  # bug: REPLACE ignored
+                c_keys, c_vals, c_type, t_keys, t_vals, t_type, accum,
+                mask_view, False, outside,
+            )
 
-        monkeypatch.setattr(op_common, "masked_write", buggy)
+        monkeypatch.setattr(op_common, "write_step", buggy)
         victim = None
         for p in generate_corpus(1234, 60):
             report = run_differential(p, [BLOCKING])
@@ -160,7 +164,7 @@ class TestMutationCheck:
         )
         assert len(small.calls) <= 4
         # with the real kernel restored, the witness conforms again
-        monkeypatch.setattr(op_common, "masked_write", real)
+        monkeypatch.setattr(op_common, "write_step", real)
         assert run_differential(small, modes()) is None
 
     @pytest.mark.parametrize("axes", ["processes", "processes,threads"])
