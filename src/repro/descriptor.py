@@ -5,11 +5,15 @@ representing the possible modifiers with each mask, vector, or matrix
 argument of a GraphBLAS method".  Fields name the method argument
 (``OUTP``/``MASK``/``INP0``/``INP1``); values select the modifier
 (``REPLACE``/``SCMP``/``TRAN``, plus the ``STRUCTURE`` mask extension).
+
+An operation reads its descriptor once, at the call (:func:`effective`), and
+keeps that value; the predefined ``DESC_*`` descriptors are read-only.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from .info import InvalidValue, NullPointer, UninitializedObject
 
@@ -17,6 +21,7 @@ __all__ = [
     "Field",
     "Value",
     "Descriptor",
+    "Flags",
     "descriptor_new",
     "descriptor_set",
     "OUTP",
@@ -79,12 +84,23 @@ ALL = type("GrB_ALL", (), {"__repr__": lambda self: "GrB_ALL"})()
 #: readable.
 NULL = None
 
-_VALID = {
-    Field.OUTP: {Value.REPLACE},
-    Field.MASK: {Value.SCMP, Value.STRUCTURE},
-    Field.INP0: {Value.TRAN},
-    Field.INP1: {Value.TRAN},
-}
+
+class Flags(NamedTuple):
+    """The five modifier bits a call reads: a descriptor's value at the
+    call, which a deferred operation keeps whatever later happens to the
+    descriptor itself."""
+
+    replace: bool = False
+    mask_complement: bool = False
+    mask_structure: bool = False
+    transpose0: bool = False
+    transpose1: bool = False
+
+
+#: the valid (field, value) pairs, one behind each :class:`Flags` bit
+_BITS = (
+    (OUTP, REPLACE), (MASK, SCMP), (MASK, STRUCTURE), (INP0, TRAN), (INP1, TRAN)
+)
 
 
 class Descriptor:
@@ -94,61 +110,54 @@ class Descriptor:
     compose); the other fields hold at most their single valid value.
     """
 
-    __slots__ = ("_flags", "_valid")
+    __slots__ = ("_flags", "_valid", "_readonly")
 
     def __init__(self):
-        self._flags: dict[Field, set[Value]] = {f: set() for f in Field}
+        self._flags = Flags()
         self._valid = True
+        self._readonly = False
 
     def set(self, field: Field, value: Value) -> "Descriptor":
         """``GrB_Descriptor_set`` (Table VI).  Returns self for chaining."""
-        if not self._valid:
-            raise UninitializedObject("descriptor has been freed")
+        self.flags()  # a freed descriptor raises
+        if self._readonly:
+            raise InvalidValue("a predefined descriptor cannot be modified")
         if not isinstance(field, Field):
             raise InvalidValue(f"{field!r} is not a descriptor field")
         if not isinstance(value, Value):
             raise InvalidValue(f"{value!r} is not a descriptor value")
-        if value not in _VALID[field]:
+        if (field, value) not in _BITS:
             raise InvalidValue(
                 f"value {value.value} is not valid for field {field.value}"
             )
-        self._flags[field].add(value)
+        bit = Flags._fields[_BITS.index((field, value))]
+        self._flags = self._flags._replace(**{bit: True})
         return self
 
-    def is_set(self, field: Field, value: Value) -> bool:
+    def flags(self) -> Flags:
+        """The descriptor's current value; a freed one raises
+        ``UninitializedObject``."""
         if not self._valid:
             raise UninitializedObject("descriptor has been freed")
-        return value in self._flags[field]
+        return self._flags
 
-    # convenience accessors used by the operations
-    @property
-    def replace(self) -> bool:
-        return self.is_set(Field.OUTP, Value.REPLACE)
-
-    @property
-    def mask_complement(self) -> bool:
-        return self.is_set(Field.MASK, Value.SCMP)
-
-    @property
-    def mask_structure(self) -> bool:
-        return self.is_set(Field.MASK, Value.STRUCTURE)
-
-    @property
-    def transpose0(self) -> bool:
-        return self.is_set(Field.INP0, Value.TRAN)
-
-    @property
-    def transpose1(self) -> bool:
-        return self.is_set(Field.INP1, Value.TRAN)
+    # convenience accessors
+    replace = property(lambda self: self.flags().replace)
+    mask_complement = property(lambda self: self.flags().mask_complement)
+    mask_structure = property(lambda self: self.flags().mask_structure)
+    transpose0 = property(lambda self: self.flags().transpose0)
+    transpose1 = property(lambda self: self.flags().transpose1)
 
     def free(self) -> None:
-        self._valid = False
+        """``GrB_free``; the predefined descriptors are never freed."""
+        if not self._readonly:
+            self._valid = False
 
     def __repr__(self) -> str:
         parts = [
-            f"{f.value}={{{','.join(v.value for v in vs)}}}"
-            for f, vs in self._flags.items()
-            if vs
+            f"{f.value}={v.value}"
+            for (f, v), on in zip(_BITS, self._flags)
+            if on
         ]
         return f"Descriptor({', '.join(parts) or 'default'})"
 
@@ -169,10 +178,11 @@ def _preset(*pairs: tuple[Field, Value]) -> Descriptor:
     d = Descriptor()
     for f, v in pairs:
         d.set(f, v)
+    d._readonly = True
     return d
 
 
-# Common preset descriptors (the C API ships these as GrB_DESC_* constants).
+# The predefined descriptors (the C API's GrB_DESC_* constants): read-only.
 DESC_T0 = _preset((INP0, TRAN))
 DESC_T1 = _preset((INP1, TRAN))
 DESC_T0T1 = _preset((INP0, TRAN), (INP1, TRAN))
@@ -184,9 +194,11 @@ DESC_RSC = _preset((OUTP, REPLACE), (MASK, SCMP))
 DESC_TSR = _preset((INP0, TRAN), (MASK, SCMP), (OUTP, REPLACE))
 
 
-def effective(desc: Descriptor | None) -> Descriptor:
-    """Resolve ``GrB_NULL`` to the default (empty) descriptor."""
-    return desc if desc is not None else _DEFAULT
+def effective(desc: Descriptor | None) -> Flags:
+    """A call's descriptor resolved at the call: ``GrB_NULL`` is the default
+    (no flags set), and a freed descriptor raises ``UninitializedObject``
+    — an API error, so it changes nothing."""
+    return _DEFAULT if desc is None else desc.flags()
 
 
-_DEFAULT = Descriptor()
+_DEFAULT = Flags()

@@ -128,7 +128,7 @@ def _attach_runners(nodes: list[OpNode], provenance: dict) -> None:
 
 
 def _explain_record(
-    levels: list[list[OpNode]], provenance: dict, optimize: bool, elided: int
+    levels: list[list[OpNode]], provenance: dict, elided: int
 ) -> dict:
     """One EXPLAIN entry for a built plan: every node with its rewrite
     kind, hazard predecessors, provenance, and backend choice."""
@@ -161,7 +161,7 @@ def _explain_record(
             entry["kind"] = "capture"
         entries.append(entry)
     return {
-        "optimize": optimize,
+        "optimize": options().enabled,
         "kernel_backend": kb,
         "exec_backend": get_backend(),
         "levels": len(levels),
@@ -249,9 +249,7 @@ class ExecutionPlan:
             raise failures[0][1]
 
 
-def build_plan(
-    ops: list[DeferredOp], stats: QueueStats, optimize: bool = True
-) -> ExecutionPlan:
+def build_plan(ops: list[DeferredOp], stats: QueueStats) -> ExecutionPlan:
     """Turn *ops* into an :class:`ExecutionPlan`.
 
     With the planner on, lift them into the DAG, run the enabled passes and
@@ -261,9 +259,8 @@ def build_plan(
     same code.
     """
     opts = options()
-    optimize = optimize and opts.enabled
     n_elided = 0
-    if optimize:
+    if opts.enabled:
         live = ops
         if opts.dead_op:
             live, elided = dead_op_pass(ops)
@@ -289,5 +286,5 @@ def build_plan(
     _attach_runners(nodes, provenance)
     col = _explain.current_explain()
     if col is not None:
-        col.record_plan(_explain_record(levels, provenance, optimize, n_elided))
+        col.record_plan(_explain_record(levels, provenance, n_elided))
     return ExecutionPlan(levels, stats)

@@ -44,7 +44,7 @@ class OpSpec:
     mask: Any
     #: accumulator BinaryOp (or None)
     accum: Any
-    #: the *effective* Descriptor (never None)
+    #: the call-time :class:`~repro.descriptor.Flags` (never None)
     desc: Any
     #: domain of the internal result T
     t_type: Any
@@ -115,9 +115,8 @@ class SequenceQueue:
     """FIFO of deferred ops for one sequence (single-threaded, as the paper
     requires: sequences must not share non-read-only objects)."""
 
-    def __init__(self, optimize: bool = True):
+    def __init__(self):
         self._ops: list[DeferredOp] = []
-        self.optimize = optimize
         self.stats = QueueStats()
         self._failed_tail: list[DeferredOp] = []
 
@@ -159,7 +158,7 @@ class SequenceQueue:
 
         sink = _spans.current()
         before = self.stats.snapshot() if sink is not None else {}
-        plan = build_plan(ops, self.stats, optimize=self.optimize)
+        plan = build_plan(ops, self.stats)
         sp = (
             sink.open("drain", "drain", ops=len(ops), deferred=True)
             if sink is not None

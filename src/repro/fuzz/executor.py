@@ -28,6 +28,8 @@ from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "AXES",
     "ExecMode",
@@ -495,7 +497,8 @@ def _descriptor(call):
     return d
 
 
-def _dispatch_optimized(call, objs, env, scalars, dtypes) -> None:
+def _dispatch_optimized(call, objs, env, scalars, dtypes):
+    """Issue one call; returns the descriptor built for it (or None)."""
     from .. import context, operations as ops
 
     a = call.args
@@ -558,6 +561,7 @@ def _dispatch_optimized(call, objs, env, scalars, dtypes) -> None:
                       objs[a["a"]], objs[a["b"]], desc)
     else:  # pragma: no cover - generator/executor skew
         raise ValueError(f"optimized executor: unknown op {k!r}")
+    return desc
 
 
 # Public aliases: the multi-tenant service executes client-submitted
@@ -575,12 +579,26 @@ def _snapshot_obj(decl, obj) -> dict:
     return {int(i): v for i, v in zip(idx, vals)}
 
 
+def _with_index_arrays(call):
+    """A copy of *call* whose index lists are int64 arrays, and the arrays."""
+    call = call.copy()
+    arrays = []
+    for k in ("rows", "cols", "indices"):
+        if k in call.args:
+            call.args[k] = np.array(call.args[k], dtype=np.int64)
+            arrays.append(call.args[k])
+    return call, arrays
+
+
 def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snapshot:
     """Run a program on the optimized backend under *mode*.
 
     Runs under :func:`applied` (a fresh context, the mode's settings),
     completes the sequence, validates every collection's structural
-    invariants, and snapshots.
+    invariants, and snapshots.  Like a caller that reuses its buffers, it
+    passes index lists as int64 arrays, and overwrites them and frees the
+    call's descriptor as soon as each call returns: a call must have read
+    its arguments by then (section IV).
 
     With ``obs_capture=True`` the program's calls (and the final
     ``wait``) execute under :func:`repro.obs.capture`; the capture
@@ -601,7 +619,12 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         with obs.capture() if obs_capture else nullcontext() as cap:
             objs = {d.name: _build_grb(d, env) for d in program.decls}
             for call in program.calls:
-                _dispatch_optimized(call, objs, env, scalars, dtypes)
+                call, arrays = _with_index_arrays(call)
+                desc = _dispatch_optimized(call, objs, env, scalars, dtypes)
+                for arr in arrays:
+                    arr.fill(-1)
+                if desc is not None:
+                    desc.free()
             context.wait()
         validation.check_all(objs.values())
         counters = {} if cap is None else dict(cap.counters)

@@ -195,7 +195,6 @@ def run_chain(specs) -> None:
 
 def _run_compiled(specs, fn, key) -> None:
     from ..containers.mask import build_mask_view
-    from ..obs import metrics as _metrics
     from ..obs import spans as _obs_spans
     from ..operations._kernels import _observed_kernel
     from ..operations.common import _producer_result, run_write_pipeline
@@ -205,22 +204,19 @@ def _run_compiled(specs, fn, key) -> None:
         for s in specs[1:]
     ]
     keys, vals = _producer_result(specs[0])
+    steps = len(keys) * (len(specs) - 1)
+
+    def run(acc):
+        out = fn(keys, vals, masks)
+        if acc is not None:
+            acc.append(steps)
+        return out
+
     try:
-        if _obs_spans.current() is None and not _metrics.registry.enabled:
-            t_keys, t_vals = fn(keys, vals, masks)
-        else:
-
-            def run(acc):
-                out = fn(keys, vals, masks)
-                acc.append(len(keys) * (len(specs) - 1))
-                return out
-
-            t_keys, t_vals = _observed_kernel(
-                "chain[compiled]", run,
-                flops_estimated=len(keys) * (len(specs) - 1),
-                nnz_in=len(keys),
-                backend="codegen", compiled=True,
-            )
+        t_keys, t_vals = _observed_kernel(
+            "chain[compiled]", run, lambda: (steps, len(keys)),
+            backend="codegen", compiled=True,
+        )
     except Exception:
         # producer kernels are pure, so rerunning the whole chain on the
         # interpreter is safe; the bad kernel is retired

@@ -14,27 +14,41 @@ chain when the chain is not compiled or a generated kernel misbehaves.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["interpret_chain"]
 
 
 def _link_t(spec, keys, vals, mask_view):
-    """One link's mask-filtered T from the incoming stream (in t_type)."""
+    """One link's mask-filtered T from the incoming stream (in t_type),
+    computed by the op's own kernel body and observed as the kernel
+    ``<op>[fused]``, estimated at one step per incoming element."""
     from ..operations import _kernels as K
     from ..types import cast_array
 
+    n = len(keys)
     if spec.reducer is not None:
-        # as the unfused reduce kernel: reduce the input, then cut the
-        # reduced vector to the mask
+        # as the unfused reduce kernel: fold the rows, then cut the reduced
+        # vector to the mask
+        ncols = np.int64(spec.inputs[0].ncols)
         v = cast_array(vals, spec.inputs[0].type, spec.t_type)
-        keys, vals = K.reduce_rows_flat(
-            keys, v, spec.inputs[0].ncols, spec.reducer
+        t = K._observed_kernel(
+            "reduce_rows[fused]",
+            lambda acc: K.reduce_rows(keys // ncols, v, spec.reducer, acc),
+            lambda: (n, n),
         )
-        if mask_view is not None:
-            keys, vals = mask_view.restrict(keys, vals)
-        return keys, vals
+        return t if mask_view is None else mask_view.restrict(*t)
     if spec.post is not None:
-        return K.fused_apply(keys, vals, mask_view, spec.post)
-    return K.fused_select(keys, vals, mask_view, spec)
+        label, body, args = "apply[fused]", K.map_values, (spec.post,)
+    else:
+        label, body = "select[fused]", K.filter_values
+        args = (
+            spec.selector, spec.inputs[0].type, getattr(spec.out, "ncols", None)
+        )
+    return K._observed_kernel(
+        label, lambda acc: body(keys, vals, mask_view, *args, acc),
+        lambda: (n, n),
+    )
 
 
 def interpret_chain(specs) -> None:

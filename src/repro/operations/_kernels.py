@@ -23,6 +23,15 @@ intersects every row of A with v, ``mask_rows`` only the rows a selective
 mask can write, and ``columns`` walks only the lines of the cached
 transpose view that v names, chosen when Σ deg(v) is the smaller work.
 
+Apply, select and row-reduce each have one body — :func:`map_values`,
+:func:`filter_values`, :func:`reduce_rows` — which the op's own kernel and
+the interpreter's fused chain links both call, so T is the same function
+of its input fused or not.
+
+Every measured kernel runs through :func:`_observed_kernel`, the only code
+that asks whether anything observes: disarmed, it calls the kernel and
+nothing else, not even its cost estimate.
+
 Everything is vectorized numpy; arbitrary (even user-defined,
 object-domain) operators run through the same structure via the
 operators' loop fallbacks, so there is one code path to trust.  Large
@@ -42,6 +51,7 @@ from .._sparseutil import (
     ranges_concat,
     segment_reduce,
     stable_order,
+    unflatten_keys,
 )
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
@@ -55,15 +65,16 @@ from ..parallel import (
     row_blocks,
     thread_pool,
 )
+from ..types import cast_array
 
 __all__ = [
     "spgemm",
     "spmv",
     "spmv_walks",
     "reduce_rows",
-    "reduce_rows_flat",
-    "fused_apply",
-    "fused_select",
+    "map_values",
+    "filter_values",
+    "index_values",
     "estimate_flops",
     "spgemm_row_work",
 ]
@@ -111,7 +122,7 @@ def _spgemm_block(
     exactly the full call's sorted stream — a row window of a row-major CSR
     is the same elements in the same order, hence the identical per-row
     folds, for every domain.  The thread pool and the shard workers both
-    rely on that, here and in :func:`_spmv_rows` / :func:`_reduce_rows_impl`.
+    rely on that, here and in :func:`_spmv_rows`.
 
     *acc*, when given, receives this block's realized multiply count (the
     products that survive mask push-down) — ``list.append`` is atomic under
@@ -246,76 +257,70 @@ def spgemm(
     *a_vals*/*b_vals* are the views' value arrays already cast to the
     multiply operator's input domains.
 
-    When observability is live (span capture armed or metrics enabled) the
-    invocation emits a kernel span carrying estimated flops (the full
-    expansion bound), realized flops (products surviving mask push-down),
-    output nnz, and the block count; disarmed, the implementation runs with
-    zero measurement work.
+    Observed (:func:`_observed_kernel`), the invocation is a kernel span
+    carrying estimated flops (the full expansion bound), realized flops
+    (products surviving mask push-down), output nnz, and the block count.
     """
-    if _obs_spans.current() is None and not _metrics.registry.enabled:
-        return _spgemm_impl(a_view, a_vals, b_view, b_vals, semiring, mask_view)
     return _observed_kernel(
         "spgemm",
         lambda acc: _spgemm_impl(
             a_view, a_vals, b_view, b_vals, semiring, mask_view, acc
         ),
-        flops_estimated=estimate_flops(a_view, b_view),
-        nnz_in=a_view.nnz + b_view.nnz,
+        lambda: (estimate_flops(a_view, b_view), a_view.nnz + b_view.nnz),
     )
 
 
 def _observed_kernel(
     label: str,
     run,
+    cost,
     *,
-    flops_estimated: int,
-    nnz_in: int,
     backend: str = "interpreter",
     compiled: bool = False,
 ):
-    """Shared measurement shell for semiring kernels.
+    """Run a kernel, measured when anything observes it: the one place a
+    kernel asks whether a span sink is armed or metrics are on.
 
-    *run* takes the realized-flops accumulator list and returns
-    ``(keys, vals)``; the shell opens the kernel span, counts into the
+    *run* takes the realized-flops accumulator and returns ``(keys, vals)``.
+    Disarmed, this is ``run(None)``: *cost* is not called and nothing is
+    measured.  Observed, *cost* returns ``(flops_estimated, nnz_in)``, *run*
+    gets a list, and the shell opens the kernel span, counts into the
     process registry, and guarantees the span closes on error paths.
     *backend*/*compiled* are kernel provenance: which kernel suite produced
     T, and whether a generated (compiled) kernel ran rather than the
     hand-written one.
     """
     sink = _obs_spans.current()
+    if sink is None and not _metrics.registry.enabled:
+        return run(None)
+    flops_estimated, nnz_in = cost()
+    attrs = {
+        "flops_estimated": flops_estimated, "nnz_in": nnz_in,
+        "backend": backend, "compiled": compiled,
+    }
     fast = getattr(sink, "fast_append", None) if sink is not None else None
     acc: list = []
     sp = None
     t0 = 0.0
     if fast is not None:
         # ring-only retention: skip full span construction on the kernel
-        # hot path; the attrs dict is only built when the kernel finishes
+        # hot path; the record is appended once the kernel finishes
         t0 = _time.perf_counter()
     elif sink is not None:
-        sp = sink.open(
-            label, "kernel",
-            flops_estimated=flops_estimated, nnz_in=nnz_in,
-            backend=backend, compiled=compiled,
-        )
+        sp = sink.open(label, "kernel", **attrs)
     try:
         keys, vals = run(acc)
         realized = int(sum(acc))
+        done = {
+            "flops_realized": realized,
+            "nnz_out": len(keys),
+            "blocks": max(len(acc), 1),
+        }
         if sp is not None:
-            sp.attrs.update(
-                flops_realized=realized,
-                nnz_out=len(keys),
-                blocks=max(len(acc), 1),
-            )
+            sp.attrs.update(done)
         elif fast is not None:
-            fast(label, "kernel", t0, _time.perf_counter(), {
-                "flops_estimated": flops_estimated,
-                "nnz_in": nnz_in,
-                "backend": backend,
-                "compiled": compiled,
-                "flops_realized": realized,
-                "nnz_out": len(keys),
-                "blocks": max(len(acc), 1),
-            }, False)
+            fast(label, "kernel", t0, _time.perf_counter(),
+                 {**attrs, **done}, False)
             fast = None  # consumed: the error path below must not re-log
         reg = _metrics.registry
         reg.inc("kernel.invocations")
@@ -329,13 +334,8 @@ def _observed_kernel(
             sink.close(sp)
         elif fast is not None:
             # run() raised: still retain the failed kernel's timing
-            fast(label, "kernel", t0, _time.perf_counter(), {
-                "flops_estimated": flops_estimated,
-                "nnz_in": nnz_in,
-                "backend": backend,
-                "compiled": compiled,
-                "failed": True,
-            }, False)
+            fast(label, "kernel", t0, _time.perf_counter(),
+                 {**attrs, "failed": True}, False)
 
 
 def spmv(
@@ -370,20 +370,15 @@ def spmv(
 
     Observability mirrors :func:`spgemm`: a kernel span with estimated
     (``nnz(A)``, the intersection upper bound) vs realized multiply counts
-    and the chosen direction, only when a consumer is live.
+    and the chosen direction.
     """
-    if _obs_spans.current() is None and not _metrics.registry.enabled:
-        return _spmv_impl(
-            a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view, walk
-        )
     return _observed_kernel(
         "spmv",
         lambda acc: _spmv_impl(
             a_view, a_vals, v_keys, v_vals, semiring, swap, mask_view, walk,
             acc,
         ),
-        flops_estimated=a_view.nnz,
-        nnz_in=a_view.nnz + len(v_keys),
+        lambda: (a_view.nnz, a_view.nnz + len(v_keys)),
     )
 
 
@@ -546,159 +541,80 @@ def _spmv_fold(
 
 
 def reduce_rows(
-    a_view: CSRView, a_vals: np.ndarray, monoid
+    row_ids: np.ndarray, vals: np.ndarray, monoid, acc: list | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``t(i) = ⊕_j A(i,j)`` over stored elements; empty rows stay undefined
-    (Table II's ``reduce (row)``)."""
-    whole = slice(0, a_view.nrows)
-    if _obs_spans.current() is not None or _metrics.registry.enabled:
+    """``t(i) = ⊕`` over the stored elements of row i; empty rows stay
+    undefined (Table II's ``reduce (row)``).
 
-        def run(acc):
-            acc.append(a_view.nnz)  # one ⊕ fold per stored element
-            return _reduce_rows_impl(a_view, a_vals, monoid, whole)
-
-        return _observed_kernel(
-            "reduce_rows", run,
-            flops_estimated=a_view.nnz, nnz_in=a_view.nnz,
-        )
-    return _reduce_rows_impl(a_view, a_vals, monoid, whole)
-
-
-def _reduce_rows_impl(
-    a_view: CSRView, a_vals: np.ndarray, monoid, rows: slice
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row reduction over a contiguous block of A's rows; keys are
-    absolute row ids."""
+    *row_ids* is nondecreasing: a view's :meth:`~CSRView.row_ids`, or a
+    fused producer's ``keys // ncols`` — the same elements in the same
+    order — so the fold is the same fused or not.  *acc*, when given,
+    receives one ⊕ per stored element."""
+    if acc is not None:
+        acc.append(len(row_ids))
     dtype = monoid.domain.np_dtype
-    lo, hi = rows.start, rows.stop
-    a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
-    if a_lo == a_hi:
+    if len(row_ids) == 0:
         return _empty(dtype)
-    uniq, starts = group_starts(a_view.row_ids(lo, hi))
-    vals = segment_reduce(a_vals[a_lo:a_hi], starts, monoid)
-    if not monoid.domain.is_udt and vals.dtype != dtype:
-        vals = vals.astype(dtype)
-    return uniq, vals
-
-
-def reduce_rows_flat(
-    keys: np.ndarray, vals: np.ndarray, ncols: int, monoid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row reduction straight off sorted flat keys — the fusion form of
-    :func:`reduce_rows`, fed a producer's un-materialized result instead of
-    a CSR view.  Flat keys sort row-major, so segments are exactly the rows
-    in the same element order the view-based kernel folds them."""
-    if _obs_spans.current() is not None or _metrics.registry.enabled:
-
-        def run(acc):
-            acc.append(len(keys))
-            return _reduce_rows_flat_impl(keys, vals, ncols, monoid)
-
-        return _observed_kernel(
-            "reduce_rows[fused]", run,
-            flops_estimated=len(keys), nnz_in=len(keys),
-        )
-    return _reduce_rows_flat_impl(keys, vals, ncols, monoid)
-
-
-def _reduce_rows_flat_impl(
-    keys: np.ndarray, vals: np.ndarray, ncols: int, monoid
-) -> tuple[np.ndarray, np.ndarray]:
-    dtype = monoid.domain.np_dtype
-    if len(keys) == 0:
-        return _empty(dtype)
-    rows = keys // np.int64(ncols)
-    uniq, starts = group_starts(rows)
+    uniq, starts = group_starts(row_ids)
     out = segment_reduce(vals, starts, monoid)
     if not monoid.domain.is_udt and out.dtype != dtype:
         out = out.astype(dtype)
     return uniq, out
 
 
-def fused_apply(
+def map_values(
     keys: np.ndarray,
     vals: np.ndarray,
     mask_view: MaskView | None,
     post,
+    acc: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value-map over a producer's un-materialized result: the fusion form
-    of the ``apply`` kernel.  *post* is the consumer's captured value path
-    (cast → operator → output-dtype fix); the mask filter mirrors the
-    unfused kernel's push-down order exactly (keys first, then values)."""
-    if _obs_spans.current() is not None or _metrics.registry.enabled:
-
-        def run(acc):
-            out = _fused_apply_impl(keys, vals, mask_view, post)
-            acc.append(len(out[0]))  # one value-map application per survivor
-            return out
-
-        return _observed_kernel(
-            "apply[fused]", run,
-            flops_estimated=len(keys), nnz_in=len(keys),
-        )
-    return _fused_apply_impl(keys, vals, mask_view, post)
-
-
-def _fused_apply_impl(
-    keys: np.ndarray,
-    vals: np.ndarray,
-    mask_view: MaskView | None,
-    post,
-) -> tuple[np.ndarray, np.ndarray]:
+    """The ``apply`` kernel: *post* (the op's cast → operator → output-dtype
+    fix) over the stored elements inside the mask.  *acc*, when given,
+    receives one application per survivor."""
     if mask_view is not None:
         keys, vals = mask_view.restrict(keys, vals)
+    if acc is not None:
+        acc.append(len(keys))
     return keys, post(vals)
 
 
-def fused_select(
-    keys: np.ndarray,
-    vals: np.ndarray,
-    mask_view: MaskView | None,
-    spec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicate filter over a producer's un-materialized result: the
-    fusion form of the ``select`` kernel.  *spec* is the select link's
-    OpSpec (its ``selector`` holds the IndexUnaryOp and thunk); the mask
-    filter mirrors the unfused kernel's push-down order exactly."""
-    if _obs_spans.current() is not None or _metrics.registry.enabled:
-
-        def run(acc):
-            out = _fused_select_impl(keys, vals, mask_view, spec)
-            acc.append(len(out[0]))  # one predicate evaluation per survivor
-            return out
-
-        return _observed_kernel(
-            "select[fused]", run,
-            flops_estimated=len(keys), nnz_in=len(keys),
-        )
-    return _fused_select_impl(keys, vals, mask_view, spec)
-
-
-def _fused_select_impl(
-    keys: np.ndarray,
-    vals: np.ndarray,
-    mask_view: MaskView | None,
-    spec,
-) -> tuple[np.ndarray, np.ndarray]:
-    from .._sparseutil import unflatten_keys
-    from ..types import cast_array
-
-    if mask_view is not None:
-        keys, vals = mask_view.restrict(keys, vals)
-    if len(keys) == 0:
-        return keys, vals.copy()
-    iuop, thunk = spec.selector
-    ncols = getattr(spec.out, "ncols", None)
+def index_values(
+    keys: np.ndarray, vals: np.ndarray, op, thunk, in_type, ncols: int | None
+) -> np.ndarray:
+    """``op(a_ij, i, j, thunk)`` over stored elements: *keys* are flat over
+    *ncols* columns, or a vector's indices when *ncols* is None, and *vals*
+    are in *in_type*."""
     if ncols is not None:
         rows, cols = unflatten_keys(keys, ncols)
     else:
         rows, cols = keys, np.zeros(len(keys), dtype=np.int64)
-    vals_in = (
-        cast_array(vals, spec.inputs[0].type, iuop.d_in)
-        if iuop.d_in is not None
-        else vals
-    )
-    verdict = np.asarray(
-        iuop.apply_arrays(vals_in, rows, cols, thunk)
-    ).astype(bool)
-    return keys[verdict], vals[verdict]
+    if op.d_in is not None:
+        vals = cast_array(vals, in_type, op.d_in)
+    return op.apply_arrays(vals, rows, cols, thunk)
+
+
+def filter_values(
+    keys: np.ndarray,
+    vals: np.ndarray,
+    mask_view: MaskView | None,
+    selector,
+    in_type,
+    ncols: int | None,
+    acc: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``select`` kernel: the stored elements inside the mask for which
+    :func:`index_values` holds; *selector* is ``(op, thunk)``.  *acc*, when
+    given, receives one count per survivor."""
+    if mask_view is not None:
+        keys, vals = mask_view.restrict(keys, vals)
+    if len(keys) == 0:
+        out = keys, vals.copy()
+    else:
+        verdict = np.asarray(
+            index_values(keys, vals, *selector, in_type, ncols)
+        ).astype(bool)
+        out = keys[verdict], vals[verdict]
+    if acc is not None:
+        acc.append(len(out[0]))
+    return out

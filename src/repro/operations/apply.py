@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._sparseutil import unflatten_keys
 from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp, IndexUnaryOp, UnaryOp
 from ..types import can_cast, cast_array, cast_scalar
+from ._kernels import index_values, map_values
 from .common import (
     check_input,
     check_output,
@@ -54,6 +54,13 @@ def _input_content(C, A, d):
     return A._content()
 
 
+def _map_kernel(C, A, d, post):
+    """The kernel of a value map: :func:`map_values` over A's content."""
+    return lambda mask_view: map_values(
+        *_input_content(C, A, d), mask_view, post
+    )
+
+
 def apply(
     C,
     Mask,
@@ -80,23 +87,17 @@ def apply(
     validate_accum(accum, C, op.d_out)
 
     def post(raw):
-        # the kernel's value path, factored out so fusion can run it on a
-        # producer's un-materialized result (raw arrives in A's domain)
+        # the value path, also run on a producer's un-materialized result
+        # when apply is a fused chain link (raw arrives in A's domain)
         vals = op.apply_array(cast_array(raw, A.type, op.d_in))
         if not op.d_out.is_udt and vals.dtype != op.d_out.np_dtype:
             vals = vals.astype(op.d_out.np_dtype)
         return vals
 
-    def kernel(mask_view):
-        keys, raw = _input_content(C, A, d)
-        if mask_view is not None:
-            keys, raw = mask_view.restrict(keys, raw)
-        return keys, post(raw)
-
     submit_standard_op(
-        C, Mask, accum, desc,
-        label="apply", t_type=op.d_out, kernel=kernel, inputs=(A,),
-        op_token=op, post=post,
+        C, Mask, accum, d,
+        label="apply", t_type=op.d_out, kernel=_map_kernel(C, A, d, post),
+        inputs=(A,), op_token=op, post=post,
     )
     return C
 
@@ -122,24 +123,20 @@ def _apply_bound(C, Mask, accum, op, A, desc, scalar, first: bool, label: str):
     else:
         bound_val = cast_scalar(scalar, bound_in, bound_in)
 
-    def kernel(mask_view):
-        keys, raw = _input_content(C, A, d)
-        if mask_view is not None:
-            keys, raw = mask_view.restrict(keys, raw)
+    def post(raw):
         free_vals = cast_array(raw, A.type, free_in)
         bound_arr = np.full(
-            len(keys), bound_val,
+            len(raw), bound_val,
             dtype=bound_in.np_dtype if not bound_in.is_udt else object,
         )
         if first:
-            vals = op.apply_arrays(bound_arr, free_vals)
-        else:
-            vals = op.apply_arrays(free_vals, bound_arr)
-        return keys, vals
+            return op.apply_arrays(bound_arr, free_vals)
+        return op.apply_arrays(free_vals, bound_arr)
 
     submit_standard_op(
-        C, Mask, accum, desc,
-        label=label, t_type=op.d_out, kernel=kernel, inputs=(A,),
+        C, Mask, accum, d,
+        label=label, t_type=op.d_out, kernel=_map_kernel(C, A, d, post),
+        inputs=(A,),
     )
     return C
 
@@ -181,26 +178,19 @@ def apply_index(
             f"input domain {A.type.name} cannot feed {op.name}"
         )
     validate_accum(accum, C, op.d_out)
-    ncols = C.ncols if isinstance(C, Matrix) else 1
+    ncols = C.ncols if isinstance(C, Matrix) else None
 
     def kernel(mask_view):
         keys, raw = _input_content(C, A, d)
         if mask_view is not None:
             keys, raw = mask_view.restrict(keys, raw)
-        if isinstance(C, Matrix):
-            rows, cols = unflatten_keys(keys, ncols)
-        else:
-            rows, cols = keys, np.zeros(len(keys), dtype=np.int64)
-        vals_in = (
-            cast_array(raw, A.type, op.d_in) if op.d_in is not None else raw
-        )
-        vals = op.apply_arrays(vals_in, rows, cols, thunk_scalar)
+        vals = index_values(keys, raw, op, thunk_scalar, A.type, ncols)
         if not op.d_out.is_udt and vals.dtype != op.d_out.np_dtype:
             vals = vals.astype(op.d_out.np_dtype)
         return keys, vals
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="apply_index", t_type=op.d_out, kernel=kernel, inputs=(A,),
     )
     return C

@@ -114,10 +114,9 @@ def _scatter(u: Vector, idx: np.ndarray):
     return t_keys[order], u_raw[order]
 
 
-def _submit_assign(C, mask, accum, desc, label, inputs, make_t, t_type, outside):
+def _submit_assign(C, mask, accum, d, label, inputs, make_t, t_type, outside):
     """Queue an assign: *make_t* builds T (sorted keys in C's index space)
     at execution time; *outside* is the region's :func:`_index_outside`."""
-    d = effective(desc)
     if accum is not None:
         outside = None  # with ⊙ every stored entry of C survives
 
@@ -181,7 +180,7 @@ def matrix_assign(
         return t_keys[order], raw[order]
 
     _submit_assign(
-        C, Mask, accum, desc, "assign", (A,), make, A.type,
+        C, Mask, accum, d, "assign", (A,), make, A.type,
         _matrix_outside(C, ri, ci),
     )
     return C
@@ -201,6 +200,7 @@ def matrix_assign_scalar(
     check_output(C)
     if not isinstance(C, Matrix):
         raise InvalidValue("matrix_assign_scalar requires a Matrix output")
+    d = effective(desc)
     ri = resolve_indices(row_indices, C.nrows, "row")
     ci = resolve_indices(col_indices, C.ncols, "column")
     _check_no_duplicates(ri, "row")
@@ -218,7 +218,7 @@ def matrix_assign_scalar(
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
     _submit_assign(
-        C, Mask, accum, desc, "assign_scalar", srcs, make, C.type,
+        C, Mask, accum, d, "assign_scalar", srcs, make, C.type,
         _matrix_outside(C, ri, ci),
     )
     return C
@@ -239,6 +239,7 @@ def vector_assign(
     check_input(u, "u")
     if not isinstance(w, Vector) or not isinstance(u, Vector):
         raise InvalidValue("vector_assign requires Vector output and input")
+    d = effective(desc)
     idx = resolve_indices(indices, w.size, "vector")
     _check_no_duplicates(idx, "vector")
     if u.size != len(idx):
@@ -249,7 +250,7 @@ def vector_assign(
     validate_accum(accum, w, u.type)
 
     _submit_assign(
-        w, mask, accum, desc, "assign", (u,), lambda: _scatter(u, idx), u.type,
+        w, mask, accum, d, "assign", (u,), lambda: _scatter(u, idx), u.type,
         _index_outside(idx, w.size),
     )
     return w
@@ -268,6 +269,7 @@ def vector_assign_scalar(
     check_output(w)
     if not isinstance(w, Vector):
         raise InvalidValue("vector_assign_scalar requires a Vector output")
+    d = effective(desc)
     idx = resolve_indices(indices, w.size, "vector")
     _check_no_duplicates(idx, "vector")
     validate_mask_shape(mask, w)
@@ -277,7 +279,7 @@ def vector_assign_scalar(
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
     _submit_assign(
-        w, mask, accum, desc, "assign_scalar", srcs,
+        w, mask, accum, d, "assign_scalar", srcs,
         lambda: _fill(value, np.sort(idx), w.type), w.type,
         _index_outside(idx, w.size),
     )

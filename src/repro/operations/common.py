@@ -32,7 +32,7 @@ from ..containers.base import OpaqueObject
 from ..containers.mask import MaskView, build_mask_view, validate_mask_domain
 from ..containers.matrix import Matrix
 from ..containers.vector import Vector
-from ..descriptor import Descriptor, effective
+from ..descriptor import Flags
 from ..execution.sequence import OpSpec
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue, NullPointer
 from ..kernels import codegen as _codegen
@@ -316,7 +316,7 @@ def submit_standard_op(
     C,
     mask,
     accum: BinaryOp | None,
-    desc: Descriptor | None,
+    d: Flags,
     *,
     label: str,
     t_type: GrBType,
@@ -329,7 +329,8 @@ def submit_standard_op(
 ) -> None:
     """Package a validated operation into the execution model.
 
-    *kernel* computes T from the inputs' content; it runs at execution time,
+    *d* is the call's descriptor as :func:`~repro.descriptor.effective`
+    resolved it at the call.  *kernel* computes T from the inputs' content; it runs at execution time,
     receives the materialized mask view (or ``None``) and returns T within
     the mask — pushed down into the computation where that saves work,
     else cut once with :meth:`MaskView.restrict`.  :func:`write_step`
@@ -342,7 +343,6 @@ def submit_standard_op(
     common-subexpression elimination and for fusion as a consumer.  Ops
     without them still join the dataflow DAG via the generic spec.
     """
-    d = effective(desc)
     spec = OpSpec(
         kind=label,
         out=C,

@@ -150,7 +150,7 @@ def ewise_add(
         return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="eWiseAdd", t_type=bop.d_out, kernel=kernel, inputs=(A, B),
         op_token=bop,
     )
@@ -194,7 +194,7 @@ def ewise_mult(
         return keys, vals
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="eWiseMult", t_type=bop.d_out, kernel=kernel, inputs=(A, B),
         op_token=bop,
     )
@@ -284,7 +284,7 @@ def ewise_union(
         return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="eWiseUnion", t_type=bop.d_out, kernel=kernel, inputs=(A, B),
     )
     return C

@@ -29,10 +29,12 @@ __all__ = ["extract", "matrix_extract", "vector_extract", "col_extract"]
 
 
 def resolve_indices(indices, bound: int, what: str) -> np.ndarray:
-    """Resolve an index list or ``GrB_ALL`` against a dimension bound."""
+    """Resolve an index list or ``GrB_ALL`` against a dimension bound, into
+    an array the call owns: a deferred call reads the list as it was at the
+    call, whatever the caller does with it afterwards (section IV)."""
     if indices is ALL:
         return np.arange(bound, dtype=np.int64)
-    arr = np.asarray(indices, dtype=np.int64)
+    arr = np.array(indices, dtype=np.int64)
     if arr.ndim != 1:
         raise InvalidValue(f"{what} index list must be one-dimensional")
     if len(arr) and (arr.min() < 0 or arr.max() >= bound):
@@ -114,7 +116,7 @@ def matrix_extract(
         return t_keys[order], t_vals[order]
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="extract", t_type=A.type, kernel=kernel, inputs=(A,),
     )
     return C
@@ -133,6 +135,7 @@ def vector_extract(
     check_input(u, "u")
     if not isinstance(w, Vector) or not isinstance(u, Vector):
         raise InvalidValue("vector_extract requires Vector output and input")
+    d = effective(desc)
     idx = resolve_indices(indices, u.size, "vector")
     if w.size != len(idx):
         raise DimensionMismatch(
@@ -151,7 +154,7 @@ def vector_extract(
         return t_keys[order].astype(np.int64), t_vals[order]
 
     submit_standard_op(
-        w, mask, accum, desc,
+        w, mask, accum, d,
         label="extract", t_type=u.type, kernel=kernel, inputs=(u,),
     )
     return w
@@ -203,7 +206,7 @@ def col_extract(
         return t_keys[order].astype(np.int64), t_vals[order]
 
     submit_standard_op(
-        w, mask, accum, desc,
+        w, mask, accum, d,
         label="col_extract", t_type=A.type, kernel=kernel, inputs=(A,),
     )
     return w

@@ -102,7 +102,7 @@ def kronecker(
         return keys[order], vals[order]
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="kronecker", t_type=mul.d_out, kernel=kernel, inputs=(A, B),
     )
     return C

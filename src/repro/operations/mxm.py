@@ -113,7 +113,7 @@ def mxm(
         return spgemm(a_view, a_vals, b_view, b_vals, op, mask_view)
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="mxm", t_type=op.d_out, kernel=kernel, inputs=(A, B),
         op_token=op,
     )
@@ -150,7 +150,7 @@ def mxv(
     validate_accum(accum, w, op.d_out)
 
     submit_standard_op(
-        w, mask, accum, desc,
+        w, mask, accum, d,
         label="mxv", t_type=op.d_out,
         kernel=_spmv_kernel(op, A, d.transpose0, u, swap=False),
         inputs=(A, u), op_token=op,
@@ -194,7 +194,7 @@ def vxm(
     # t(j) = ⊕_i u(i) ⊗ Ae(i,j): run the row-oriented kernel on Aeᵀ, with
     # the multiply operands swapped back into u ⊗ A order
     submit_standard_op(
-        w, mask, accum, desc,
+        w, mask, accum, d,
         label="vxm", t_type=op.d_out,
         kernel=_spmv_kernel(op, A, not d.transpose1, u, swap=True),
         inputs=(u, A), op_token=op,

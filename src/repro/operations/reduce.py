@@ -20,7 +20,7 @@ from ..descriptor import Descriptor, effective
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp
 from ..types import can_cast, cast_array, cast_scalar
-from ._kernels import reduce_rows
+from ._kernels import _observed_kernel, reduce_rows
 from .common import (
     check_input,
     check_output,
@@ -85,11 +85,15 @@ def reduce_to_vector(
     def kernel(mask_view):
         view = A.csc() if d.transpose0 else A.csr()
         vals = cast_array(view.values, A.type, red.domain)
-        t = reduce_rows(view, vals, red)
+        t = _observed_kernel(
+            "reduce_rows",
+            lambda acc: reduce_rows(view.row_ids(), vals, red, acc),
+            lambda: (view.nnz, view.nnz),
+        )
         return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
-        w, mask, accum, desc,
+        w, mask, accum, d,
         label="reduce", t_type=red.domain, kernel=kernel, inputs=(A,),
         op_token=op, reducer=red,
     )

@@ -9,14 +9,12 @@ lower/upper triangles (``TRIL``/``TRIU``).
 
 from __future__ import annotations
 
-import numpy as np
-
-from .._sparseutil import unflatten_keys
 from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
 from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp, IndexUnaryOp
-from ..types import can_cast, cast_array
+from ..types import can_cast
+from ._kernels import filter_values
 from .apply import _input_content, _validate_unop_shape
 from .common import (
     check_input,
@@ -52,29 +50,17 @@ def select(
         )
     # select preserves values: T has A's domain
     validate_accum(accum, C, A.type)
-    ncols = C.ncols if isinstance(C, Matrix) else 1
+    selector = (op, thunk_scalar)
+    ncols = C.ncols if isinstance(C, Matrix) else None
 
     def kernel(mask_view):
-        keys, raw = _input_content(C, A, d)
-        if mask_view is not None:
-            keys, raw = mask_view.restrict(keys, raw)
-        if len(keys) == 0:
-            return keys, raw.copy()
-        if isinstance(C, Matrix):
-            rows, cols = unflatten_keys(keys, ncols)
-        else:
-            rows, cols = keys, np.zeros(len(keys), dtype=np.int64)
-        vals_in = (
-            cast_array(raw, A.type, op.d_in) if op.d_in is not None else raw
+        return filter_values(
+            *_input_content(C, A, d), mask_view, selector, A.type, ncols
         )
-        verdict = np.asarray(
-            op.apply_arrays(vals_in, rows, cols, thunk_scalar)
-        ).astype(bool)
-        return keys[verdict], raw[verdict]
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="select", t_type=A.type, kernel=kernel, inputs=(A,),
-        selector=(op, thunk_scalar),
+        selector=selector,
     )
     return C

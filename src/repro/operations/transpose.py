@@ -52,7 +52,7 @@ def transpose(
         return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(
-        C, Mask, accum, desc,
+        C, Mask, accum, d,
         label="transpose", t_type=A.type, kernel=kernel, inputs=(A,),
     )
     return C

@@ -181,25 +181,11 @@ def error_from_wire(err: dict) -> ServiceError:
     return cls(err.get("message", "remote error"))
 
 
-class Client:
-    """Direct in-process client bound to one session of a Service."""
+class _Surface:
+    """The request surface both clients share, written once over
+    ``self.request(kind, payload, **kw)``; the admin probes go through
+    ``self._admin(kind)``."""
 
-    def __init__(self, service, session: str | None = None):
-        self._service = service
-        self.session = service.open_session(session)
-
-    # ------------------------------------------------------------- plumbing
-    def submit(self, kind: str, payload: dict | None = None, **kw) -> Future:
-        # mint the trace here — the outermost edge — so everything one
-        # client call causes shares a trace_id
-        kw.setdefault("trace", TraceContext.mint())
-        return self._service.submit(self.session, kind, payload, **kw)
-
-    def request(self, kind: str, payload: dict | None = None, **kw) -> dict:
-        kw.setdefault("trace", TraceContext.mint())
-        return self._service.request(self.session, kind, payload, **kw)
-
-    # ------------------------------------------------------------- surface
     def define(
         self, name: str, kind: str, dtype: str, shape: Iterable[int],
         entries: Iterable = (),
@@ -220,7 +206,7 @@ class Client:
         """Fetch a named object back as a live Matrix/Vector/Scalar."""
         from ..io.serialize import deserialize
 
-        return deserialize(self.request("download", {"name": name})["blob"])
+        return deserialize(self.download_blob(name))
 
     def download_blob(self, name: str) -> bytes:
         return self.request("download", {"name": name})["blob"]
@@ -258,26 +244,52 @@ class Client:
         return self.request("free", {"name": name})
 
     def stats(self) -> dict:
-        return self._service.stats()
+        return self._admin("stats")
 
     def metrics(self) -> dict:
-        return self._service.metrics_snapshot()
+        return self._admin("metrics")
 
     def health(self) -> dict:
-        return self._service.health()
+        return self._admin("health")
 
     def ping(self) -> dict:
-        return {"pong": True}
+        return self._admin("ping")
+
+
+class Client(_Surface):
+    """Direct in-process client bound to one session of a Service."""
+
+    def __init__(self, service, session: str | None = None):
+        self._service = service
+        self.session = service.open_session(session)
+
+    def submit(self, kind: str, payload: dict | None = None, **kw) -> Future:
+        # mint the trace here — the outermost edge — so everything one
+        # client call causes shares a trace_id
+        kw.setdefault("trace", TraceContext.mint())
+        return self._service.submit(self.session, kind, payload, **kw)
+
+    def request(self, kind: str, payload: dict | None = None, **kw) -> dict:
+        kw.setdefault("trace", TraceContext.mint())
+        return self._service.request(self.session, kind, payload, **kw)
+
+    def _admin(self, kind: str) -> dict:
+        svc = self._service
+        return {
+            "stats": svc.stats, "metrics": svc.metrics_snapshot,
+            "health": svc.health, "ping": lambda: {"pong": True},
+        }[kind]()
 
     def close(self) -> None:
         self._service.close_session(self.session)
 
 
-class TCPClient:
+class TCPClient(_Surface):
     """Synchronous wire-protocol client for ``python -m repro.service``.
 
-    Speaks the identical surface as :class:`Client`; one request is in
-    flight at a time per connection, so responses arrive in order.
+    Speaks the identical surface as :class:`Client` (``call`` is its
+    ``request``); one request is in flight at a time per connection, so
+    responses arrive in order.
     """
 
     def __init__(
@@ -333,63 +345,7 @@ class TCPClient:
                 return resp.get("result", {})
             raise error_from_wire(resp.get("error", {}))
 
-    # ----- the same convenience surface as the direct client --------------
-    def define(self, name, kind, dtype, shape, entries=()):
-        return self.call("define", {
-            "name": name, "kind": kind, "dtype": dtype,
-            "shape": list(shape), "entries": [list(e) for e in entries],
-        })
-
-    def upload(self, name, obj=None, *, blob: bytes | None = None):
-        if (obj is None) == (blob is None):
-            raise BadRequest("upload takes exactly one of obj= or blob=")
-        return self.call("upload", {
-            "name": name, "blob": blob if blob is not None else serialize(obj),
-        })
-
-    def download(self, name):
-        from ..io.serialize import deserialize
-
-        return deserialize(self.call("download", {"name": name})["blob"])
-
-    def program(self, calls, *, declare=(), fetch=(), **kw):
-        calls = [c.to_dict() if hasattr(c, "to_dict") else dict(c) for c in calls]
-        declare = [d.to_dict() if hasattr(d, "to_dict") else dict(d) for d in declare]
-        return self.call("program", {
-            "calls": calls, "declare": declare, "fetch": list(fetch),
-        }, **kw)
-
-    def algorithm(self, algo, graph, *, store_as=None, **args):
-        payload = {"algo": algo, "graph": graph, "args": args}
-        if store_as:
-            payload["store_as"] = store_as
-        return self.call("algorithm", payload)
-
-    def update(self, graph, *, set=(), remove=()):
-        return self.call("update", {
-            "graph": graph,
-            "set": [list(e) for e in set],
-            "remove": [list(e) if isinstance(e, (list, tuple)) else [e]
-                       for e in remove],
-        })
-
-    def query(self, name, what="nvals", **kw):
-        return self.call("query", {"name": name, "what": what, **kw})
-
-    def free(self, name):
-        return self.call("free", {"name": name})
-
-    def metrics(self) -> dict:
-        return self.call("metrics")
-
-    def stats(self) -> dict:
-        return self.call("stats")
-
-    def health(self) -> dict:
-        return self.call("health")
-
-    def ping(self) -> dict:
-        return self.call("ping")
+    request = _admin = call
 
     def close(self, *, close_session: bool = True) -> None:
         try:

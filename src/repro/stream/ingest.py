@@ -34,6 +34,7 @@ import numpy as np
 from .. import context
 from ..containers.formats import check_indices
 from ..containers.matrix import Matrix
+from ..descriptor import Flags
 from ..info import InvalidValue
 from ..obs import metrics, spans
 from ..operations.common import submit_standard_op
@@ -177,7 +178,7 @@ class EdgeBuffer:
             return keys, vals
 
         submit_standard_op(
-            m, None, None, None,
+            m, None, None, Flags(),
             label="stream.rebuild",
             t_type=m.type,
             kernel=kernel,

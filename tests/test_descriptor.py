@@ -56,6 +56,8 @@ class TestDescriptorBasics:
             d.set(grb.OUTP, grb.REPLACE)
         with pytest.raises(grb.UninitializedObject):
             _ = d.replace
+        with pytest.raises(grb.UninitializedObject):
+            effective(d)  # a call with a freed descriptor is an API error
 
 
 class TestPresets:
@@ -72,6 +74,11 @@ class TestPresets:
         assert grb.DESC_R.replace
         assert grb.DESC_SC.mask_complement
         assert grb.DESC_RSC.replace and grb.DESC_RSC.mask_complement
+        # predefined descriptors are read-only, as in the C API
+        with pytest.raises(grb.InvalidValue):
+            grb.DESC_R.set(grb.INP0, grb.TRAN)
+        grb.DESC_R.free()
+        assert grb.DESC_R.replace and not grb.DESC_R.transpose0
 
 
 class TestLiterals:

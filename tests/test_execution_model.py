@@ -64,6 +64,55 @@ class TestEquivalence:
         nonblocking = _chain()
         assert (blocking == nonblocking).all()
 
+    @pytest.mark.parametrize("op", ["mxm", "extract", "assign"])
+    @pytest.mark.parametrize("change", ["free_desc", "set_desc", "indices"])
+    def test_arguments_are_read_at_the_call(self, op, change):
+        """A deferred call keeps its arguments as they were at the call:
+        freeing or changing the descriptor, or overwriting an index list,
+        after the call and before wait() changes nothing (section IV)."""
+        from repro import context
+
+        def run():
+            FP = grb.FP64
+            A = grb.Matrix.from_coo(
+                FP, 3, 3, [0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 0, 2],
+                [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+            )
+            desc = grb.Descriptor().set(grb.INP0, grb.TRAN)
+            rows = np.array([0, 2], dtype=np.int64)
+            cols = np.array([1, 2], dtype=np.int64)
+            if op == "mxm":
+                # the index list reaches mxm through its extracted operand
+                M = grb.Matrix.from_coo(grb.BOOL, 2, 3, [0, 1], [0, 2], [1, 1])
+                T = grb.Matrix(FP, 3, 2)
+                grb.matrix_extract(T, None, None, A, grb.ALL, rows)
+                C = grb.Matrix(FP, 2, 3)
+                grb.mxm(C, M, None, predefined.PLUS_TIMES[FP], T, A, desc)
+            elif op == "extract":
+                C = grb.Matrix(FP, 2, 2)
+                M = grb.Matrix.from_coo(grb.BOOL, 2, 2, [0, 1], [0, 1], [1, 1])
+                grb.matrix_extract(C, M, None, A, rows, cols, desc)
+            else:
+                C = grb.Matrix.from_coo(FP, 3, 3, [1], [1], [9.0])
+                S = grb.Matrix.from_coo(FP, 2, 2, [0, 1], [1, 0], [7.0, 8.0])
+                M = grb.Matrix.from_coo(grb.BOOL, 3, 3, [0, 2], [1, 2], [1, 1])
+                grb.matrix_assign(C, M, None, S, rows, cols, desc)
+            if change == "free_desc":
+                desc.free()
+            elif change == "set_desc":
+                desc.set(grb.MASK, grb.SCMP)
+            else:
+                rows[:] = [1, 0]
+            grb.wait()
+            return C.extract_tuples()
+
+        blocking = run()
+        context._reset()
+        grb.init(grb.Mode.NONBLOCKING)
+        nonblocking = run()
+        for want, got in zip(blocking, nonblocking):
+            assert np.array_equal(want, got)
+
     def test_wait_after_each_op_equals_blocking(self):
         # "a sequence in nonblocking mode where every operation is followed
         # by GrB_wait() is equivalent to ... blocking mode" (section IV)

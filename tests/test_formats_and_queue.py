@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro as grb
+from repro import planner
 from repro.containers.formats import (
     assemble,
     check_indices,
@@ -158,12 +159,13 @@ class TestSequenceQueue:
         assert log == ["base", "accum"]
 
     def test_optimization_can_be_disabled(self):
-        q = SequenceQueue(optimize=False)
+        q = SequenceQueue()
         log = []
         x = object()
         q.push(self._op(log, "a", writes=x, overwrites=True))
         q.push(self._op(log, "b", writes=x, overwrites=True))
-        q.drain()
+        with planner.override(enabled=False):
+            q.drain()
         assert log == ["a", "b"]
         assert q.stats.elided == 0
 

@@ -30,6 +30,15 @@ class TestArming:
         assert obs.spans.current() is None
         assert not obs.metrics.registry.enabled
         assert not obs.active()
+        # a disarmed kernel runs with no accumulator, and its cost
+        # estimate is never evaluated
+        from repro.operations._kernels import _observed_kernel
+
+        seen = []
+        _observed_kernel(
+            "k", lambda acc: seen.append(acc) or ((), ()), lambda: 1 / 0
+        )
+        assert seen == [None]
 
     def test_capture_arms_and_disarms(self):
         with obs.capture() as cap:
