@@ -25,7 +25,12 @@ from typing import Any
 import numpy as np
 
 from .. import context
-from .._sparseutil import flatten_keys, unflatten_keys
+from .._sparseutil import (
+    flatten_keys,
+    membership,
+    strictly_increasing,
+    unflatten_keys,
+)
 from ..containers.matrix import Matrix
 from ..containers.mask import build_mask_view, validate_mask_domain
 from ..containers.vector import Vector
@@ -78,6 +83,8 @@ def _fill(value, t_keys: np.ndarray, dom) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_no_duplicates(idx: np.ndarray, what: str) -> None:
+    if strictly_increasing(idx):
+        return  # GrB_ALL and every sorted list: nothing to sort
     if len(np.unique(idx)) != len(idx):
         raise InvalidValue(
             f"duplicate {what} indices in assign are not allowed"
@@ -90,17 +97,19 @@ def _index_outside(idx: np.ndarray, size: int):
     region is the whole line."""
     if len(idx) == size:
         return None
-    return lambda keys: ~np.isin(keys, idx)
+    region = np.sort(idx)
+    return lambda keys: ~membership(keys, region)
 
 
 def _matrix_outside(C, ri: np.ndarray, ci: np.ndarray):
     """:func:`_index_outside` for the region ``ri × ci`` of matrix C."""
     if len(ri) == C.nrows and len(ci) == C.ncols:
         return None
+    r_region, c_region = np.sort(ri), np.sort(ci)
 
     def outside(keys):
         rows, cols = unflatten_keys(keys, C.ncols)
-        return ~(np.isin(rows, ri) & np.isin(cols, ci))
+        return ~(membership(rows, r_region) & membership(cols, c_region))
 
     return outside
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import context
+from .._sparseutil import positions
 from ..containers.formats import check_indices
 from ..containers.matrix import Matrix
 from ..descriptor import Flags
@@ -231,13 +232,8 @@ def _merge_batch(
     new_keys, new_vals = k[keep], v[keep]
 
     # the delta: each surviving batch write against the old content
-    old_pos = np.searchsorted(old_keys, bk)
-    in_bounds = old_pos < len(old_keys)
-    old_has = np.zeros(len(bk), dtype=bool)
-    if len(old_keys):
-        hit = in_bounds.copy()
-        hit[in_bounds] = old_keys[old_pos[in_bounds]] == bk[in_bounds]
-        old_has = hit
+    old_pos = positions(bk, old_keys)
+    old_has = old_pos >= 0
     old_v = np.zeros(len(bk), dtype=old_values.dtype)
     if old_has.any():
         old_v[old_has] = old_values[old_pos[old_has]]

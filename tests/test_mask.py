@@ -1,5 +1,7 @@
 """Mask semantics in isolation (paper section III-C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,19 @@ class TestMaskView:
         # the million-element complement is never materialized
         assert len(view.pattern) == 1
         keys = np.array([2, 3, 4], dtype=np.int64)
-        assert view.allows(keys).tolist() == [True, False, True]
+        # nor is a table over the space: a lookup costs O(keys + pattern)
+        wide = grb.Vector.from_coo(grb.BOOL, 10**6, [3, 10**6 - 1], [1, 1])
+        wide_view = build_mask_view(wide, complemented=True, structural=False)
+        tracemalloc.start()
+        try:
+            allowed = view.allows(keys)
+            wide_allowed = wide_view.allows(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allowed.tolist() == [True, False, True]
+        assert wide_allowed.tolist() == [True, False, True]
+        assert peak < 10**4
 
     def test_complement_definition(self):
         # L(¬m) = {i : 0 <= i < N, i not in L(m)} — section III-C

@@ -1,9 +1,12 @@
 """Thread-parallel kernels: identical results, balanced partitioning."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import repro as grb
+from repro import _sparseutil as su
 from repro import parallel
 from repro.algebra import predefined
 from repro.io import erdos_renyi
@@ -88,18 +91,30 @@ class TestParallelSpGEMM:
         A = erdos_renyi(200, 4000, seed=19, domain=grb.INT64)
         M = erdos_renyi(200, 2000, seed=20, domain=grb.BOOL)
         s = predefined.PLUS_TIMES[grb.INT64]
+        # the blocks share the op's mask view, and with it the bitmap the
+        # first of them builds: this mask is within the bitmap's bound
+        assert su.bitmap(M._content()[0], 4000) is not None
 
-        C1 = grb.Matrix(grb.INT64, 200, 200)
-        grb.mxm(C1, M, None, s, A, A, grb.DESC_R)
+        serial = []
+        for desc in (grb.DESC_R, grb.DESC_RSC):
+            C = grb.Matrix(grb.INT64, 200, 200)
+            grb.mxm(C, M, None, s, A, A, desc)
+            serial.append(C.extract_tuples())
 
         parallel.set_num_threads(4)
         parallel.set_parallel_threshold(1)
-        C2 = grb.Matrix(grb.INT64, 200, 200)
-        grb.mxm(C2, M, None, s, A, A, grb.DESC_R)
-
-        assert {(i, j): int(v) for i, j, v in C1} == {
-            (i, j): int(v) for i, j, v in C2
-        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the blocks' first lookups
+        try:
+            for _ in range(5):
+                for desc, want in zip((grb.DESC_R, grb.DESC_RSC), serial):
+                    C = grb.Matrix(grb.INT64, 200, 200)
+                    grb.mxm(C, M, None, s, A, A, desc)
+                    got = C.extract_tuples()
+                    for g, w in zip(got, want):
+                        assert g.tolist() == w.tolist()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_below_threshold_stays_serial(self, rng):
         # tiny product with a huge threshold: must not crash or differ

@@ -19,6 +19,26 @@ sorted_unique = st.lists(
 ).map(lambda xs: np.array(sorted(xs), dtype=np.int64))
 
 
+@st.composite
+def lookups(draw):
+    """``(keys, table)``: unique keys, in order or shuffled, and a
+    sorted-unique table, at sizes and ranges that reach both lookup paths
+    (a direct-address table and ``searchsorted``), with keys outside the
+    table's range and empty tables."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([0, 1, 40, 1500]))
+    k = draw(st.sampled_from([0, 3, 40, 1500]))
+    span = draw(st.sampled_from([60, 5_000, 2**20, 2**40]))
+    lo = draw(st.integers(0, 2**20))
+    table = np.unique(lo + rng.integers(0, span, m))
+    near = rng.integers(max(lo - span, 0), lo + 2 * span, k)
+    hits = rng.choice(table, min(k, len(table)), replace=False)
+    keys = np.unique(np.concatenate([near, hits]).astype(np.int64))
+    if draw(st.booleans()):
+        rng.shuffle(keys)
+    return keys, table
+
+
 class TestFlatKeys:
     def test_round_trip(self):
         rows = np.array([0, 1, 2], dtype=np.int64)
@@ -42,23 +62,29 @@ class TestFlatKeys:
 
 
 class TestMembership:
-    @given(a=sorted_unique, b=sorted_unique)
+    @given(ab=lookups())
     @settings(**SETTINGS)
-    def test_membership_matches_python_sets(self, a, b):
+    def test_membership_matches_python_sets(self, ab):
+        a, b = ab
         got = su.membership(a, b)
         want = [int(x) in set(b.tolist()) for x in a]
         assert got.tolist() == want
 
-    @given(a=sorted_unique, b=sorted_unique)
+    @given(ab=lookups())
     @settings(**SETTINGS)
-    def test_intersect_indices(self, a, b):
+    def test_intersect_indices(self, ab):
+        a, b = ab
         ia, ib = su.intersect_indices(a, b)
         assert a[ia].tolist() == b[ib].tolist()
         assert set(a[ia].tolist()) == set(a.tolist()) & set(b.tolist())
+        where = {int(x): i for i, x in enumerate(b)}
+        got = su.positions(a, b)
+        assert got.tolist() == [where.get(int(x), -1) for x in a]
 
-    @given(a=sorted_unique, b=sorted_unique)
+    @given(ab=lookups())
     @settings(**SETTINGS)
-    def test_setdiff_mask(self, a, b):
+    def test_setdiff_mask(self, ab):
+        a, b = ab
         keep = su.setdiff_mask(a, b)
         assert set(a[keep].tolist()) == set(a.tolist()) - set(b.tolist())
 
@@ -67,8 +93,17 @@ class TestMembership:
         x = np.array([1, 2], dtype=np.int64)
         assert su.membership(x, e).tolist() == [False, False]
         assert su.membership(e, x).tolist() == []
+        assert su.positions(x, e).tolist() == [-1, -1]
+        assert su.positions(e, x).tolist() == []
         ia, ib = su.intersect_indices(e, x)
         assert len(ia) == 0 and len(ib) == 0
+        # the direct table exists only while the range is within bound
+        assert su.bitmap(e, 2000) is None
+        assert su.bitmap(np.arange(0, 4000, 2), 2000) is not None
+        assert su.bitmap(np.array([0, 10**9]), 2000) is None
+        # ... and for enough keys to pay for its build
+        assert su.bitmap(np.arange(0, 4000, 2), 3) is None
+        assert su.bitmap(np.arange(0, 10**5, 2), 2000) is None
 
 
 class TestUnionKeys:
