@@ -50,6 +50,22 @@ class TestMatrixAssign:
         A = grb.Matrix(grb.INT64, 2, 2)
         with pytest.raises(grb.InvalidValue):
             grb.matrix_assign(C, None, None, A, [1, 1], [0, 2])
+        # a repeat anywhere in an unsorted list, in every assign form
+        w = grb.Vector(grb.INT64, 3)
+        calls = [
+            lambda: grb.matrix_assign(
+                C, None, None, grb.Matrix(grb.INT64, 2, 3), [0, 2], [2, 0, 2]
+            ),
+            lambda: grb.matrix_assign_scalar(C, None, None, 1, [2, 0, 2], [1]),
+            lambda: grb.vector_assign(
+                w, None, None, grb.Vector(grb.INT64, 3), [2, 0, 2]
+            ),
+            lambda: grb.vector_assign_scalar(w, None, None, 1, [1, 0, 1]),
+        ]
+        for call in calls:
+            with pytest.raises(grb.InvalidValue):
+                call()
+        assert C.nvals() == 0 and w.nvals() == 0
 
     def test_source_shape_mismatch(self):
         C = grb.Matrix(grb.INT64, 3, 3)
