@@ -1,7 +1,7 @@
 """GraphBLAS collections: opaque vectors and matrices, their storage formats,
 and lazy mask views."""
 
-from .base import OpaqueObject
+from .base import OpaqueObject, SparseCollection
 from .mask import MaskView, build_mask_view, validate_mask_domain
 from .matrix import Matrix, matrix_new
 from .scalar import Scalar, scalar_new
@@ -9,6 +9,7 @@ from .vector import Vector, vector_new
 
 __all__ = [
     "OpaqueObject",
+    "SparseCollection",
     "Vector",
     "Matrix",
     "Scalar",

@@ -1,8 +1,7 @@
-"""Storage formats: COO assembly, CSR/CSC kernel views, DCSR hypersparse."""
+"""Storage formats: COO assembly and the CSR/CSC kernel views."""
 
 from .coo import assemble, check_indices
 from .csr import CSRView, csr_from_keys, transpose_permutation
-from .dcsr import DCSRView, dcsr_from_keys
 
 __all__ = [
     "assemble",
@@ -10,6 +9,4 @@ __all__ = [
     "CSRView",
     "csr_from_keys",
     "transpose_permutation",
-    "DCSRView",
-    "dcsr_from_keys",
 ]

@@ -2,21 +2,19 @@
 
 These helpers use only GraphBLAS operations internally (the dogfooding the
 paper's composability argument promises): equality via eWise intersection
-+ LAND reduction, pattern queries via select, norms via apply + reduce.
++ LAND reduction, norms via apply + reduce.  Each helper has one body for
+both collection kinds.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from .algebra import LAND_MONOID, MAX_MONOID, PLUS_MONOID
-from .containers.matrix import Matrix
-from .containers.vector import Vector
+from .containers import Matrix, SparseCollection, Vector
 from .info import InvalidValue
-from .operations import apply, ewise_mult, reduce_to_scalar, select
-from .ops import ABS, EQ, index_unary
+from .operations import apply, ewise_mult, reduce_to_scalar
+from .ops import ABS, EQ
 from .types import BOOL, FP64
 
 __all__ = [
@@ -29,114 +27,69 @@ __all__ = [
 ]
 
 
-def _common_builtin(a, b):
-    # compare through the wider domain; UDTs must match exactly
-    if a.type.is_udt or b.type.is_udt:
-        if a.type != b.type:
-            return None
-        return None  # handled by the python-level comparison
-    return a.type if a.type.nbits >= b.type.nbits else b.type
+def _equal(X, Y, kind, what: str, check_type: bool) -> bool:
+    """Same shape, same pattern, same (domain-cast) values.
+
+    Implemented as the LAGraph idiom: ``Z = X .EQ. Y`` over the pattern
+    intersection must have X's nvals, and LAND-reduce to true.  UDT values
+    are compared in Python, in key order.
+    """
+    if not isinstance(X, kind) or not isinstance(Y, kind):
+        raise InvalidValue(what)
+    if X.shape != Y.shape or X.nvals() != Y.nvals():
+        return False
+    if X.type.is_udt or Y.type.is_udt:
+        return X.type == Y.type and list(X) == list(Y)
+    if check_type and X.type != Y.type:
+        return False
+    # compare through the wider domain
+    cmp_domain = X.type if X.type.nbits >= Y.type.nbits else Y.type
+    Z = kind(BOOL, *X.shape)
+    ewise_mult(Z, None, None, EQ[cmp_domain], X, Y, None)
+    result = Z.nvals() == X.nvals() and bool(
+        reduce_to_scalar(LAND_MONOID[BOOL], Z)
+    )
+    Z.free()
+    return result
 
 
 def matrices_equal(A: Matrix, B: Matrix, *, check_type: bool = True) -> bool:
-    """Same dimensions, same pattern, same (domain-cast) values.
-
-    Implemented as the LAGraph idiom: ``C = A .EQ. B`` over the pattern
-    intersection must have A's nvals, and LAND-reduce to true.
-    """
-    if not isinstance(A, Matrix) or not isinstance(B, Matrix):
-        raise InvalidValue("matrices_equal compares two matrices")
-    if A.shape != B.shape:
-        return False
-    if check_type and A.type != B.type and not (A.type.is_builtin and B.type.is_builtin):
-        return False
-    if A.nvals() != B.nvals():
-        return False
-    if A.type.is_udt or B.type.is_udt:
-        if A.type != B.type:
-            return False
-        da = {(i, j): v for i, j, v in A}
-        db = {(i, j): v for i, j, v in B}
-        return da == db
-    if check_type and A.type != B.type:
-        return False
-    cmp_domain = _common_builtin(A, B) or A.type
-    C = Matrix(BOOL, A.nrows, A.ncols)
-    ewise_mult(C, None, None, EQ[cmp_domain], A, B, None)
-    if C.nvals() != A.nvals():
-        return False  # patterns differ
-    result = bool(reduce_to_scalar(LAND_MONOID[BOOL], C))
-    C.free()
-    return result
+    """Same dimensions, same pattern, same (domain-cast) values."""
+    return _equal(A, B, Matrix, "matrices_equal compares two matrices", check_type)
 
 
 def vectors_equal(u: Vector, v: Vector, *, check_type: bool = True) -> bool:
     """Vector counterpart of :func:`matrices_equal`."""
-    if not isinstance(u, Vector) or not isinstance(v, Vector):
-        raise InvalidValue("vectors_equal compares two vectors")
-    if u.size != v.size:
-        return False
-    if u.nvals() != v.nvals():
-        return False
-    if u.type.is_udt or v.type.is_udt:
-        if u.type != v.type:
-            return False
-        return dict(iter(u)) == dict(iter(v))
-    if check_type and u.type != v.type:
-        return False
-    cmp_domain = _common_builtin(u, v) or u.type
-    w = Vector(BOOL, u.size)
-    ewise_mult(w, None, None, EQ[cmp_domain], u, v, None)
-    if w.nvals() != u.nvals():
-        return False
-    result = bool(reduce_to_scalar(LAND_MONOID[BOOL], w))
-    w.free()
-    return result
+    return _equal(u, v, Vector, "vectors_equal compares two vectors", check_type)
 
 
 def pattern_equal(A, B) -> bool:
     """Structure-only comparison (values ignored)."""
-    if isinstance(A, Matrix) and isinstance(B, Matrix):
-        if A.shape != B.shape or A.nvals() != B.nvals():
-            return False
-        ra, ca, _ = A.extract_tuples()
-        rb, cb, _ = B.extract_tuples()
-        return bool(np.array_equal(ra, rb) and np.array_equal(ca, cb))
-    if isinstance(A, Vector) and isinstance(B, Vector):
-        if A.size != B.size or A.nvals() != B.nvals():
-            return False
-        ia, _ = A.extract_tuples()
-        ib, _ = B.extract_tuples()
-        return bool(np.array_equal(ia, ib))
-    raise InvalidValue("pattern_equal compares two collections of one kind")
+    if not isinstance(A, SparseCollection) or type(A) is not type(B):
+        raise InvalidValue("pattern_equal compares two collections of one kind")
+    if A.shape != B.shape or A.nvals() != B.nvals():
+        return False
+    coords_a, coords_b = A.extract_tuples()[:-1], B.extract_tuples()[:-1]
+    return all(np.array_equal(a, b) for a, b in zip(coords_a, coords_b))
+
+
+def _abs_reduce(X, monoid) -> float:
+    """Reduce |x| over the stored elements of *X* (0 for an empty one)."""
+    absd = type(X)(FP64, *X.shape)
+    apply(absd, None, None, ABS[FP64], X, None)
+    out = float(reduce_to_scalar(monoid, absd)) if absd.nvals() else 0.0
+    absd.free()
+    return out
 
 
 def norm_max(X) -> float:
     """max |x| over stored elements (0 for an empty collection)."""
-    absd = (
-        Matrix(FP64, X.nrows, X.ncols)
-        if isinstance(X, Matrix)
-        else Vector(FP64, X.size)
-    )
-    apply(absd, None, None, ABS[FP64], X, None)
-    if absd.nvals() == 0:
-        return 0.0
-    out = float(reduce_to_scalar(MAX_MONOID[FP64], absd))
-    absd.free()
-    return out
+    return _abs_reduce(X, MAX_MONOID[FP64])
 
 
 def norm_sum(X) -> float:
     """Σ |x| over stored elements."""
-    absd = (
-        Matrix(FP64, X.nrows, X.ncols)
-        if isinstance(X, Matrix)
-        else Vector(FP64, X.size)
-    )
-    apply(absd, None, None, ABS[FP64], X, None)
-    out = float(reduce_to_scalar(PLUS_MONOID[FP64], absd))
-    absd.free()
-    return out
+    return _abs_reduce(X, PLUS_MONOID[FP64])
 
 
 def is_symmetric(A: Matrix, *, values: bool = True) -> bool:

@@ -11,11 +11,11 @@ inspectability (section IV).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .containers.matrix import Matrix
-from .containers.scalar import Scalar
-from .containers.vector import Vector
+from .containers import Matrix, Scalar, SparseCollection
 from .info import InvalidObject, InvalidValue
 
 __all__ = ["check", "check_all"]
@@ -53,6 +53,26 @@ def _check_values(obj, values: np.ndarray, n: int, domain) -> None:
         )
 
 
+def _check_views(A: Matrix, keys: np.ndarray) -> None:
+    """Cross-check a matrix's CSR and CSC views against its keys."""
+    nrows, ncols = A.shape
+    view = A.csr()
+    if view.indptr[0] != 0 or view.indptr[-1] != len(keys):
+        _fail(A, "CSR indptr endpoints inconsistent")
+    if np.any(np.diff(view.indptr) < 0):
+        _fail(A, "CSR indptr not monotone")
+    rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(view.indptr))
+    if not np.array_equal(rows * np.int64(ncols) + view.indices, keys):
+        _fail(A, "CSR view disagrees with canonical keys")
+    csc = A.csc()
+    if csc.nnz != len(keys):
+        _fail(A, "CSC view nnz disagrees with canonical storage")
+    t_rows = np.repeat(np.arange(ncols, dtype=np.int64), np.diff(csc.indptr))
+    t_keys = np.sort(csc.indices * np.int64(ncols) + t_rows)
+    if not np.array_equal(t_keys, keys):
+        _fail(A, "CSC view pattern disagrees with canonical keys")
+
+
 def check(obj, *, deep: bool = True) -> None:
     """Validate a collection's internal representation.
 
@@ -62,40 +82,14 @@ def check(obj, *, deep: bool = True) -> None:
     """
     from . import context
 
-    if isinstance(obj, Matrix):
+    if isinstance(obj, SparseCollection):
         obj._check_valid()
         context.complete(obj)
         keys, values = obj._content()
-        _check_keys(obj, keys, obj.nrows * obj.ncols)
+        _check_keys(obj, keys, math.prod(obj.shape))
         _check_values(obj, values, len(keys), obj.type)
-        if deep and len(keys):
-            view = obj.csr()
-            if view.indptr[0] != 0 or view.indptr[-1] != len(keys):
-                _fail(obj, "CSR indptr endpoints inconsistent")
-            if np.any(np.diff(view.indptr) < 0):
-                _fail(obj, "CSR indptr not monotone")
-            rows = np.repeat(
-                np.arange(obj.nrows, dtype=np.int64), np.diff(view.indptr)
-            )
-            rebuilt = rows * np.int64(obj.ncols) + view.indices
-            if not np.array_equal(rebuilt, keys):
-                _fail(obj, "CSR view disagrees with canonical keys")
-            csc = obj.csc()
-            if csc.nnz != len(keys):
-                _fail(obj, "CSC view nnz disagrees with canonical storage")
-            t_rows = np.repeat(
-                np.arange(obj.ncols, dtype=np.int64), np.diff(csc.indptr)
-            )
-            t_keys = np.sort(csc.indices * np.int64(obj.ncols) + t_rows)
-            if not np.array_equal(t_keys, keys):
-                _fail(obj, "CSC view pattern disagrees with canonical keys")
-        return
-    if isinstance(obj, Vector):
-        obj._check_valid()
-        context.complete(obj)
-        keys, values = obj._content()
-        _check_keys(obj, keys, obj.size)
-        _check_values(obj, values, len(keys), obj.type)
+        if deep and isinstance(obj, Matrix) and len(keys):
+            _check_views(obj, keys)
         return
     if isinstance(obj, Scalar):
         obj._check_valid()

@@ -6,7 +6,7 @@ import pytest
 
 import repro as grb
 from repro.io import deserialize, serialize
-from repro.ops import binary
+from repro.ops import AINV, binary
 
 from tests.conftest import random_matrix, random_vector
 
@@ -44,6 +44,26 @@ class TestResize:
         assert dict(iter(v)) == {i: x for i, x in before.items() if i < 4}
         v.resize(20)
         assert v.size == 20
+
+    def test_vector_resize_after_deferred_reader(self, exec_mode):
+        # a queued op that reads v must see v before the resize (section IV:
+        # nonblocking mode may not change what a program computes)
+        v = grb.Vector.from_coo(grb.INT64, 8, [0, 5], [1, 2])
+        w = grb.Vector(grb.INT64, 8)
+        grb.apply(w, None, None, AINV[grb.INT64], v)
+        v.resize(3)
+        grb.wait()
+        assert dict(iter(w)) == {0: -1, 5: -2}
+        assert dict(iter(v)) == {0: 1}
+
+    def test_matrix_resize_after_deferred_reader(self, exec_mode):
+        A = grb.Matrix.from_coo(grb.INT64, 4, 4, [0, 3], [1, 2], [1, 2])
+        C = grb.Matrix(grb.INT64, 4, 4)
+        grb.apply(C, None, None, AINV[grb.INT64], A)
+        A.resize(2, 2)
+        grb.wait()
+        assert [(i, j, int(x)) for i, j, x in C] == [(0, 1, -1), (3, 2, -2)]
+        assert [(i, j, int(x)) for i, j, x in A] == [(0, 1, 1)]
 
     def test_invalid_sizes(self):
         A = grb.Matrix(grb.INT64, 2, 2)
@@ -129,6 +149,9 @@ class TestImportExport:
         v = random_vector(rng, 12, 0.5)
         idx, vals = v.export_sparse()
         w = grb.Vector.import_sparse(grb.INT64, 12, idx, vals)
+        assert dict(iter(v)) == dict(iter(w))
+        # the import copies: editing the caller's arrays leaves w alone
+        idx[0], vals[0] = 11, 99
         assert dict(iter(v)) == dict(iter(w))
 
     def test_vector_import_validates(self):

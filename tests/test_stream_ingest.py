@@ -1,16 +1,14 @@
-"""Streaming ingest: DCSR hypersparse views, the EdgeBuffer COO append
+"""Streaming ingest: matrix view caching, the EdgeBuffer COO append
 buffer with last-writer-wins merge semantics, and the deferred rebuild's
 hazard ordering inside the planner DAG (reads submitted before a flush
 see pre-flush content; reads after see post-flush content)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro as grb
 from repro.algebra import predefined
-from repro.containers.formats.dcsr import dcsr_from_keys
 from repro.info import InvalidValue
 from repro.stream import EdgeBuffer
 
@@ -26,69 +24,24 @@ def _tuples(m: grb.Matrix) -> list[tuple[int, int, float]]:
 
 
 class TestDCSRView:
-    def test_hypersparse_rows_compressed(self):
-        # 3 hot rows of a 10k-row vertex space: the view stores 3 row ids,
-        # not a 10k-long pointer
-        n = 10_000
-        rows = [7, 7, 512, 512, 512, 9999]
-        cols = [1, 3, 0, 2, 4, 9998]
-        vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        m = grb.Matrix.from_coo(grb.FP64, n, n, rows, cols, vals)
-        m.nvals()                       # sequence point before the view
-        d = m.dcsr()
-        assert d.nvec == 3
-        assert d.nnz == 6
-        assert d.row_ids.tolist() == [7, 512, 9999]
-        assert d.hypersparsity == pytest.approx(3 / n)
-        assert d.row_counts().tolist() == [2, 3, 1]
-
-    def test_row_lookup_present_and_absent(self):
-        m = grb.Matrix.from_coo(
-            grb.FP64, 100, 100, [5, 5, 80], [2, 9, 0], [1.0, 2.0, 3.0]
-        )
-        m.nvals()
-        d = m.dcsr()
-        idx, vals = d.row(5)
-        assert idx.tolist() == [2, 9]
-        assert vals.tolist() == [1.0, 2.0]
-        idx, vals = d.row(6)            # never stored
-        assert len(idx) == 0 and len(vals) == 0
-        assert d.row_slice(6) == slice(0, 0)
-
-    def test_empty_matrix(self):
-        m = grb.Matrix(grb.FP64, 50, 50)
-        m.nvals()
-        d = m.dcsr()
-        assert d.nvec == 0 and d.nnz == 0
-        assert d.hypersparsity == 0.0
-        idx, vals = d.row(0)
-        assert len(idx) == 0 and len(vals) == 0
-
-    def test_agrees_with_csr(self):
-        rng = np.random.default_rng(42)
-        keys = np.sort(rng.choice(30 * 30, size=40, replace=False))
-        vals = rng.uniform(0.5, 2.0, 40)
-        d = dcsr_from_keys(keys.astype(np.int64), vals, 30, 30)
-        m = grb.Matrix.from_coo(
-            grb.FP64, 30, 30, keys // 30, keys % 30, vals
-        )
-        m.nvals()
-        c = m.csr()
-        for i in range(30):
-            ci = c.indices[c.indptr[i]:c.indptr[i + 1]]
-            di, _ = d.row(i)
-            assert ci.tolist() == di.tolist()
+    """A matrix's cached CSR/CSC views (the class keeps its name so its
+    test ids stay stable)."""
 
     def test_view_cached_and_invalidated_on_mutation(self):
         m = grb.Matrix.from_coo(grb.FP64, 20, 20, [1], [1], [1.0])
-        m.nvals()
-        first = m.dcsr()
-        assert m.dcsr() is first        # cached per content version
-        m.set_element(3, 4, 2.0)
-        m.nvals()                       # force the deferred write
-        after = m.dcsr()
-        assert after is not first
-        assert after.row(3)[0].tolist() == [4]
+        for mutate, at_3_4 in (
+            (lambda: m.set_element(3, 4, 2.0), [2.0]),     # insert
+            (lambda: m.set_element(3, 4, 5.0), [5.0]),     # overwrite in place
+            (lambda: m.remove_element(3, 4), []),
+        ):
+            m.nvals()                   # sequence point before the views
+            csr, csc = m.csr(), m.csc()
+            assert m.csr() is csr and m.csc() is csc       # cached
+            mutate()
+            assert m.csr() is not csr and m.csc() is not csc
+            row3, col4 = m.csr(), m.csc()
+            assert row3.values[row3.indptr[3]:row3.indptr[4]].tolist() == at_3_4
+            assert col4.values[col4.indptr[4]:col4.indptr[5]].tolist() == at_3_4
 
 
 class TestEdgeBuffer:
