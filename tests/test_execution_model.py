@@ -275,6 +275,45 @@ class TestErrorTiming:
         with pytest.raises(grb.InvalidObject):
             D.nvals()
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("matrix", lambda C: C.resize(1, 1)),
+            ("matrix", lambda C: C.set_element(0, 1, 7)),  # insert
+            ("matrix", lambda C: C.set_element(0, 0, 7)),  # overwrite in place
+            ("matrix", lambda C: C.remove_element(0, 0)),
+            ("vector", lambda w: w.resize(1)),
+            ("vector", lambda w: w.set_element(1, 7)),
+            ("vector", lambda w: w.set_element(0, 7)),
+            ("vector", lambda w: w.remove_element(0)),
+        ],
+        ids=["matrix-resize", "matrix-set-insert", "matrix-set-overwrite",
+             "matrix-remove", "vector-resize", "vector-set-insert",
+             "vector-set-overwrite", "vector-remove"],
+    )
+    def test_edit_after_failed_writer_leaves_output_invalid(self, kind, edit):
+        # an in-place edit of an object whose queued producer failed must not
+        # make it valid again: its value could not be computed (Fig. 2c)
+        grb.init(grb.Mode.NONBLOCKING)
+
+        def boom(x, y):
+            raise grb.info.OutOfMemory("x")
+
+        bad = grb.binary_op_new(boom, grb.INT64, grb.INT64, grb.INT64)
+        if kind == "matrix":
+            A = grb.Matrix.from_dense(grb.INT64, [[1, 1], [1, 1]])
+            C = grb.Matrix.from_dense(grb.INT64, [[5, 0], [0, 5]])
+        else:
+            A = grb.Vector.from_dense(grb.INT64, [1, 1])
+            C = grb.Vector.from_dense(grb.INT64, [5, 0])
+        grb.ewise_mult(C, None, None, bad, A, A)
+        with pytest.raises(grb.info.OutOfMemory):
+            edit(C)  # resize raises here, as any completion of C does
+            grb.wait()  # an element edit records the error for the next wait
+        with pytest.raises(grb.InvalidObject):
+            C.nvals()
+        grb.wait()  # the error surfaced exactly once
+
     def test_error_in_blocking_mode_raises_at_call(self):
         def boom(x, y):
             raise grb.info.OutOfMemory("x")

@@ -86,6 +86,17 @@ class TestElementAccess:
         with pytest.raises(grb.IndexOutOfBounds):
             A.extract_element(0, 3)
 
+    def test_keyword_arguments(self):
+        # the C API's parameter names are part of the public signature
+        A = grb.Matrix(grb.INT64, 3, 3)
+        A.build(rows=[0, 0], cols=[1, 1], values=[2, 3], dup=binary.PLUS[grb.INT64])
+        A.set_element(row=2, col=0, value=7)
+        assert A.extract_element(row=0, col=1) == 5
+        A.remove_element(row=0, col=1)
+        A.resize(nrows=4, ncols=2)
+        assert (A.nrows, A.ncols) == (4, 2)
+        assert A.to_dense(0).tolist() == [[0, 0], [0, 0], [7, 0], [0, 0]]
+
     def test_iter_tuples(self):
         A = grb.Matrix.from_coo(grb.INT32, 3, 3, [2, 0], [1, 2], [5, 9])
         assert {(i, j): int(v) for i, j, v in A} == {(2, 1): 5, (0, 2): 9}

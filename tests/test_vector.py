@@ -121,6 +121,16 @@ class TestElementAccess:
         with pytest.raises(grb.IndexOutOfBounds):
             v.remove_element(99)
 
+    def test_keyword_arguments(self):
+        # the C API's parameter names are part of the public signature
+        v = grb.Vector(grb.INT64, 4)
+        v.build(indices=[1, 1], values=[2, 3], dup=binary.PLUS[grb.INT64])
+        v.set_element(index=3, value=7)
+        assert v.extract_element(index=1) == 5
+        v.remove_element(index=1)
+        v.resize(size=5)
+        assert v.size == 5 and v.to_dense(0).tolist() == [0, 0, 0, 7, 0]
+
     def test_contains_and_iter(self):
         v = grb.Vector.from_coo(grb.INT32, 6, [1, 4], [10, 40])
         assert 1 in v and 4 in v and 2 not in v
