@@ -33,6 +33,8 @@ __all__ = [
     "check_flat_capacity",
     "flatten_keys",
     "unflatten_keys",
+    "split_keys",
+    "join_keys",
     "membership",
     "positions",
     "bitmap",
@@ -74,6 +76,21 @@ def unflatten_keys(keys: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray
     """Inverse of :func:`flatten_keys`."""
     rows, cols = np.divmod(keys, np.int64(ncols))
     return rows, cols
+
+
+def split_keys(keys: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
+    """The coordinate arrays of row-major *keys* over *shape*: one per
+    dimension.  A 1-D key is its own coordinate and comes back uncopied."""
+    if len(shape) == 1:
+        return (keys,)
+    return unflatten_keys(keys, shape[1])
+
+
+def join_keys(coords, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`split_keys`."""
+    if len(shape) == 1:
+        return coords[0]
+    return flatten_keys(*coords, shape[1])
 
 
 #: cells a direct-address table may span per key looked up or stored, per

@@ -24,7 +24,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .. import context
-from .._sparseutil import strictly_increasing
+from .._sparseutil import join_keys, split_keys, strictly_increasing
 from ..info import (
     DimensionMismatch,
     InvalidObject,
@@ -79,15 +79,17 @@ class SparseCollection(OpaqueObject):
     """A domain, a shape, and a sorted, duplicate-free ``int64`` key array
     with a parallel value array in the domain's storage dtype.
 
-    Elements not stored are *undefined*, not zero.  A vector's key is the
-    index itself; a matrix's is the row-major flat key ``i*ncols + j``.  A
-    subclass supplies only its coordinate ↔ key map:
+    Elements not stored are *undefined*, not zero.  A key is the row-major
+    position of a coordinate in the shape: a vector's key is the index
+    itself, a matrix's is ``i*ncols + j``.  ``_coords(keys)`` /
+    ``_flatten(coords)`` map keys to coordinate arrays and back (a vector's
+    keys are returned uncopied).  Operations read a collection as X or, for
+    a descriptor's transpose bit, as Xᵀ through ``_oriented_shape`` and
+    ``_oriented``; Xᵀ of a vector is the vector.  A subclass supplies:
 
     * ``_checked_shape(*dims)`` — validated dimensions as a tuple of ints;
     * ``_key(*coords)`` — the key of one coordinate, bounds-checked;
     * ``_keys_of(*index_arrays)`` — the keys of user index arrays, checked;
-    * ``_flatten(coords)`` / ``_coords(keys)`` — coordinate arrays ↔ keys
-      (``_coords`` returns fresh arrays);
     * ``_at`` / ``_shape_text`` — format strings for a coordinate and the
       shape in messages.
 
@@ -134,6 +136,21 @@ class SparseCollection(OpaqueObject):
     # ------------------------------------------------------------- content
     def _content(self) -> tuple[np.ndarray, np.ndarray]:
         """Raw keys/values (kernel use at execution time; no completion)."""
+        return self._keys, self._values
+
+    def _coords(self, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+        return split_keys(keys, self._shape)
+
+    def _flatten(self, coords) -> np.ndarray:
+        return join_keys(coords, self._shape)
+
+    def _oriented_shape(self, transpose: bool) -> tuple[int, ...]:
+        """The shape of X, or of Xᵀ when *transpose*."""
+        return self._shape[::-1] if transpose else self._shape
+
+    def _oriented(self, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Keys/values of X, or of Xᵀ when *transpose*: sorted keys,
+        row-major over :meth:`_oriented_shape` (kernel use)."""
         return self._keys, self._values
 
     def _set_content(self, keys: np.ndarray, values: np.ndarray) -> None:
@@ -301,7 +318,12 @@ class SparseCollection(OpaqueObject):
         """
         self._check_valid()
         context.complete(self)
-        return (*self._coords(self._keys), self._values.copy())
+        coords = self._coords(self._keys)
+        # a vector's coordinates are its stored keys: hand out a copy
+        return (
+            *(c.copy() if c is self._keys else c for c in coords),
+            self._values.copy(),
+        )
 
     def clear(self):
         """``GrB_Matrix_clear`` / ``GrB_Vector_clear``: drop every stored

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .. import context
-from .._sparseutil import check_flat_capacity, flatten_keys, unflatten_keys
+from .._sparseutil import check_flat_capacity, flatten_keys
 from ..info import DimensionMismatch, IndexOutOfBounds, InvalidValue
 from ..ops.base import BinaryOp
 from ..types import GrBType
@@ -65,13 +65,6 @@ class Matrix(SparseCollection):
         if len(ri) != len(ci):
             raise DimensionMismatch("row and column index arrays differ in length")
         return flatten_keys(ri, ci, self._shape[1])
-
-    def _flatten(self, coords) -> np.ndarray:
-        rows, cols = coords
-        return flatten_keys(rows, cols, self._shape[1])
-
-    def _coords(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return unflatten_keys(keys, self._shape[1])
 
     @property
     def nrows(self) -> int:
@@ -126,6 +119,16 @@ class Matrix(SparseCollection):
             t_keys, perm = transpose_permutation(self._keys, nrows, ncols)
             self._csc = csr_from_keys(t_keys, self._values[perm], ncols, nrows)
         return self._csc
+
+    def _view(self, transpose: bool) -> CSRView:
+        """The CSR view of A, or of Aᵀ (the cached CSC) when *transpose*."""
+        return self.csc() if transpose else self.csr()
+
+    def _oriented(self, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+        if not transpose:
+            return self._keys, self._values
+        view = self.csc()  # CSR of Aᵀ: already in Aᵀ's row-major order
+        return view.row_ids() * np.int64(view.ncols) + view.indices, view.values
 
     def cached_view(self, csc: bool) -> CSRView | None:
         """The CSC (``csc=True``) or CSR view if it is already built, else

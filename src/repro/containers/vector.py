@@ -55,13 +55,6 @@ class Vector(SparseCollection):
     def _keys_of(self, indices) -> np.ndarray:
         return check_indices(indices, self._shape[0], "vector")
 
-    def _flatten(self, coords) -> np.ndarray:
-        (indices,) = coords
-        return indices
-
-    def _coords(self, keys: np.ndarray) -> tuple[np.ndarray]:
-        return (keys.copy(),)
-
     @property
     def size(self) -> int:
         """``GrB_Vector_size``: the paper's nelem(v) = N."""

@@ -681,6 +681,8 @@ ERROR_KINDS = (
     "dup_index_assign",
     "udt_domain_mismatch",
     "not_a_semiring",
+    "kind_mismatch",
+    "region_shape",
 )
 
 
@@ -742,4 +744,21 @@ def generate_error_program(seed: int, index: int) -> tuple[Program, str]:
         out = b.matrix(2, 2, "INT64")
         calls.append(Call("mxm", out, {
             "a": a, "b": a, "semiring": "GrB_PLUS_INT64"}))  # a BinaryOp token
+    elif kind == "kind_mismatch":
+        # a vector operand where the matrix output needs a matrix:
+        # INVALID_VALUE
+        a = b.matrix(2, 2, "INT64")
+        u = b.vector(2, "INT64")
+        out = b.matrix(2, 2, "INT64")
+        if b.chance(0.5):
+            calls.append(Call("ewise_add", out, {
+                "a": a, "b": u, "binop": "GrB_PLUS_INT64"}))
+        else:
+            calls.append(Call("apply", out, {
+                "a": u, "unary": "GrB_IDENTITY_INT64"}))
+    elif kind == "region_shape":
+        out = b.matrix(3, 3, "INT64")
+        a = b.matrix(2, 2, "INT64")  # the region below is 2 x 3
+        calls.append(Call("assign_matrix", out, {
+            "a": a, "rows": [0, 2], "cols": [0, 1, 2]}))
     return Program(b.decls, calls, seed=[seed, index, "err"]), kind

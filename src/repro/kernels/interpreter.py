@@ -42,9 +42,7 @@ def _link_t(spec, keys, vals, mask_view):
         label, body, args = "apply[fused]", K.map_values, (spec.post,)
     else:
         label, body = "select[fused]", K.filter_values
-        args = (
-            spec.selector, spec.inputs[0].type, getattr(spec.out, "ncols", None)
-        )
+        args = (spec.selector, spec.inputs[0].type, spec.out._coords)
     return K._observed_kernel(
         label, lambda acc: body(keys, vals, mask_view, *args, acc),
         lambda: (n, n),

@@ -51,7 +51,6 @@ from .._sparseutil import (
     ranges_concat,
     segment_reduce,
     stable_order,
-    unflatten_keys,
 )
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
@@ -580,15 +579,13 @@ def map_values(
 
 
 def index_values(
-    keys: np.ndarray, vals: np.ndarray, op, thunk, in_type, ncols: int | None
+    keys: np.ndarray, vals: np.ndarray, op, thunk, in_type, coords
 ) -> np.ndarray:
-    """``op(a_ij, i, j, thunk)`` over stored elements: *keys* are flat over
-    *ncols* columns, or a vector's indices when *ncols* is None, and *vals*
-    are in *in_type*."""
-    if ncols is not None:
-        rows, cols = unflatten_keys(keys, ncols)
-    else:
-        rows, cols = keys, np.zeros(len(keys), dtype=np.int64)
+    """``op(a_ij, i, j, thunk)`` over stored elements: *coords* is the
+    output's coordinate map (a vector's ``j`` is 0), and *vals* are in
+    *in_type*."""
+    rows, *cols = coords(keys)
+    cols = cols[0] if cols else np.zeros(len(keys), dtype=np.int64)
     if op.d_in is not None:
         vals = cast_array(vals, in_type, op.d_in)
     return op.apply_arrays(vals, rows, cols, thunk)
@@ -600,7 +597,7 @@ def filter_values(
     mask_view: MaskView | None,
     selector,
     in_type,
-    ncols: int | None,
+    coords,
     acc: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``select`` kernel: the stored elements inside the mask for which
@@ -612,7 +609,7 @@ def filter_values(
         out = keys, vals.copy()
     else:
         verdict = np.asarray(
-            index_values(keys, vals, *selector, in_type, ncols)
+            index_values(keys, vals, *selector, in_type, coords)
         ).astype(bool)
         out = keys[verdict], vals[verdict]
     if acc is not None:

@@ -12,52 +12,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
-from ..info import DimensionMismatch, DomainMismatch, InvalidValue
+from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp, IndexUnaryOp, UnaryOp
 from ..types import can_cast, cast_array, cast_scalar
 from ._kernels import index_values, map_values
 from .common import (
     check_input,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
 )
-from .ewise import _matrix_keys
 
 __all__ = ["apply", "apply_bind_first", "apply_bind_second", "apply_index"]
 
 
-def _validate_unop_shape(C, A, d) -> None:
-    if isinstance(C, Matrix):
-        if not isinstance(A, Matrix):
-            raise InvalidValue("apply input must match output collection kind")
-        a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-        if C.shape != a_shape:
-            raise DimensionMismatch(
-                f"apply shapes differ: C{C.shape}, input{a_shape}"
-            )
-    else:
-        if isinstance(A, Matrix):
-            raise InvalidValue("apply input must match output collection kind")
-        if C.size != A.size:
-            raise DimensionMismatch(
-                f"apply sizes differ: w={C.size}, u={A.size}"
-            )
-
-
-def _input_content(C, A, d):
-    if isinstance(C, Matrix):
-        return _matrix_keys(A, d.transpose0)
-    return A._content()
-
-
-def _map_kernel(C, A, d, post):
+def _map_kernel(A, d, post):
     """The kernel of a value map: :func:`map_values` over A's content."""
     return lambda mask_view: map_values(
-        *_input_content(C, A, d), mask_view, post
+        *A._oriented(d.transpose0), mask_view, post
     )
 
 
@@ -77,8 +52,8 @@ def apply(
     if not isinstance(op, UnaryOp):
         raise InvalidValue(f"apply requires a UnaryOp, got {op!r}")
     d = effective(desc)
-    _validate_unop_shape(C, A, d)
-    validate_mask_shape(Mask, C)
+    check_shape(A, C._shape, "input", d.transpose0)
+    validate_mask_shape(Mask, C._shape)
     if not can_cast(A.type, op.d_in):
         raise DomainMismatch(
             f"input domain {A.type.name} cannot feed {op.name} input "
@@ -96,7 +71,7 @@ def apply(
 
     submit_standard_op(
         C, Mask, accum, d,
-        label="apply", t_type=op.d_out, kernel=_map_kernel(C, A, d, post),
+        label="apply", t_type=op.d_out, kernel=_map_kernel(A, d, post),
         inputs=(A,), op_token=op, post=post,
     )
     return C
@@ -108,8 +83,8 @@ def _apply_bound(C, Mask, accum, op, A, desc, scalar, first: bool, label: str):
     if not isinstance(op, BinaryOp):
         raise InvalidValue(f"{label} requires a BinaryOp, got {op!r}")
     d = effective(desc)
-    _validate_unop_shape(C, A, d)
-    validate_mask_shape(Mask, C)
+    check_shape(A, C._shape, "input", d.transpose0)
+    validate_mask_shape(Mask, C._shape)
     free_in = op.d_in2 if first else op.d_in1
     bound_in = op.d_in1 if first else op.d_in2
     if not can_cast(A.type, free_in):
@@ -135,7 +110,7 @@ def _apply_bound(C, Mask, accum, op, A, desc, scalar, first: bool, label: str):
 
     submit_standard_op(
         C, Mask, accum, d,
-        label=label, t_type=op.d_out, kernel=_map_kernel(C, A, d, post),
+        label=label, t_type=op.d_out, kernel=_map_kernel(A, d, post),
         inputs=(A,),
     )
     return C
@@ -171,20 +146,19 @@ def apply_index(
     if not isinstance(op, IndexUnaryOp):
         raise InvalidValue(f"apply_index requires an IndexUnaryOp, got {op!r}")
     d = effective(desc)
-    _validate_unop_shape(C, A, d)
-    validate_mask_shape(Mask, C)
+    check_shape(A, C._shape, "input", d.transpose0)
+    validate_mask_shape(Mask, C._shape)
     if op.d_in is not None and not can_cast(A.type, op.d_in):
         raise DomainMismatch(
             f"input domain {A.type.name} cannot feed {op.name}"
         )
     validate_accum(accum, C, op.d_out)
-    ncols = C.ncols if isinstance(C, Matrix) else None
 
     def kernel(mask_view):
-        keys, raw = _input_content(C, A, d)
+        keys, raw = A._oriented(d.transpose0)
         if mask_view is not None:
             keys, raw = mask_view.restrict(keys, raw)
-        vals = index_values(keys, raw, op, thunk_scalar, A.type, ncols)
+        vals = index_values(keys, raw, op, thunk_scalar, A.type, C._coords)
         if not op.d_out.is_udt and vals.dtype != op.d_out.np_dtype:
             vals = vals.astype(op.d_out.np_dtype)
         return keys, vals

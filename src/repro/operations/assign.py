@@ -15,6 +15,13 @@ an assign only adds which of C's entries lie outside the region.  Row and
 column assign run that step on the extracted line and splice it back.
 Index lists must not contain duplicates (the C spec leaves duplicate
 behaviour undefined; we reject them).
+
+The matrix and vector forms, with a collection or a scalar source, are one
+body over one index list per dimension of C.  The region is the product of
+the lists; a collection source is read oriented by ``INP0`` and its
+coordinates are mapped through the lists into C's keys; a scalar fills
+every key of the region.  One test marks C's entries outside the region.
+Row and column assign reuse the same scatter and region test on the line.
 """
 
 from __future__ import annotations
@@ -25,27 +32,25 @@ from typing import Any
 import numpy as np
 
 from .. import context
-from .._sparseutil import (
-    flatten_keys,
-    membership,
-    strictly_increasing,
-    unflatten_keys,
-)
+from .._sparseutil import join_keys, membership, split_keys, strictly_increasing
 from ..containers.matrix import Matrix
-from ..containers.mask import build_mask_view, validate_mask_domain
+from ..containers.mask import build_mask_view
+from ..containers.scalar import Scalar as _ScalarObject
 from ..containers.vector import Vector
-from ..descriptor import ALL, Descriptor, effective
-from ..info import DimensionMismatch, InvalidValue
+from ..descriptor import Descriptor, effective
+from ..info import InvalidValue
 from ..ops.base import BinaryOp
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     run_write_pipeline,
     validate_accum,
     validate_mask_shape,
     write_step,
 )
-from .extract import resolve_indices
+from .extract import _in_key_order, resolve_indices
 
 __all__ = [
     "assign",
@@ -56,9 +61,6 @@ __all__ = [
     "row_assign",
     "col_assign",
 ]
-
-
-from ..containers.scalar import Scalar as _ScalarObject
 
 
 def _fill(value, t_keys: np.ndarray, dom) -> tuple[np.ndarray, np.ndarray]:
@@ -82,56 +84,93 @@ def _fill(value, t_keys: np.ndarray, dom) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _check_no_duplicates(idx: np.ndarray, what: str) -> None:
+def _increasing_unique(idx: np.ndarray, what: str) -> bool:
+    """Reject duplicate indices; return whether *idx* is strictly
+    increasing (``GrB_ALL`` and every sorted list)."""
     if strictly_increasing(idx):
-        return  # GrB_ALL and every sorted list: nothing to sort
+        return True
     if len(np.unique(idx)) != len(idx):
         raise InvalidValue(
             f"duplicate {what} indices in assign are not allowed"
         )
+    return False
 
 
-def _index_outside(idx: np.ndarray, size: int):
-    """Which stored positions of a length-*size* line lie outside the
-    region *idx*, as a function of those positions; ``None`` when the
-    region is the whole line."""
-    if len(idx) == size:
+def _outside(shape: tuple, idx: list):
+    """Which stored keys of a collection of *shape* lie outside the region
+    ``idx[0] × idx[1] × …``, as a function of those keys; ``None`` when the
+    region is the whole collection."""
+    if tuple(map(len, idx)) == shape:
         return None
-    region = np.sort(idx)
-    return lambda keys: ~membership(keys, region)
-
-
-def _matrix_outside(C, ri: np.ndarray, ci: np.ndarray):
-    """:func:`_index_outside` for the region ``ri × ci`` of matrix C."""
-    if len(ri) == C.nrows and len(ci) == C.ncols:
-        return None
-    r_region, c_region = np.sort(ri), np.sort(ci)
+    regions = [np.sort(i) for i in idx]
 
     def outside(keys):
-        rows, cols = unflatten_keys(keys, C.ncols)
-        return ~(membership(rows, r_region) & membership(cols, c_region))
+        coords = split_keys(keys, shape)
+        inside = membership(coords[0], regions[0])
+        for c, region in zip(coords[1:], regions[1:]):
+            inside &= membership(c, region)
+        return ~inside
 
     return outside
 
 
-def _scatter(u: Vector, idx: np.ndarray):
-    """T of a vector source: u's entries moved to their region positions,
-    sorted."""
-    u_keys, u_raw = u._content()
-    t_keys = idx[u_keys]
-    order = np.argsort(t_keys, kind="stable")
-    return t_keys[order], u_raw[order]
+def _scatter(source, transpose: bool, idx: list, shape: tuple, in_order: bool):
+    """T of a collection source: its elements (oriented by *transpose*)
+    moved to their region positions in a collection of *shape*, sorted.
+    Index lists that are all increasing keep the source's key order."""
+    keys, raw = source._oriented(transpose)
+    coords = split_keys(keys, tuple(map(len, idx)))
+    t_keys = join_keys([i[c] for i, c in zip(idx, coords)], shape)
+    return _in_key_order(t_keys, raw, None, in_order)
 
 
-def _submit_assign(C, mask, accum, d, label, inputs, make_t, t_type, outside):
-    """Queue an assign: *make_t* builds T (sorted keys in C's index space)
-    at execution time; *outside* is the region's :func:`_index_outside`."""
-    if accum is not None:
-        outside = None  # with ⊙ every stored entry of C survives
+def _region_keys(idx: list, shape: tuple, in_order: bool) -> np.ndarray:
+    """The sorted keys of the region ``idx[0] × idx[1] × …`` of a
+    collection of *shape*: row-major, each dimension's list nested in the
+    one before."""
+    keys = idx[0]
+    for i, n in zip(idx[1:], shape[1:]):
+        keys = (keys[:, None] * np.int64(n) + i).ravel()
+    return keys if in_order else np.sort(keys)
+
+
+def _assign(C, Mask, accum, source, index_lists, desc, names, scalar: bool):
+    """``C(I₁, …, Iₖ)⟨Mask⟩ ⊙= source`` with one index list per dimension
+    of C (*names* name them in messages).  The source is a collection of
+    the region's shape, read oriented by ``INP0``, or — when *scalar* — a
+    value every region position receives."""
+    check_output(C)
+    if not scalar:
+        check_input(source, "source")
+        check_kind(source, len(index_lists), "source")
+    check_kind(C, len(index_lists), "output")
+    d = effective(desc)
+    idx = list(map(resolve_indices, index_lists, C._shape, names))
+    # every list is checked for repeats: no short-circuit
+    in_order = all([_increasing_unique(i, w) for i, w in zip(idx, names)])
+    if scalar:
+        t_type, label = C.type, "assign_scalar"
+        inputs = (source,) if isinstance(source, _ScalarObject) else ()
+
+        def make_t():
+            return _fill(source, _region_keys(idx, C._shape, in_order), C.type)
+    else:
+        check_shape(source, tuple(map(len, idx)), "source", d.transpose0)
+        t_type, label, inputs = source.type, "assign", (source,)
+
+        def make_t():
+            return _scatter(source, d.transpose0, idx, C._shape, in_order)
+
+    validate_mask_shape(Mask, C._shape)
+    validate_accum(accum, C, t_type)
+    if scalar and C.type.is_udt and not inputs:
+        C.type.validate_scalar(source)
+    # with ⊙ every stored entry of C survives
+    outside = None if accum is not None else _outside(C._shape, idx)
 
     def thunk():
         t_keys, t_vals = make_t()
-        mask_view = build_mask_view(mask, d.mask_complement, d.mask_structure)
+        mask_view = build_mask_view(Mask, d.mask_complement, d.mask_structure)
         if mask_view is not None:
             t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
         run_write_pipeline(
@@ -139,13 +178,10 @@ def _submit_assign(C, mask, accum, d, label, inputs, make_t, t_type, outside):
             None if outside is None else outside(C._content()[0]),
         )
 
-    reads = tuple(x for x in inputs if x is not None) + (C,)
-    if mask is not None:
-        reads += (mask,)
+    reads = inputs + (C,) + ((Mask,) if Mask is not None else ())
     context.submit(thunk, reads=reads, writes=C, label=label)
+    return C
 
-
-# --------------------------------------------------------------------- matrix
 
 def matrix_assign(
     C: Matrix,
@@ -157,42 +193,10 @@ def matrix_assign(
     desc: Descriptor | None = None,
 ) -> Matrix:
     """``GrB_assign`` (matrix): ``C(i, j)⟨Mask⟩ ⊙= A``."""
-    check_output(C)
-    check_input(A, "A")
-    if not isinstance(C, Matrix) or not isinstance(A, Matrix):
-        raise InvalidValue("matrix_assign requires Matrix output and input")
-    d = effective(desc)
-    ri = resolve_indices(row_indices, C.nrows, "row")
-    ci = resolve_indices(col_indices, C.ncols, "column")
-    _check_no_duplicates(ri, "row")
-    _check_no_duplicates(ci, "column")
-    a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-    if a_shape != (len(ri), len(ci)):
-        raise DimensionMismatch(
-            f"source is {a_shape} but region is {(len(ri), len(ci))}"
-        )
-    validate_mask_shape(Mask, C)
-    validate_accum(accum, C, A.type)
-
-    def make():
-        if d.transpose0:
-            view = A.csc()
-            a_keys = view.row_ids() * np.int64(view.ncols) + view.indices
-            raw = view.values
-            src_ncols = view.ncols
-        else:
-            a_keys, raw = A._content()
-            src_ncols = A.ncols
-        a_rows, a_cols = unflatten_keys(a_keys, src_ncols)
-        t_keys = flatten_keys(ri[a_rows], ci[a_cols], C.ncols)
-        order = np.argsort(t_keys, kind="stable")
-        return t_keys[order], raw[order]
-
-    _submit_assign(
-        C, Mask, accum, d, "assign", (A,), make, A.type,
-        _matrix_outside(C, ri, ci),
+    return _assign(
+        C, Mask, accum, A, (row_indices, col_indices), desc,
+        ("row", "column"), scalar=False,
     )
-    return C
 
 
 def matrix_assign_scalar(
@@ -206,34 +210,11 @@ def matrix_assign_scalar(
 ) -> Matrix:
     """``GrB_assign`` (matrix, scalar source): every region position gets
     *value* — a dense fill of the region (Fig. 3 line 61)."""
-    check_output(C)
-    if not isinstance(C, Matrix):
-        raise InvalidValue("matrix_assign_scalar requires a Matrix output")
-    d = effective(desc)
-    ri = resolve_indices(row_indices, C.nrows, "row")
-    ci = resolve_indices(col_indices, C.ncols, "column")
-    _check_no_duplicates(ri, "row")
-    _check_no_duplicates(ci, "column")
-    validate_mask_shape(Mask, C)
-    validate_accum(accum, C, C.type)
-    if C.type.is_udt and not isinstance(value, _ScalarObject):
-        C.type.validate_scalar(value)
-
-    def make():
-        t_keys = (
-            ri[:, None].astype(np.int64) * np.int64(C.ncols) + ci[None, :]
-        ).ravel()
-        return _fill(value, np.sort(t_keys), C.type)
-
-    srcs = (value,) if isinstance(value, _ScalarObject) else ()
-    _submit_assign(
-        C, Mask, accum, d, "assign_scalar", srcs, make, C.type,
-        _matrix_outside(C, ri, ci),
+    return _assign(
+        C, Mask, accum, value, (row_indices, col_indices), desc,
+        ("row", "column"), scalar=True,
     )
-    return C
 
-
-# --------------------------------------------------------------------- vector
 
 def vector_assign(
     w: Vector,
@@ -244,25 +225,7 @@ def vector_assign(
     desc: Descriptor | None = None,
 ) -> Vector:
     """``GrB_assign`` (vector): ``w(i)⟨mask⟩ ⊙= u``."""
-    check_output(w)
-    check_input(u, "u")
-    if not isinstance(w, Vector) or not isinstance(u, Vector):
-        raise InvalidValue("vector_assign requires Vector output and input")
-    d = effective(desc)
-    idx = resolve_indices(indices, w.size, "vector")
-    _check_no_duplicates(idx, "vector")
-    if u.size != len(idx):
-        raise DimensionMismatch(
-            f"source size {u.size} but region selects {len(idx)}"
-        )
-    validate_mask_shape(mask, w)
-    validate_accum(accum, w, u.type)
-
-    _submit_assign(
-        w, mask, accum, d, "assign", (u,), lambda: _scatter(u, idx), u.type,
-        _index_outside(idx, w.size),
-    )
-    return w
+    return _assign(w, mask, accum, u, (indices,), desc, ("vector",), scalar=False)
 
 
 def vector_assign_scalar(
@@ -275,24 +238,9 @@ def vector_assign_scalar(
 ) -> Vector:
     """``GrB_assign`` (vector, scalar source): dense fill of the region
     (Fig. 3 line 77 fills ``delta`` with ``-nsver``)."""
-    check_output(w)
-    if not isinstance(w, Vector):
-        raise InvalidValue("vector_assign_scalar requires a Vector output")
-    d = effective(desc)
-    idx = resolve_indices(indices, w.size, "vector")
-    _check_no_duplicates(idx, "vector")
-    validate_mask_shape(mask, w)
-    validate_accum(accum, w, w.type)
-    if w.type.is_udt and not isinstance(value, _ScalarObject):
-        w.type.validate_scalar(value)
-
-    srcs = (value,) if isinstance(value, _ScalarObject) else ()
-    _submit_assign(
-        w, mask, accum, d, "assign_scalar", srcs,
-        lambda: _fill(value, np.sort(idx), w.type), w.type,
-        _index_outside(idx, w.size),
+    return _assign(
+        w, mask, accum, value, (indices,), desc, ("vector",), scalar=True
     )
-    return w
 
 
 # ----------------------------------------------------------------- row / col
@@ -330,41 +278,31 @@ def col_assign(
 def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
     check_output(C)
     check_input(u, "u")
-    if not isinstance(C, Matrix) or not isinstance(u, Vector):
-        raise InvalidValue("row/col assign requires Matrix output, Vector input")
+    check_kind(C, 2, "output")
+    check_kind(u, 1, "u")
     d = effective(desc)
-    line_len = C.ncols if is_row else C.nrows
-    other_len = C.nrows if is_row else C.ncols
+    other_len, line_len = C._shape if is_row else C._shape[::-1]
     li = int(line)
     if not 0 <= li < other_len:
         raise InvalidValue(
             f"{'row' if is_row else 'column'} {line} out of range"
         )
     idx = resolve_indices(indices, line_len, "line")
-    _check_no_duplicates(idx, "line")
-    if u.size != len(idx):
-        raise DimensionMismatch(
-            f"source size {u.size} but region selects {len(idx)}"
-        )
-    if mask is not None:
-        check_input(mask, "mask")
-        validate_mask_domain(mask)
-        if not isinstance(mask, Vector) or mask.size != line_len:
-            raise DimensionMismatch(
-                "row/col assign mask must be a vector over the assigned line"
-            )
+    in_order = _increasing_unique(idx, "line")
+    check_shape(u, (len(idx),), "u")
+    validate_mask_shape(mask, (line_len,))
     validate_accum(accum, C, u.type)
-    outside = None if accum is not None else _index_outside(idx, line_len)
+    outside = None if accum is not None else _outside((line_len,), [idx])
 
     def thunk():
         c_keys, c_vals = C._content()
-        rows, cols = unflatten_keys(c_keys, C.ncols)
+        rows, cols = C._coords(c_keys)
         on_line = rows == li if is_row else cols == li
         line_pos = cols[on_line] if is_row else rows[on_line]
 
         # the line is a vector assign: its new content from the standard
         # step, with the mask over the line's positions
-        t_pos, t_vals = _scatter(u, idx)
+        t_pos, t_vals = _scatter(u, False, [idx], (line_len,), in_order)
         mask_view = build_mask_view(mask, d.mask_complement, d.mask_structure)
         if mask_view is not None:
             t_pos, t_vals = mask_view.restrict(t_pos, t_vals)

@@ -28,10 +28,8 @@ from .. import context
 from .._sparseutil import union_keys
 from ..obs import metrics as _metrics
 from ..obs import spans as _obs_spans
-from ..containers.base import OpaqueObject
+from ..containers.base import OpaqueObject, SparseCollection
 from ..containers.mask import MaskView, build_mask_view, validate_mask_domain
-from ..containers.matrix import Matrix
-from ..containers.vector import Vector
 from ..descriptor import Flags
 from ..execution.sequence import OpSpec
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue, NullPointer
@@ -44,6 +42,8 @@ from ..types import GrBType, can_cast, cast_array
 __all__ = [
     "validate_accum",
     "validate_mask_shape",
+    "check_kind",
+    "check_shape",
     "accumulate",
     "write_step",
     "run_write_pipeline",
@@ -58,7 +58,7 @@ __all__ = [
 def check_output(C) -> None:
     if C is None:
         raise NullPointer("output object is GrB_NULL")
-    if not isinstance(C, (Matrix, Vector)):
+    if not isinstance(C, SparseCollection):
         raise InvalidValue(f"output must be a GraphBLAS collection, got {type(C)}")
     C._check_valid()
 
@@ -66,9 +66,29 @@ def check_output(C) -> None:
 def check_input(X, what: str) -> None:
     if X is None:
         raise NullPointer(f"{what} is GrB_NULL")
-    if not isinstance(X, (Matrix, Vector)):
+    if not isinstance(X, SparseCollection):
         raise InvalidValue(f"{what} must be a GraphBLAS collection, got {type(X)}")
     X._check_valid()
+
+
+_KIND = {1: "Vector", 2: "Matrix"}
+
+
+def check_kind(X, rank: int, what: str) -> None:
+    """X must be a collection of *rank* dimensions — a Vector (1) or a
+    Matrix (2): ``InvalidValue`` otherwise."""
+    if len(X._shape) != rank:
+        raise InvalidValue(f"{what} must be a {_KIND[rank]}")
+
+
+def check_shape(X, shape: tuple, what: str, transpose: bool = False) -> None:
+    """X, or Xᵀ when *transpose*, must have *shape*: a collection of the
+    other kind is ``InvalidValue``, one of another size
+    ``DimensionMismatch``."""
+    got = X._oriented_shape(transpose)
+    if got != shape:
+        check_kind(X, len(shape), what)
+        raise DimensionMismatch(f"{what} is {got}, expected {shape}")
 
 
 def validate_accum(accum, C, t_type: GrBType) -> None:
@@ -103,22 +123,17 @@ def validate_accum(accum, C, t_type: GrBType) -> None:
         )
 
 
-def validate_mask_shape(mask, C) -> None:
-    """The mask's dimensions must match the output's (Fig. 2b)."""
+def validate_mask_shape(mask, shape: tuple) -> None:
+    """The mask must have the *shape* it writes through — the output's
+    (Fig. 2b): a mask of the other kind or size is ``DimensionMismatch``."""
     if mask is None:
         return
     check_input(mask, "Mask")
     validate_mask_domain(mask)
-    if isinstance(C, Matrix):
-        if not isinstance(mask, Matrix) or mask.shape != C.shape:
-            raise DimensionMismatch(
-                "mask dimensions must match the output matrix dimensions"
-            )
-    else:
-        if not isinstance(mask, Vector) or mask.size != C.size:
-            raise DimensionMismatch(
-                "mask size must match the output vector size"
-            )
+    if mask._shape != shape:
+        raise DimensionMismatch(
+            f"mask is {mask._shape} but the output it masks is {shape}"
+        )
 
 
 def accumulate(

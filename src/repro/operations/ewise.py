@@ -13,15 +13,15 @@ import numpy as np
 from .._sparseutil import intersect_indices, union_keys
 from ..algebra.monoid import Monoid
 from ..algebra.semiring import Semiring
-from ..containers.matrix import Matrix
-from ..containers.vector import Vector
 from ..descriptor import Descriptor, effective
-from ..info import DimensionMismatch, DomainMismatch, InvalidValue
+from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp
 from ..types import can_cast, cast_array
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -43,15 +43,6 @@ def _resolve_op(op, which: str) -> BinaryOp:
     )
 
 
-def _matrix_keys(M: Matrix, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Flat keys/values of M, or of Mᵀ when the descriptor asks for it."""
-    if not transposed:
-        return M._content()
-    view = M.csc()  # CSR of Mᵀ — already in the transpose's row-major order
-    keys = view.row_ids() * np.int64(view.ncols) + view.indices
-    return keys, view.values
-
-
 def _check_ewise_domains(op: BinaryOp, a_type, b_type) -> None:
     if not can_cast(a_type, op.d_in1):
         raise DomainMismatch(
@@ -63,36 +54,6 @@ def _check_ewise_domains(op: BinaryOp, a_type, b_type) -> None:
             f"second input domain {b_type.name} cannot feed {op.name} input "
             f"{op.d_in2.name}"
         )
-
-
-def _validate_pair(C, A, B, d) -> None:
-    if isinstance(C, Matrix):
-        for X, what in ((A, "A"), (B, "B")):
-            if not isinstance(X, Matrix):
-                raise InvalidValue(f"{what} must be a Matrix")
-        a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-        b_shape = (B.ncols, B.nrows) if d.transpose1 else B.shape
-        if not (C.shape == a_shape == b_shape):
-            raise DimensionMismatch(
-                f"eWise shapes differ: C{C.shape}, A{a_shape}, B{b_shape}"
-            )
-    else:
-        for X, what in ((A, "u"), (B, "v")):
-            if not isinstance(X, Vector):
-                raise InvalidValue(f"{what} must be a Vector")
-        if not (C.size == A.size == B.size):
-            raise DimensionMismatch(
-                f"eWise sizes differ: w={C.size}, u={A.size}, v={B.size}"
-            )
-
-
-def _contents(C, A, B, d):
-    if isinstance(C, Matrix):
-        return (
-            _matrix_keys(A, d.transpose0),
-            _matrix_keys(B, d.transpose1),
-        )
-    return (A._content(), B._content())
 
 
 def ewise_add(
@@ -116,8 +77,10 @@ def ewise_add(
     check_input(B, "second input")
     bop = _resolve_op(op, "add")
     d = effective(desc)
-    _validate_pair(C, A, B, d)
-    validate_mask_shape(Mask, C)
+    check_kind(B, len(C._shape), "second input")  # both kinds before sizes
+    check_shape(A, C._shape, "first input", d.transpose0)
+    check_shape(B, C._shape, "second input", d.transpose1)
+    validate_mask_shape(Mask, C._shape)
     _check_ewise_domains(bop, A.type, B.type)
     # single-present entries are cast directly into the result domain
     for X, what in ((A, "first"), (B, "second")):
@@ -129,7 +92,8 @@ def ewise_add(
     validate_accum(accum, C, bop.d_out)
 
     def kernel(mask_view):
-        (a_keys, a_raw), (b_keys, b_raw) = _contents(C, A, B, d)
+        a_keys, a_raw = A._oriented(d.transpose0)
+        b_keys, b_raw = B._oriented(d.transpose1)
 
         def combine(av, bv):
             return bop.apply_arrays(
@@ -174,13 +138,16 @@ def ewise_mult(
     check_input(B, "second input")
     bop = _resolve_op(op, "mult")
     d = effective(desc)
-    _validate_pair(C, A, B, d)
-    validate_mask_shape(Mask, C)
+    check_kind(B, len(C._shape), "second input")  # both kinds before sizes
+    check_shape(A, C._shape, "first input", d.transpose0)
+    check_shape(B, C._shape, "second input", d.transpose1)
+    validate_mask_shape(Mask, C._shape)
     _check_ewise_domains(bop, A.type, B.type)
     validate_accum(accum, C, bop.d_out)
 
     def kernel(mask_view):
-        (a_keys, a_raw), (b_keys, b_raw) = _contents(C, A, B, d)
+        a_keys, a_raw = A._oriented(d.transpose0)
+        b_keys, b_raw = B._oriented(d.transpose1)
         ia, ib = intersect_indices(a_keys, b_keys)
         keys = a_keys[ia]
         vals = bop.apply_arrays(
@@ -225,8 +192,10 @@ def ewise_union(
     check_input(B, "second input")
     bop = _resolve_op(op, "add")
     d = effective(desc)
-    _validate_pair(C, A, B, d)
-    validate_mask_shape(Mask, C)
+    check_kind(B, len(C._shape), "second input")  # both kinds before sizes
+    check_shape(A, C._shape, "first input", d.transpose0)
+    check_shape(B, C._shape, "second input", d.transpose1)
+    validate_mask_shape(Mask, C._shape)
     _check_ewise_domains(bop, A.type, B.type)
     validate_accum(accum, C, bop.d_out)
     if bop.d_in1.is_udt:
@@ -235,7 +204,8 @@ def ewise_union(
         bop.d_in2.validate_scalar(beta)
 
     def kernel(mask_view):
-        (a_keys, a_raw), (b_keys, b_raw) = _contents(C, A, B, d)
+        a_keys, a_raw = A._oriented(d.transpose0)
+        b_keys, b_raw = B._oriented(d.transpose1)
         alpha_arr = (
             np.full(1, alpha, dtype=object)
             if bop.d_in1.is_udt
@@ -268,8 +238,6 @@ def ewise_union(
                 else alpha_arr[:0],
                 cast_array(bv, B.type, bop.d_in2),
             )
-
-        from .._sparseutil import union_keys
 
         t = union_keys(
             a_keys,

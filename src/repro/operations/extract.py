@@ -5,6 +5,13 @@ Index lists may repeat entries (the C API permits duplicates for extract —
 each occurrence produces its own output row/column).  Fig. 3 line 33 uses
 the matrix form with ``GrB_ALL`` rows and the source-vertex array as
 columns, on a transposed adjacency matrix, to initialize the BFS frontier.
+
+The matrix and vector forms are one body over one index list per
+dimension: A is read oriented by ``INP0`` (a vector ignores the bit), each
+stored element's coordinates are matched against their list, and the
+matches are flattened into C's keys.  ``col_extract`` validates with the
+same helpers but keeps a column-slice kernel: it reads one column's
+elements, not all of A's.
 """
 
 from __future__ import annotations
@@ -12,21 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from .._sparseutil import (
-    flatten_keys,
     group_starts,
     positions,
     ranges_concat,
+    split_keys,
     strictly_increasing,
-    unflatten_keys,
 )
 from ..containers.matrix import Matrix
 from ..containers.vector import Vector
 from ..descriptor import ALL, Descriptor, effective
-from ..info import DimensionMismatch, IndexOutOfBounds, InvalidValue
+from ..info import IndexOutOfBounds, InvalidValue
 from ..ops.base import BinaryOp
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -74,6 +82,53 @@ def _match_expand(
     return np.repeat(selector, counts), order[gather]
 
 
+def _in_key_order(t_keys, t_vals, mask_view, in_order: bool):
+    """T cut to the mask, and sorted unless the keys already come out in
+    order (index lists that are all strictly increasing map sorted source
+    keys to sorted output keys)."""
+    if mask_view is not None:
+        t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
+    if in_order:
+        return t_keys, t_vals
+    order = np.argsort(t_keys, kind="stable")
+    return t_keys[order], t_vals[order]
+
+
+def _extract(C, Mask, accum, A, index_lists, desc, names):
+    """``C⟨Mask⟩ ⊙= A(I₁, …, Iₖ)`` with one index list per dimension of A
+    (and of C); *names* name the dimensions in messages."""
+    check_output(C)
+    check_input(A, "input")
+    check_kind(C, len(index_lists), "output")
+    check_kind(A, len(index_lists), "input")
+    d = effective(desc)
+    a_shape = A._oriented_shape(d.transpose0)
+    idx = list(map(resolve_indices, index_lists, a_shape, names))
+    check_shape(C, tuple(map(len, idx)), "output")
+    validate_mask_shape(Mask, C._shape)
+    validate_accum(accum, C, A.type)
+    in_order = all(map(strictly_increasing, idx))
+
+    def kernel(mask_view):
+        keys, raw = A._oriented(d.transpose0)
+        coords = split_keys(keys, a_shape)
+        # narrow the elements dimension by dimension: *sel* indexes the
+        # survivors, *out* holds their output coordinates so far
+        sel, pos = _match_expand(coords[0], idx[0])
+        out = [pos]
+        for coord, i in zip(coords[1:], idx[1:]):
+            s, pos = _match_expand(coord[sel], i)
+            sel = sel[s]
+            out = [o[s] for o in out] + [pos]
+        return _in_key_order(C._flatten(out), raw[sel], mask_view, in_order)
+
+    submit_standard_op(
+        C, Mask, accum, d,
+        label="extract", t_type=A.type, kernel=kernel, inputs=(A,),
+    )
+    return C
+
+
 def matrix_extract(
     C: Matrix,
     Mask: Matrix | None,
@@ -84,54 +139,9 @@ def matrix_extract(
     desc: Descriptor | None = None,
 ) -> Matrix:
     """``GrB_extract`` (matrix): ``C⟨Mask⟩ ⊙= A(i, j)``."""
-    check_output(C)
-    check_input(A, "A")
-    if not isinstance(C, Matrix) or not isinstance(A, Matrix):
-        raise InvalidValue("matrix_extract requires Matrix output and input")
-    d = effective(desc)
-    eff_rows, eff_cols = (
-        (A.ncols, A.nrows) if d.transpose0 else (A.nrows, A.ncols)
+    return _extract(
+        C, Mask, accum, A, (row_indices, col_indices), desc, ("row", "column")
     )
-    ri = resolve_indices(row_indices, eff_rows, "row")
-    ci = resolve_indices(col_indices, eff_cols, "column")
-    if C.shape != (len(ri), len(ci)):
-        raise DimensionMismatch(
-            f"output is {C.shape} but index lists select "
-            f"{(len(ri), len(ci))}"
-        )
-    validate_mask_shape(Mask, C)
-    validate_accum(accum, C, A.type)
-    # increasing lists map A's row-major keys monotonically: T comes out
-    # in order
-    r_inc, c_inc = strictly_increasing(ri), strictly_increasing(ci)
-
-    def kernel(mask_view):
-        if d.transpose0:
-            view = A.csc()
-            keys = view.row_ids() * np.int64(view.ncols) + view.indices
-            raw = view.values
-            src_ncols = view.ncols
-        else:
-            keys, raw = A._content()
-            src_ncols = A.ncols
-        rows, cols = unflatten_keys(keys, src_ncols)
-        sel_r, out_r = _match_expand(rows, ri)
-        sel_c, out_c = _match_expand(cols[sel_r], ci)
-        orig = sel_r[sel_c]
-        t_keys = flatten_keys(out_r[sel_c], out_c, len(ci))
-        t_vals = raw[orig]
-        if mask_view is not None:
-            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
-        if r_inc and c_inc:
-            return t_keys, t_vals
-        order = np.argsort(t_keys, kind="stable")
-        return t_keys[order], t_vals[order]
-
-    submit_standard_op(
-        C, Mask, accum, d,
-        label="extract", t_type=A.type, kernel=kernel, inputs=(A,),
-    )
-    return C
 
 
 def vector_extract(
@@ -143,36 +153,7 @@ def vector_extract(
     desc: Descriptor | None = None,
 ) -> Vector:
     """``GrB_extract`` (vector): ``w⟨mask⟩ ⊙= u(i)``."""
-    check_output(w)
-    check_input(u, "u")
-    if not isinstance(w, Vector) or not isinstance(u, Vector):
-        raise InvalidValue("vector_extract requires Vector output and input")
-    d = effective(desc)
-    idx = resolve_indices(indices, u.size, "vector")
-    if w.size != len(idx):
-        raise DimensionMismatch(
-            f"output size {w.size} but index list selects {len(idx)}"
-        )
-    validate_mask_shape(mask, w)
-    validate_accum(accum, w, u.type)
-    inc = strictly_increasing(idx)
-
-    def kernel(mask_view):
-        keys, raw = u._content()
-        sel, out_pos = _match_expand(keys, idx)
-        t_keys, t_vals = out_pos, raw[sel]
-        if mask_view is not None:
-            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
-        if inc:
-            return t_keys, t_vals
-        order = np.argsort(t_keys, kind="stable")
-        return t_keys[order], t_vals[order]
-
-    submit_standard_op(
-        w, mask, accum, d,
-        label="extract", t_type=u.type, kernel=kernel, inputs=(u,),
-    )
-    return w
+    return _extract(w, mask, accum, u, (indices,), desc, ("vector",))
 
 
 def col_extract(
@@ -190,38 +171,25 @@ def col_extract(
     """
     check_output(w)
     check_input(A, "A")
-    if not isinstance(w, Vector) or not isinstance(A, Matrix):
-        raise InvalidValue("col_extract requires Vector output and Matrix input")
+    check_kind(w, 1, "output")
+    check_kind(A, 2, "A")
     d = effective(desc)
-    eff_rows, eff_cols = (
-        (A.ncols, A.nrows) if d.transpose0 else (A.nrows, A.ncols)
-    )
+    eff_rows, eff_cols = A._oriented_shape(d.transpose0)
     j = int(col)
     if not 0 <= j < eff_cols:
         raise IndexOutOfBounds(f"column {col} out of range [0, {eff_cols})")
     ri = resolve_indices(row_indices, eff_rows, "row")
-    if w.size != len(ri):
-        raise DimensionMismatch(
-            f"output size {w.size} but index list selects {len(ri)}"
-        )
-    validate_mask_shape(mask, w)
+    check_shape(w, (len(ri),), "output")
+    validate_mask_shape(mask, w._shape)
     validate_accum(accum, w, A.type)
-    inc = strictly_increasing(ri)
+    in_order = strictly_increasing(ri)
 
     def kernel(mask_view):
-        # the column slice of A (or row slice under TRAN) via the CSC view
-        view = A.csr() if d.transpose0 else A.csc()
+        # column j of A (row j under TRAN) is row j of the other orientation
+        view = A._view(not d.transpose0)
         sl = view.row_slice(j)
-        col_rows = view.indices[sl]
-        col_vals = view.values[sl]
-        sel, out_pos = _match_expand(col_rows, ri)
-        t_keys, t_vals = out_pos, col_vals[sel]
-        if mask_view is not None:
-            t_keys, t_vals = mask_view.restrict(t_keys, t_vals)
-        if inc:
-            return t_keys, t_vals
-        order = np.argsort(t_keys, kind="stable")
-        return t_keys[order], t_vals[order]
+        sel, out_pos = _match_expand(view.indices[sl], ri)
+        return _in_key_order(out_pos, view.values[sl][sel], mask_view, in_order)
 
     submit_standard_op(
         w, mask, accum, d,

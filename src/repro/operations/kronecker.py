@@ -14,13 +14,15 @@ from ..algebra.monoid import Monoid
 from ..algebra.semiring import Semiring
 from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
-from ..info import DimensionMismatch, DomainMismatch, InvalidValue
+from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp
 from ..types import can_cast, cast_array
 from .._sparseutil import unflatten_keys
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -54,18 +56,15 @@ def kronecker(
     check_output(C)
     check_input(A, "A")
     check_input(B, "B")
-    if not all(isinstance(x, Matrix) for x in (C, A, B)):
-        raise InvalidValue("kronecker requires Matrix arguments")
+    check_kind(A, 2, "A")
+    check_kind(B, 2, "B")
     mul = _resolve_mul(op)
     d = effective(desc)
-    a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-    b_shape = (B.ncols, B.nrows) if d.transpose1 else B.shape
+    a_shape = A._oriented_shape(d.transpose0)
+    b_shape = B._oriented_shape(d.transpose1)
     out_shape = (a_shape[0] * b_shape[0], a_shape[1] * b_shape[1])
-    if C.shape != out_shape:
-        raise DimensionMismatch(
-            f"output is {C.shape}, kron result is {out_shape}"
-        )
-    validate_mask_shape(Mask, C)
+    check_shape(C, out_shape, "output")
+    validate_mask_shape(Mask, C._shape)
     if not can_cast(A.type, mul.d_in1) or not can_cast(B.type, mul.d_in2):
         raise DomainMismatch(
             f"input domains ({A.type.name}, {B.type.name}) cannot feed "
@@ -74,10 +73,8 @@ def kronecker(
     validate_accum(accum, C, mul.d_out)
 
     def kernel(mask_view):
-        from .ewise import _matrix_keys
-
-        a_keys, a_raw = _matrix_keys(A, d.transpose0)
-        b_keys, b_raw = _matrix_keys(B, d.transpose1)
+        a_keys, a_raw = A._oriented(d.transpose0)
+        b_keys, b_raw = B._oriented(d.transpose1)
         if len(a_keys) == 0 or len(b_keys) == 0:
             return (
                 np.empty(0, dtype=np.int64),

@@ -19,7 +19,9 @@ from ..types import can_cast, cast_array
 from ._kernels import spgemm, spmv
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -59,7 +61,7 @@ def _spmv_kernel(op: Semiring, A: Matrix, by_csc: bool, u: Vector, swap: bool):
         return cast_array(vals, A.type, a_dom)
 
     def kernel(mask_view):
-        a_view = A.csc() if by_csc else A.csr()
+        a_view = A._view(by_csc)
         walk_view = A.cached_view(csc=not by_csc)
         u_keys, u_raw = u._content()
         return spmv(
@@ -88,11 +90,13 @@ def mxm(
     check_output(C)
     check_input(A, "A")
     check_input(B, "B")
+    check_kind(A, 2, "A")
+    check_kind(B, 2, "B")
     op = _require_semiring(op)
     d = effective(desc)
 
-    a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-    b_shape = (B.ncols, B.nrows) if d.transpose1 else B.shape
+    a_shape = A._oriented_shape(d.transpose0)
+    b_shape = B._oriented_shape(d.transpose1)
     if a_shape[1] != b_shape[0]:
         raise DimensionMismatch(
             f"inner dimensions do not agree: {a_shape} x {b_shape}"
@@ -101,13 +105,13 @@ def mxm(
         raise DimensionMismatch(
             f"output is {C.shape}, product is {(a_shape[0], b_shape[1])}"
         )
-    validate_mask_shape(Mask, C)
+    validate_mask_shape(Mask, C._shape)
     _check_mul_domains(op, A.type, B.type)
     validate_accum(accum, C, op.d_out)
 
     def kernel(mask_view):
-        a_view = A.csc() if d.transpose0 else A.csr()
-        b_view = B.csc() if d.transpose1 else B.csr()
+        a_view = A._view(d.transpose0)
+        b_view = B._view(d.transpose1)
         a_vals = cast_array(a_view.values, A.type, op.d_in1)
         b_vals = cast_array(b_view.values, B.type, op.d_in2)
         return spgemm(a_view, a_vals, b_view, b_vals, op, mask_view)
@@ -133,19 +137,14 @@ def mxv(
     check_output(w)
     check_input(A, "A")
     check_input(u, "u")
+    check_kind(A, 2, "A")
     op = _require_semiring(op)
     d = effective(desc)
 
-    a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
-    if a_shape[1] != u.size:
-        raise DimensionMismatch(
-            f"matrix has {a_shape[1]} columns but vector has size {u.size}"
-        )
-    if w.size != a_shape[0]:
-        raise DimensionMismatch(
-            f"output size {w.size} does not match matrix rows {a_shape[0]}"
-        )
-    validate_mask_shape(mask, w)
+    a_shape = A._oriented_shape(d.transpose0)
+    check_shape(u, (a_shape[1],), "u")
+    check_shape(w, (a_shape[0],), "output")
+    validate_mask_shape(mask, w._shape)
     _check_mul_domains(op, A.type, u.type)
     validate_accum(accum, w, op.d_out)
 
@@ -175,19 +174,14 @@ def vxm(
     check_output(w)
     check_input(u, "u")
     check_input(A, "A")
+    check_kind(A, 2, "A")
     op = _require_semiring(op)
     d = effective(desc)
 
-    a_shape = (A.ncols, A.nrows) if d.transpose1 else A.shape
-    if a_shape[0] != u.size:
-        raise DimensionMismatch(
-            f"matrix has {a_shape[0]} rows but vector has size {u.size}"
-        )
-    if w.size != a_shape[1]:
-        raise DimensionMismatch(
-            f"output size {w.size} does not match matrix columns {a_shape[1]}"
-        )
-    validate_mask_shape(mask, w)
+    a_shape = A._oriented_shape(d.transpose1)
+    check_shape(u, (a_shape[0],), "u")
+    check_shape(w, (a_shape[1],), "output")
+    validate_mask_shape(mask, w._shape)
     _check_mul_domains(op, u.type, A.type)
     validate_accum(accum, w, op.d_out)
 

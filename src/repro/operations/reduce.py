@@ -17,13 +17,15 @@ from ..algebra.monoid import Monoid
 from ..containers.matrix import Matrix
 from ..containers.vector import Vector
 from ..descriptor import Descriptor, effective
-from ..info import DimensionMismatch, DomainMismatch, InvalidValue
+from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp
 from ..types import can_cast, cast_array, cast_scalar
 from ._kernels import _observed_kernel, reduce_rows
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -65,16 +67,12 @@ def reduce_to_vector(
     """
     check_output(w)
     check_input(A, "A")
-    if not isinstance(w, Vector) or not isinstance(A, Matrix):
-        raise InvalidValue("reduce_to_vector needs a Vector output and Matrix input")
+    check_kind(w, 1, "output")
+    check_kind(A, 2, "A")
     red = _as_reducer(op)
     d = effective(desc)
-    n_out = A.ncols if d.transpose0 else A.nrows
-    if w.size != n_out:
-        raise DimensionMismatch(
-            f"output size {w.size} does not match reduced dimension {n_out}"
-        )
-    validate_mask_shape(mask, w)
+    check_shape(w, A._oriented_shape(d.transpose0)[:1], "output")
+    validate_mask_shape(mask, w._shape)
     if not can_cast(A.type, red.domain):
         raise DomainMismatch(
             f"input domain {A.type.name} cannot feed reduction domain "
@@ -83,7 +81,7 @@ def reduce_to_vector(
     validate_accum(accum, w, red.domain)
 
     def kernel(mask_view):
-        view = A.csc() if d.transpose0 else A.csr()
+        view = A._view(d.transpose0)
         vals = cast_array(view.values, A.type, red.domain)
         t = _observed_kernel(
             "reduce_rows",

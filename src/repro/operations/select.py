@@ -9,16 +9,15 @@ lower/upper triangles (``TRIL``/``TRIU``).
 
 from __future__ import annotations
 
-from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
 from ..info import DomainMismatch, InvalidValue
 from ..ops.base import BinaryOp, IndexUnaryOp
 from ..types import can_cast
 from ._kernels import filter_values
-from .apply import _input_content, _validate_unop_shape
 from .common import (
     check_input,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
@@ -42,8 +41,8 @@ def select(
     if not isinstance(op, IndexUnaryOp):
         raise InvalidValue(f"select requires an IndexUnaryOp, got {op!r}")
     d = effective(desc)
-    _validate_unop_shape(C, A, d)
-    validate_mask_shape(Mask, C)
+    check_shape(A, C._shape, "input", d.transpose0)
+    validate_mask_shape(Mask, C._shape)
     if op.d_in is not None and not can_cast(A.type, op.d_in):
         raise DomainMismatch(
             f"input domain {A.type.name} cannot feed {op.name}"
@@ -51,11 +50,10 @@ def select(
     # select preserves values: T has A's domain
     validate_accum(accum, C, A.type)
     selector = (op, thunk_scalar)
-    ncols = C.ncols if isinstance(C, Matrix) else None
 
     def kernel(mask_view):
         return filter_values(
-            *_input_content(C, A, d), mask_view, selector, A.type, ncols
+            *A._oriented(d.transpose0), mask_view, selector, A.type, C._coords
         )
 
     submit_standard_op(

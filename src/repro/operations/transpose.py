@@ -9,16 +9,16 @@ from __future__ import annotations
 
 from ..containers.matrix import Matrix
 from ..descriptor import Descriptor, effective
-from ..info import DimensionMismatch, InvalidValue
 from ..ops.base import BinaryOp
 from .common import (
     check_input,
+    check_kind,
     check_output,
+    check_shape,
     submit_standard_op,
     validate_accum,
     validate_mask_shape,
 )
-from .ewise import _matrix_keys
 
 __all__ = ["transpose"]
 
@@ -34,21 +34,16 @@ def transpose(
     (section III-A's definition of Aᵀ)."""
     check_output(C)
     check_input(A, "A")
-    if not isinstance(C, Matrix) or not isinstance(A, Matrix):
-        raise InvalidValue("transpose requires Matrix output and input")
+    check_kind(A, 2, "A")
     d = effective(desc)
-    # INP0=TRAN pre-transposes A; the operation then transposes again.
-    out_shape = A.shape if d.transpose0 else (A.ncols, A.nrows)
-    if C.shape != out_shape:
-        raise DimensionMismatch(
-            f"output is {C.shape}, transpose result is {out_shape}"
-        )
-    validate_mask_shape(Mask, C)
+    # INP0=TRAN pre-transposes A; the operation then transposes again, so
+    # T is A oriented by the opposite bit
+    check_shape(C, A._oriented_shape(not d.transpose0), "output")
+    validate_mask_shape(Mask, C._shape)
     validate_accum(accum, C, A.type)
 
     def kernel(mask_view):
-        # not d.transpose0: the operation itself supplies one transpose
-        t = _matrix_keys(A, not d.transpose0)
+        t = A._oriented(not d.transpose0)
         return t if mask_view is None else mask_view.restrict(*t)
 
     submit_standard_op(

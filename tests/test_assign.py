@@ -253,3 +253,34 @@ class TestGenericDispatch:
         grb.assign(C, None, None, u, 1, grb.ALL)  # row assign
         got = {(i, j): int(v) for i, j, v in C if i == 1}
         assert got == {(1, 0): 3}
+
+
+def test_line_assign_matches_matrix_assign_of_one_line(exec_mode):
+    # unmasked GrB_Row_assign / GrB_Col_assign keep their own splice: they
+    # must agree with the general assign over a 1 x k / k x 1 region
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        m, n = (int(x) for x in rng.integers(1, 8, size=2))
+        is_row = bool(case % 2)
+        length, lines = (n, m) if is_row else (m, n)
+        idx = (
+            grb.ALL if case % 5 == 0
+            else rng.permutation(length)[: rng.integers(1, length + 1)].tolist()
+        )
+        k = length if idx is grb.ALL else len(idx)
+        line = int(rng.integers(0, lines))
+        accum = binary.PLUS[grb.INT64] if case % 3 == 0 else None
+        C1 = random_matrix(rng, m, n, rng.uniform(0.1, 0.8))
+        C2 = C1.dup()
+        u = random_vector(rng, k, rng.uniform(0.0, 1.0))
+        ui, uv = u.extract_tuples()
+        if is_row:
+            U = grb.Matrix.from_coo(grb.INT64, 1, k, [0] * len(ui), ui, uv)
+            grb.row_assign(C1, None, accum, u, line, idx)
+            grb.matrix_assign(C2, None, accum, U, [line], idx)
+        else:
+            U = grb.Matrix.from_coo(grb.INT64, k, 1, ui, [0] * len(ui), uv)
+            grb.col_assign(C1, None, accum, u, idx, line)
+            grb.matrix_assign(C2, None, accum, U, idx, [line])
+        grb.wait()
+        assert sorted(C1) == sorted(C2), (case, is_row, line, idx)

@@ -39,7 +39,53 @@ MATRIX_OPS = [
     # argument validation precedes the dimension check, so the 3x3 output
     # is fine for every malformed-argument case this file sweeps
     ("kronecker", lambda C, A, B: grb.kronecker(C, None, None, binary.TIMES[grb.INT64], A, B)),
+    ("row_assign", lambda C, A, B: grb.row_assign(C, None, None, A, 0, grb.ALL)),
+    ("col_assign", lambda C, A, B: grb.col_assign(C, None, None, A, grb.ALL, 0)),
 ]
+
+#: the MATRIX_OPS calls with a mask slot: name -> (callable(C, Mask, X),
+#: constructor of X, constructor of the mask), valid with 3x3 C and the
+#: constructors' defaults.  X is the operand the op's kind and shape rules
+#: check.  Kronecker takes a fixed 1x1 right factor, so that X alone
+#: decides the result's shape.
+MATRIX_CALLS = {
+    "mxm": (lambda C, M, X: grb.mxm(C, M, None, S, X, _m()), _m, _m),
+    "ewise_add": (lambda C, M, X: grb.ewise_add(C, M, None, binary.PLUS[grb.INT64], X, _m()), _m, _m),
+    "ewise_mult": (lambda C, M, X: grb.ewise_mult(C, M, None, binary.TIMES[grb.INT64], _m(), X), _m, _m),
+    "ewise_union": (lambda C, M, X: grb.ewise_union(C, M, None, binary.PLUS[grb.INT64], X, 0, _m(), 0), _m, _m),
+    "apply": (lambda C, M, X: grb.apply(C, M, None, unary.IDENTITY[grb.INT64], X), _m, _m),
+    "select": (lambda C, M, X: grb.select(C, M, None, index_unary.TRIL, X, 0), _m, _m),
+    "transpose": (lambda C, M, X: grb.transpose(C, M, None, X), _m, _m),
+    "extract": (lambda C, M, X: grb.matrix_extract(C, M, None, X, grb.ALL, grb.ALL), _m, _m),
+    "assign": (lambda C, M, X: grb.matrix_assign(C, M, None, X, grb.ALL, grb.ALL), _m, _m),
+    "kronecker": (lambda C, M, X: grb.kronecker(C, M, None, binary.TIMES[grb.INT64], X, _m(1, 1)), _m, _m),
+    # the mask of a row/col assign is a vector over the line
+    "row_assign": (lambda C, M, X: grb.row_assign(C, M, None, X, 0, grb.ALL), _v, _v),
+    "col_assign": (lambda C, M, X: grb.col_assign(C, M, None, X, grb.ALL, 0), _v, _v),
+}
+
+
+def _other(make):
+    """The constructor of the other collection kind."""
+    return _v if make is _m else _m
+
+
+def _rejected_unchanged(exc, call, out) -> None:
+    """*call* raises *exc* at call time, queues nothing, and leaves *out*
+    as it was (section V: an API error changes no argument)."""
+    before = sorted(out)
+    enqueued = grb.queue_stats()["enqueued"]
+    with pytest.raises(exc):
+        call()
+    assert grb.queue_stats()["enqueued"] == enqueued
+    assert sorted(out) == before
+
+
+def _filled(make):
+    """A 3x3 matrix or size-3 vector holding one element, 42."""
+    out = make()
+    out.set_element(*(1,) * len(out.shape), 42)
+    return out
 
 
 @pytest.mark.parametrize("name,op", MATRIX_OPS, ids=[n for n, _ in MATRIX_OPS])
@@ -80,6 +126,35 @@ class TestUniformMatrixErrors:
             op(_m(), A, _m())
         assert grb.queue_stats()["enqueued"] == 0
 
+    # One argument at a time is made wrong; the baseline is accepted.
+
+    def test_valid_call_accepted(self, name, op, exec_mode):
+        call, operand, mask = MATRIX_CALLS[name]
+        call(_filled(_m), mask(), operand())
+        grb.wait()
+
+    def test_other_kind_operand_rejected(self, name, op, exec_mode):
+        call, operand, _ = MATRIX_CALLS[name]
+        C = _filled(_m)
+        _rejected_unchanged(
+            grb.InvalidValue, lambda: call(C, None, _other(operand)()), C
+        )
+
+    def test_wrong_shape_operand_rejected(self, name, op, exec_mode):
+        call, operand, _ = MATRIX_CALLS[name]
+        C = _filled(_m)
+        _rejected_unchanged(
+            grb.DimensionMismatch, lambda: call(C, None, operand(5)), C
+        )
+
+    def test_wrong_shape_mask_rejected(self, name, op, exec_mode):
+        call, operand, mask = MATRIX_CALLS[name]
+        C = _filled(_m)
+        for M in (mask(5), _other(mask)()):
+            _rejected_unchanged(
+                grb.DimensionMismatch, lambda: call(C, M, operand()), C
+            )
+
 
 VECTOR_OPS = [
     ("mxv", lambda w, u: grb.mxv(w, None, None, S, _m(), u)),
@@ -89,7 +164,22 @@ VECTOR_OPS = [
     ("extract_v", lambda w, u: grb.vector_extract(w, None, None, u, grb.ALL)),
     ("assign_v", lambda w, u: grb.vector_assign(w, None, None, u, grb.ALL)),
     ("reduce_v", lambda w, u: grb.reduce_to_vector(w, None, None, grb.monoid("GrB_PLUS_MONOID_INT64"), _m())),
+    ("col_extract", lambda w, u: grb.col_extract(w, None, None, _m(), grb.ALL, 0)),
 ]
+
+#: the VECTOR_OPS calls with a mask slot: name -> (callable(w, mask, X),
+#: constructor of X), as MATRIX_CALLS; X is the matrix input of reduce and
+#: col_extract.
+VECTOR_CALLS = {
+    "mxv": (lambda w, M, X: grb.mxv(w, M, None, S, _m(), X), _v),
+    "vxm": (lambda w, M, X: grb.vxm(w, M, None, S, X, _m()), _v),
+    "ewise_add_v": (lambda w, M, X: grb.ewise_add(w, M, None, binary.PLUS[grb.INT64], X, _v()), _v),
+    "apply_v": (lambda w, M, X: grb.apply(w, M, None, unary.IDENTITY[grb.INT64], X), _v),
+    "extract_v": (lambda w, M, X: grb.vector_extract(w, M, None, X, grb.ALL), _v),
+    "assign_v": (lambda w, M, X: grb.vector_assign(w, M, None, X, grb.ALL), _v),
+    "reduce_v": (lambda w, M, X: grb.reduce_to_vector(w, M, None, grb.monoid("GrB_PLUS_MONOID_INT64"), X), _m),
+    "col_extract": (lambda w, M, X: grb.col_extract(w, M, None, X, grb.ALL, 0), _m),
+}
 
 
 @pytest.mark.parametrize("name,op", VECTOR_OPS, ids=[n for n, _ in VECTOR_OPS])
@@ -103,6 +193,34 @@ class TestUniformVectorErrors:
         w.free()
         with pytest.raises(grb.UninitializedObject):
             op(w, _v())
+
+    def test_valid_call_accepted(self, name, op, exec_mode):
+        call, operand = VECTOR_CALLS[name]
+        call(_filled(_v), _v(), operand())
+        grb.wait()
+
+    def test_other_kind_operand_rejected(self, name, op, exec_mode):
+        call, operand = VECTOR_CALLS[name]
+        w = _filled(_v)
+        _rejected_unchanged(
+            grb.InvalidValue, lambda: call(w, None, _other(operand)()), w
+        )
+
+    def test_wrong_shape_operand_rejected(self, name, op, exec_mode):
+        call, operand = VECTOR_CALLS[name]
+        w = _filled(_v)
+        _rejected_unchanged(
+            grb.DimensionMismatch, lambda: call(w, None, operand(5)), w
+        )
+
+    def test_wrong_shape_mask_rejected(self, name, op, exec_mode):
+        call, operand = VECTOR_CALLS[name]
+        w = _filled(_v)
+        # a matrix mask on a vector output is a dimension error (Fig. 2b)
+        for M in (_v(9), _m()):
+            _rejected_unchanged(
+                grb.DimensionMismatch, lambda: call(w, M, operand()), w
+            )
 
 
 class TestMaskErrorsEverywhere:

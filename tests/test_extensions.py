@@ -6,7 +6,7 @@ import pytest
 
 import repro as grb
 from repro.io import deserialize, serialize
-from repro.ops import AINV, binary
+from repro.ops import AINV, binary, index_unary
 
 from tests.conftest import random_matrix, random_vector
 
@@ -241,3 +241,61 @@ class TestEWiseUnion:
         grb.ewise_union(w, None, None, binary.DIV[grb.FP64], u, 1.0, v, 2.0)
         assert w.extract_element(0) == 1.0  # 2/2 (beta)
         assert w.extract_element(1) == 0.25  # 1/4 (alpha)
+
+    def test_union_after_deferred_writer(self, exec_mode):
+        # the union reads A as the queued op before it leaves it, and B
+        # through INP1 = TRAN
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [0, 2], [5, 4])
+        B = grb.Matrix.from_coo(grb.INT64, 3, 2, [1, 2], [0, 1], [3, 1])
+        grb.apply(A, None, None, AINV[grb.INT64], A)
+        C = grb.Matrix(grb.INT64, 2, 3)
+        d = grb.Descriptor().set(grb.INP1, grb.TRAN)
+        grb.ewise_union(C, None, None, binary.MINUS[grb.INT64], A, 10, B, 0, d)
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {
+            (0, 0): -5, (0, 1): 10 - 3, (1, 2): -4 - 1,
+        }
+
+    def test_api_error_keeps_pending_sequence(self, exec_mode):
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [0, 2], [5, 4])
+        C = grb.Matrix(grb.INT64, 2, 3)
+        grb.apply(C, None, None, AINV[grb.INT64], A)
+        minus = binary.MINUS[grb.INT64]
+        with pytest.raises(grb.DimensionMismatch):
+            grb.ewise_union(C, None, None, minus, A, 0, grb.Matrix(grb.INT64, 3, 3), 0)
+        with pytest.raises(grb.InvalidValue):
+            grb.ewise_union(C, None, None, minus, A, 0, grb.Vector(grb.INT64, 3), 0)
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {(0, 0): -5, (1, 2): -4}
+
+
+class TestApplyIndex:
+    def test_apply_index_after_deferred_writer(self, exec_mode):
+        # the positions are those of the oriented input: under INP0 = TRAN,
+        # A(i, j) lands at C(j, i) and reports row j
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [2, 1], [7, 7])
+        grb.apply(A, None, None, AINV[grb.INT64], A)
+        A.set_element(1, 0, 1)
+        C = grb.Matrix(grb.INT64, 3, 2)
+        d = grb.Descriptor().set(grb.INP0, grb.TRAN)
+        grb.apply_index(C, None, None, index_unary.ROWINDEX, A, 100, d)
+        w = grb.Vector.from_coo(grb.INT64, 4, [1, 3], [8, 9])
+        grb.apply(w, None, None, AINV[grb.INT64], w)
+        grb.apply_index(w, None, None, index_unary.ROWINDEX, w, 0)
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {
+            (2, 0): 102, (1, 1): 101, (0, 1): 100,
+        }
+        assert {i: int(v) for i, v in w} == {1: 1, 3: 3}
+
+    def test_api_error_keeps_pending_sequence(self, exec_mode):
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [2, 1], [7, 7])
+        C = grb.Matrix(grb.INT64, 2, 3)
+        grb.apply(C, None, None, AINV[grb.INT64], A)
+        col = index_unary.COLINDEX
+        with pytest.raises(grb.DimensionMismatch):
+            grb.apply_index(C, None, None, col, grb.Matrix(grb.INT64, 3, 2), 0)
+        with pytest.raises(grb.InvalidValue):
+            grb.apply_index(C, None, None, col, grb.Vector(grb.INT64, 2), 0)
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {(0, 2): -7, (1, 1): -7}

@@ -141,3 +141,33 @@ class TestGenericDispatch:
         w = grb.Vector(grb.INT64, 5)
         grb.extract(w, None, None, A, grb.ALL, 1)
         assert (w.to_dense(0) == A.to_dense(0)[:, 1]).all()
+
+
+def test_col_extract_matches_matrix_extract_of_one_column(exec_mode):
+    # GrB_Col_extract keeps its own column-slice kernel: it must agree with
+    # the general extract over the column list [j], TRAN included
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        m, n = rng.integers(1, 8, size=2)
+        A = random_matrix(rng, m, n, rng.uniform(0.1, 0.8))
+        tran = bool(case % 2)
+        rows, cols = (n, m) if tran else (m, n)
+        ri = (
+            grb.ALL if case % 5 == 0
+            else rng.integers(0, rows, size=rng.integers(1, 2 * rows)).tolist()
+        )
+        k = rows if ri is grb.ALL else len(ri)
+        j = int(rng.integers(0, cols))
+        accum = binary.PLUS[grb.INT64] if case % 3 == 0 else None
+        d = grb.Descriptor()
+        if tran:
+            d.set(grb.INP0, grb.TRAN)
+        w = random_vector(rng, k, 0.5)
+        wi, wv = w.extract_tuples()
+        C = grb.Matrix.from_coo(grb.INT64, k, 1, wi, [0] * len(wi), wv)
+        grb.col_extract(w, None, accum, A, ri, j, d)
+        grb.matrix_extract(C, None, accum, A, ri, [j], d)
+        grb.wait()
+        got = [(int(i), int(v)) for i, v in w]
+        want = [(int(i), int(v)) for i, _, v in C]
+        assert got == want, (case, ri, j, tran)
