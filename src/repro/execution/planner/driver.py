@@ -14,9 +14,10 @@ the pool they occupy.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ...obs import metrics as _metrics
+from ...obs import spans as _spans
 from ...obs import tracing as _tracing
 from ...obs.diag import explain as _explain
 from ...obs.spans import wrap_thunk
@@ -27,10 +28,10 @@ from ...parallel import (
     serial_section,
     thread_pool,
 )
-from ..sequence import DeferredOp, QueueStats
+from ..sequence import DeferredOp, QueueStats, Touches
 from .config import options
 from .graph import OpNode, build_graph
-from .passes import cse_pass, dead_op_pass, fusion_pass
+from .passes import cse_pass, dead_positions, fusion_pass
 
 __all__ = ["build_plan", "ExecutionPlan", "instrument"]
 
@@ -57,6 +58,10 @@ def instrument(
     return acct.wrap(runner, rids) if acct is not None else runner
 
 
+#: the provenance of a node none of whose ops carries a trace
+_UNTRACED = ((), ())
+
+
 def _node_provenance(nodes: list[OpNode]) -> dict[int, tuple[list, list]]:
     """(request_ids, trace_ids) per node — provenance merge, not loss.
 
@@ -65,18 +70,24 @@ def _node_provenance(nodes: list[OpNode]) -> dict[int, tuple[list, list]]:
     additionally absorbs the ids of every duplicate that will reuse its
     cached result: the kernel it runs is shared work, and a per-request
     drain-share apportioned from these ids must bill every beneficiary.
+    Only nodes with a traced op get an entry (a library drain has none);
+    the rest read as :data:`_UNTRACED`.
     """
     rids: dict[int, set] = {}
     tids: dict[int, set] = {}
     for node in nodes:
-        traces = [op.trace for op in node.ops if op.trace is not None]
-        rids[node.index] = {str(t.request_id) for t in traces}
-        tids[node.index] = {t.trace_id for t in traces}
+        for op in node.ops:
+            t = op.trace
+            if t is not None:
+                rids.setdefault(node.index, set()).add(str(t.request_id))
+                tids.setdefault(node.index, set()).add(t.trace_id)
+    if not rids:
+        return {}
     for node in nodes:
         src = node.cse_source
-        if src is not None and src in rids:
-            rids[src] |= rids[node.index]
-            tids[src] |= tids[node.index]
+        if src is not None and node.index in rids:
+            rids.setdefault(src, set()).update(rids[node.index])
+            tids.setdefault(src, set()).update(tids[node.index])
     return {
         i: (sorted(rids[i]), sorted(tids[i])) for i in rids
     }
@@ -86,45 +97,69 @@ def _attach_runners(nodes: list[OpNode], provenance: dict) -> None:
     """Give every node its executable: pick where T comes from, then
     :func:`instrument` it.
 
-    A node computes its internal result T from its own op (plain /
-    capture nodes — kernel or worker pool, ``execute_standard``'s choice),
-    the CSE cache, or a fused chain, and every source ends in the same
-    write pipeline.  Runners are instrumented *now*, at drain time, so a
-    scheduled node records exactly one op span, under a label that makes
-    planner rewrites visible (``mxm+apply[fused]``, ``mxm[cse]``).
+    A plain node runs its op's own thunk.  A rewritten node computes its
+    internal result T from its own op (capture nodes — kernel or worker
+    pool, ``execute_standard``'s choice), the CSE cache, or a fused chain,
+    and every source ends in the same write pipeline.  Runners are
+    instrumented *now*, at drain time, so a scheduled node records exactly
+    one op span, under a label that makes planner rewrites visible
+    (``mxm+apply[fused]``, ``mxm[cse]``).  With neither a span sink nor
+    drain accounting armed, :func:`instrument` would hand every runner back
+    unchanged, so it is not called.
     """
-    from ...operations.common import execute_chain, execute_standard
-
+    armed = (
+        _spans.current() is not None
+        or _tracing.current_accounting() is not None
+    )
     cache: dict[int, tuple] = {}
+    common = None
     for node in nodes:
-        rids, t_ids = provenance[node.index]
-        prov: dict = {}
-        if rids:
-            prov["request_ids"] = rids
-            prov["trace_ids"] = t_ids
-        if node.fused_chain is not None:
-
-            def run(specs=tuple(node.fused_chain)):
-                execute_chain(list(specs))
-
-            prov["fused_of"] = [op.label for op in node.ops]
-        elif node.cse_source is not None:
-
-            def run(spec=node.ops[0].spec, src=node.cse_source):
-                _metrics.registry.inc("op.cse_reuses")
-                execute_standard(spec, t=cache[src])
-
-            prov["cse_of"] = node.cse_source
-        elif node.capture:
-
-            def run(spec=node.ops[0].spec, idx=node.index):
-                execute_standard(
-                    spec, capture=lambda k, v: cache.__setitem__(idx, (k, v))
-                )
-
-        else:
+        plain = (
+            node.fused_chain is None
+            and node.cse_source is None
+            and not node.capture
+        )
+        if plain:
             run = node.ops[0].thunk
-        node.runner = instrument(run, node.label, prov, rids)
+        else:
+            if common is None:
+                # looked up once per drain rather than at import time:
+                # ``operations`` imports the context, which imports this module
+                from ...operations import common
+            run = _rewritten_runner(node, cache, common)
+        if armed:
+            rids, t_ids = provenance.get(node.index, _UNTRACED)
+            prov: dict = {}
+            if rids:
+                prov["request_ids"] = rids
+                prov["trace_ids"] = t_ids
+            if node.fused_chain is not None:
+                prov["fused_of"] = [op.label for op in node.ops]
+            elif node.cse_source is not None:
+                prov["cse_of"] = node.cse_source
+            run = instrument(run, node.label, prov, rids)
+        node.runner = run
+
+
+def _rewritten_runner(node: OpNode, cache: dict, common) -> Callable[[], None]:
+    """The body of a fused, CSE or capture node (*common* is
+    :mod:`repro.operations.common`, which holds both executors)."""
+    if node.fused_chain is not None:
+        specs = tuple(node.fused_chain)
+        return lambda: common.execute_chain(list(specs))
+    spec = node.ops[0].spec
+    if node.cse_source is not None:
+        src = node.cse_source
+
+        def reuse():
+            _metrics.registry.inc("op.cse_reuses")
+            common.execute_standard(spec, t=cache[src])
+
+        return reuse
+    idx = node.index
+    return lambda: common.execute_standard(
+        spec, capture=lambda k, v: cache.__setitem__(idx, (k, v))
+    )
 
 
 def _explain_record(
@@ -136,15 +171,15 @@ def _explain_record(
     entries: list[dict] = []
     fused = cse = 0
     for node in (n for level in levels for n in level):
-        rids, tids = provenance[node.index]
+        rids, tids = provenance.get(node.index, _UNTRACED)
         entry: dict = {
             "index": node.index,
             "label": node.label,
             "ops": [op.label for op in node.ops],
             "level": node.level,
             "preds": sorted(node.preds),
-            "request_ids": rids,
-            "trace_ids": tids,
+            "request_ids": list(rids),
+            "trace_ids": list(tids),
             "kind": "plain",
             "backend": kb,
         }
@@ -249,29 +284,37 @@ class ExecutionPlan:
             raise failures[0][1]
 
 
-def build_plan(ops: list[DeferredOp], stats: QueueStats) -> ExecutionPlan:
+def build_plan(
+    ops: list[DeferredOp], stats: QueueStats, touches: Touches | None = None
+) -> ExecutionPlan:
     """Turn *ops* into an :class:`ExecutionPlan`.
 
     With the planner on, lift them into the DAG, run the enabled passes and
     level the survivors; with it off, the plan is the ops themselves — one
     singleton level each, in program order, no graph and no passes.  Either
     way the nodes get their runners, and their EXPLAIN record, from the
-    same code.
+    same code.  *touches* is the queue's index of *ops* (built here when
+    absent); the passes read it in the drained sequence's numbering, and
+    the survivors of dead-op elision keep a map to their positions there.
     """
     opts = options()
     n_elided = 0
     if opts.enabled:
-        live = ops
+        if touches is None:
+            touches = Touches.of(ops)
+        kept: Sequence[int] = range(len(ops))
         if opts.dead_op:
-            live, elided = dead_op_pass(ops)
-            n_elided = len(elided)
-            stats.elided += n_elided
-        g = build_graph(live)
-        owner = list(range(len(live)))
+            gone = dead_positions(ops, touches)
+            if gone:
+                n_elided = len(gone)
+                stats.elided += n_elided
+                kept = [pos for pos in kept if pos not in gone]
+                ops = [ops[pos] for pos in kept]
+        g = build_graph(ops, touches, kept)
         if opts.fusion:
-            stats.fused += fusion_pass(g, live, owner)
+            stats.fused += fusion_pass(g, ops)
         if opts.cse:
-            stats.cse += cse_pass(g, live, owner)
+            stats.cse += cse_pass(g, ops, touches, kept)
         levels = g.assign_levels()
         # the widest level the DAG scheduler has seen; program-order plans
         # have no DAG and leave the high-water mark alone

@@ -7,8 +7,10 @@ values from an opaque object into non-opaque storage.
 
 Each queued :class:`DeferredOp` records the opaque objects it reads and the
 one it writes, plus (for the standard Table II operations) an
-:class:`OpSpec` describing the computation structurally.  At drain time the
-queue hands the whole sequence to the planner
+:class:`OpSpec` describing the computation structurally.  As ops are
+pushed, the queue keeps a :class:`Touches` index: per object, the positions
+that read it and the positions that write it.  At drain time the queue
+hands the sequence and its index to the planner
 (:mod:`repro.execution.planner`), which lifts it into a dataflow DAG and
 runs dead-op elimination, producer→consumer fusion, common-subexpression
 elimination, and a level-order scheduler over it — the "lazy evaluation,
@@ -18,10 +20,12 @@ nonblocking implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["DeferredOp", "OpSpec", "SequenceQueue", "QueueStats"]
+from ..obs import spans as _spans
+
+__all__ = ["DeferredOp", "OpSpec", "SequenceQueue", "QueueStats", "Touches"]
 
 
 @dataclass(slots=True)
@@ -111,12 +115,52 @@ class QueueStats:
         }
 
 
+class Touches:
+    """Where a sequence touches each opaque object.
+
+    ``readers[id(x)]`` / ``writers[id(x)]`` list the positions of the ops
+    that read / write *x*, in program order; a position appears once per
+    object however many operand slots name it.  ``id`` is the right key:
+    opaque objects alias only as themselves, and a queued op holds its
+    objects alive, so no id is reused while the sequence is pending.
+    """
+
+    __slots__ = ("readers", "writers")
+
+    def __init__(self):
+        self.readers: dict[int, list[int]] = {}
+        self.writers: dict[int, list[int]] = {}
+
+    def add(self, pos: int, op: DeferredOp) -> None:
+        """Index *op* at position *pos* (positions arrive in order)."""
+        readers = self.readers
+        for r in op.reads:
+            at = readers.get(id(r))
+            if at is None:
+                readers[id(r)] = [pos]
+            elif at[-1] != pos:
+                at.append(pos)
+        at = self.writers.get(id(op.writes))
+        if at is None:
+            self.writers[id(op.writes)] = [pos]
+        else:
+            at.append(pos)
+
+    @classmethod
+    def of(cls, ops: list[DeferredOp]) -> "Touches":
+        index = cls()
+        for pos, op in enumerate(ops):
+            index.add(pos, op)
+        return index
+
+
 class SequenceQueue:
     """FIFO of deferred ops for one sequence (single-threaded, as the paper
     requires: sequences must not share non-read-only objects)."""
 
     def __init__(self):
         self._ops: list[DeferredOp] = []
+        self._touches = Touches()
         self.stats = QueueStats()
         self._failed_tail: list[DeferredOp] = []
 
@@ -124,19 +168,18 @@ class SequenceQueue:
         return len(self._ops)
 
     def push(self, op: DeferredOp) -> None:
+        self._touches.add(len(self._ops), op)
         self._ops.append(op)
         self.stats.enqueued += 1
 
     def pending_for(self, obj: Any) -> bool:
         """Is *obj* written by any queued op (i.e. not yet *complete*)?"""
-        return any(op.writes is obj for op in self._ops)
+        return id(obj) in self._touches.writers
 
     def involves(self, obj: Any) -> bool:
         """Is *obj* read or written by any queued op?"""
-        return any(
-            op.writes is obj or any(r is obj for r in op.reads)
-            for op in self._ops
-        )
+        index = self._touches
+        return id(obj) in index.writers or id(obj) in index.readers
 
     def drain(self) -> None:
         """Complete the sequence through the planner.
@@ -151,14 +194,11 @@ class SequenceQueue:
         if not self._ops:
             return
         self.stats.drains += 1
-        ops = list(self._ops)
-        self._ops.clear()
-        from ..obs import spans as _spans
-        from .planner import build_plan
-
+        ops, touches = self._ops, self._touches
+        self._ops, self._touches = [], Touches()
         sink = _spans.current()
         before = self.stats.snapshot() if sink is not None else {}
-        plan = build_plan(ops, self.stats)
+        plan = build_plan(ops, self.stats, touches)
         sp = (
             sink.open("drain", "drain", ops=len(ops), deferred=True)
             if sink is not None
@@ -185,3 +225,7 @@ class SequenceQueue:
     @property
     def failed_tail(self) -> list[DeferredOp]:
         return self._failed_tail
+
+
+# bound last: the planner imports this module's classes
+from .planner import build_plan  # noqa: E402

@@ -38,7 +38,7 @@ from ..containers.mask import build_mask_view
 from ..containers.scalar import Scalar as _ScalarObject
 from ..containers.vector import Vector
 from ..descriptor import Descriptor, effective
-from ..info import InvalidValue
+from ..info import InvalidIndex, InvalidValue
 from ..ops.base import BinaryOp
 from .common import (
     check_input,
@@ -284,7 +284,9 @@ def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
     other_len, line_len = C._shape if is_row else C._shape[::-1]
     li = int(line)
     if not 0 <= li < other_len:
-        raise InvalidValue(
+        # a scalar index outside the matrix is GrB_INVALID_INDEX, an API
+        # error; out-of-range *list* entries are IndexOutOfBounds
+        raise InvalidIndex(
             f"{'row' if is_row else 'column'} {line} out of range"
         )
     idx = resolve_indices(indices, line_len, "line")

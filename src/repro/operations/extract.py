@@ -28,7 +28,7 @@ from .._sparseutil import (
 from ..containers.matrix import Matrix
 from ..containers.vector import Vector
 from ..descriptor import ALL, Descriptor, effective
-from ..info import IndexOutOfBounds, InvalidValue
+from ..info import IndexOutOfBounds, InvalidIndex, InvalidValue
 from ..ops.base import BinaryOp
 from .common import (
     check_input,
@@ -177,7 +177,8 @@ def col_extract(
     eff_rows, eff_cols = A._oriented_shape(d.transpose0)
     j = int(col)
     if not 0 <= j < eff_cols:
-        raise IndexOutOfBounds(f"column {col} out of range [0, {eff_cols})")
+        # as for row/col assign: a scalar index is GrB_INVALID_INDEX
+        raise InvalidIndex(f"column {col} out of range [0, {eff_cols})")
     ri = resolve_indices(row_indices, eff_rows, "row")
     check_shape(w, (len(ri),), "output")
     validate_mask_shape(mask, w._shape)

@@ -90,6 +90,7 @@ def mxm(
     check_output(C)
     check_input(A, "A")
     check_input(B, "B")
+    check_kind(C, 2, "output")
     check_kind(A, 2, "A")
     check_kind(B, 2, "B")
     op = _require_semiring(op)

@@ -219,7 +219,7 @@ class TestRowColAssign:
         grb.init(grb.Mode.NONBLOCKING)
         C = grb.Matrix.from_coo(grb.INT64, 2, 2, [0, 1], [1, 0], [3, 4])
         u = grb.Vector.from_coo(grb.INT64, 2, [0], [7])
-        with pytest.raises(grb.InvalidValue):
+        with pytest.raises(grb.InvalidIndex):
             grb.row_assign(C, None, None, u, 5, grb.ALL)
         # a mask's domain must be bool or built-in, as for every op
         udt_mask = grb.Vector(grb.powerset_type(), 2)
@@ -228,6 +228,26 @@ class TestRowColAssign:
         with pytest.raises(grb.DomainMismatch):
             grb.col_assign(C, udt_mask, None, u, grb.ALL, 0)
         assert grb.queue_stats()["enqueued"] == 0
+        grb.wait()
+        assert {(i, j): int(v) for i, j, v in C} == {(0, 1): 3, (1, 0): 4}
+
+    def test_line_index_out_of_range_is_invalid_index(self, exec_mode):
+        # a scalar row/column outside C is GrB_INVALID_INDEX, an API error
+        # (section V): raised at the call, nothing queued, C unchanged;
+        # an out-of-range entry of the index *list* stays IndexOutOfBounds
+        C = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [1, 0], [3, 4])
+        u2 = grb.Vector.from_coo(grb.INT64, 2, [0], [7])
+        u3 = grb.Vector.from_coo(grb.INT64, 3, [0], [7])
+        enqueued = grb.queue_stats()["enqueued"]
+        for bad in (-1, 3):
+            with pytest.raises(grb.InvalidIndex):
+                grb.col_assign(C, None, None, u2, grb.ALL, bad)
+        for bad in (-1, 2):
+            with pytest.raises(grb.InvalidIndex):
+                grb.row_assign(C, None, None, u3, bad, grb.ALL)
+        with pytest.raises(grb.IndexOutOfBounds):
+            grb.col_assign(C, None, None, u2, [0, 5], 0)
+        assert grb.queue_stats()["enqueued"] == enqueued
         grb.wait()
         assert {(i, j): int(v) for i, j, v in C} == {(0, 1): 3, (1, 0): 4}
 

@@ -155,6 +155,13 @@ class TestUniformMatrixErrors:
                 grb.DimensionMismatch, lambda: call(C, M, operand()), C
             )
 
+    def test_other_kind_output_rejected(self, name, op, exec_mode):
+        call, operand, _ = MATRIX_CALLS[name]
+        w = _filled(_v)
+        _rejected_unchanged(
+            grb.InvalidValue, lambda: call(w, None, operand()), w
+        )
+
 
 VECTOR_OPS = [
     ("mxv", lambda w, u: grb.mxv(w, None, None, S, _m(), u)),
@@ -221,6 +228,13 @@ class TestUniformVectorErrors:
             _rejected_unchanged(
                 grb.DimensionMismatch, lambda: call(w, M, operand()), w
             )
+
+    def test_other_kind_output_rejected(self, name, op, exec_mode):
+        call, operand = VECTOR_CALLS[name]
+        C = _filled(_m)
+        _rejected_unchanged(
+            grb.InvalidValue, lambda: call(C, None, operand()), C
+        )
 
 
 class TestMaskErrorsEverywhere:

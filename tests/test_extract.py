@@ -119,8 +119,25 @@ class TestColExtract:
 
     def test_column_out_of_range(self):
         A = grb.Matrix(grb.INT64, 3, 3)
-        with pytest.raises(grb.IndexOutOfBounds):
+        with pytest.raises(grb.InvalidIndex):
             grb.col_extract(grb.Vector(grb.INT64, 3), None, None, A, grb.ALL, 5)
+
+    def test_column_out_of_range_is_invalid_index(self, exec_mode):
+        # a scalar column outside A (a row under INP0=TRAN) is
+        # GrB_INVALID_INDEX, an API error (section V): raised at the call,
+        # nothing queued, w unchanged; a bad row-list entry stays
+        # IndexOutOfBounds
+        A = grb.Matrix.from_coo(grb.INT64, 3, 2, [0, 2], [1, 0], [5, 6])
+        w = grb.Vector.from_coo(grb.INT64, 3, [1], [42])
+        enqueued = grb.queue_stats()["enqueued"]
+        for col, desc in ((2, None), (-1, None), (3, grb.DESC_T0)):
+            with pytest.raises(grb.InvalidIndex):
+                grb.col_extract(w, None, None, A, grb.ALL, col, desc)
+        with pytest.raises(grb.IndexOutOfBounds):
+            grb.col_extract(w, None, None, A, [0, 1, 7], 0)
+        assert grb.queue_stats()["enqueued"] == enqueued
+        grb.wait()
+        assert {i: int(v) for i, v in w} == {1: 42}
 
 
 class TestGenericDispatch:

@@ -338,6 +338,15 @@ def _run_program(steps, seed: int, nonblocking: bool):
     context._reset()
     if nonblocking:
         grb.init(grb.Mode.NONBLOCKING)
+    Ms, Vs = _queue_program(steps, seed)
+    if nonblocking:
+        grb.wait()
+    return [o.extract_tuples() for o in Ms + Vs]
+
+
+def _queue_program(steps, seed: int):
+    """Call *steps* on seeded operands in the current context; returns the
+    (matrices, vectors) they write."""
     rng = np.random.default_rng(seed + 10_000)
     Ms = [random_matrix(rng, _N, _N, 0.4) for _ in range(4)]
     Vs = [random_vector(rng, _N, 0.5) for _ in range(2)]
@@ -365,9 +374,7 @@ def _run_program(steps, seed: int, nonblocking: bool):
             grb.apply(Vs[w], vmask, acc, grb.AINV[grb.INT64], Vs[u], d)
         elif kind == "transpose":
             grb.transpose(Ms[c], mmask, acc, Ms[a], d)
-    if nonblocking:
-        grb.wait()
-    return [o.extract_tuples() for o in Ms + Vs]
+    return Ms, Vs
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -412,3 +419,70 @@ def test_bc_example_bit_identical():
     want = run(False)
     got = run(True)
     assert np.array_equal(want, got)
+
+
+# --------------------------------------------------------------------------
+# The touch index: edges and def-use equal a per-op scan of the survivors
+# --------------------------------------------------------------------------
+
+
+def _scan_preds(ops):
+    """Hazard predecessors by a per-op walk (the reference for the index)."""
+    preds = [set() for _ in ops]
+    last_writer, readers_since = {}, {}
+    for i, op in enumerate(ops):
+        for r in op.reads:
+            if id(r) in last_writer:
+                preds[i].add(last_writer[id(r)])  # RAW
+            readers_since.setdefault(id(r), []).append(i)
+        out = id(op.writes)
+        preds[i].update(k for k in readers_since.get(out, ()) if k != i)
+        if out in last_writer:
+            preds[i].add(last_writer[out])  # WAW
+        last_writer[out] = i
+        readers_since[out] = []
+    return preds
+
+
+def _scan_def_use(ops, t):
+    """The ops reading op *t*'s value before the next write, and that write."""
+    X, readers = ops[t].writes, []
+    for k in range(t + 1, len(ops)):
+        if any(r is X for r in ops[k].reads):
+            readers.append(k)
+        if ops[k].writes is X:
+            return readers, k
+    return readers, None
+
+
+def test_index_graph_matches_a_scan_of_the_survivors():
+    from repro.execution.planner.graph import build_graph
+    from repro.execution.planner.passes import dead_positions
+    from repro.execution.sequence import Touches
+
+    rng = np.random.default_rng(42)
+    for _ in range(2000):
+        objs = [object() for _ in range(int(rng.integers(1, 6)))]
+        pick = lambda n: [objs[j] for j in rng.integers(0, len(objs), n)]
+        ops = [
+            DeferredOp(
+                thunk=None,
+                reads=tuple(pick(rng.integers(0, 4))),
+                writes=pick(1)[0],
+                overwrites_output=bool(rng.random() < 0.6),
+            )
+            for _ in range(int(rng.integers(1, 11)))
+        ]
+        touches = Touches.of(ops)
+        gone = dead_positions(ops, touches)
+        kept = [p for p in range(len(ops)) if p not in gone]
+        live = [ops[p] for p in kept]
+        assert live == dead_op_pass(ops)[0]
+        g = build_graph(live, touches, kept)
+        for node, want in zip(g.nodes, _scan_preds(live)):
+            assert node.preds == want
+            assert all(node.index in g.nodes[p].succs for p in want)
+        for t in range(len(live)):
+            readers, nw = _scan_def_use(live, t)
+            assert g.next_writer.get(t) == nw
+            assert g.sole_reader.get(t) == (readers[0] if len(readers) == 1 else None)

@@ -5,6 +5,10 @@ intermediate, CSE across a mutating ``assign``, and REPLACE+mask riding on
 a fused pair.  Each scenario is checked for bit-equality against the
 blocking-mode result."""
 
+import gc
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -263,3 +267,91 @@ class TestOneExecutor:
         assert [n["level"] for n in plan["nodes"]] == [0, 1, 2]
         assert [n["preds"] for n in plan["nodes"]] == [[], [0], [1]]
         assert context.queue_stats()["max_width"] == 0  # no DAG was built
+
+
+class TestPlanningScales:
+    """Planning a drain costs time linear in its ops: a drain of N
+    independent applies touches every object once, so no pass has anything
+    to visit.  A forward re-scan per producer made this quadratic (~20x
+    from 500 to 2 000 ops, where linear planning gives ~4x)."""
+
+    def _drain_seconds(self, plan_times: list, n: int) -> float:
+        """Queue *n* independent applies, drain them, and return the time
+        the drain spent in ``build_plan``."""
+        ainv = grb.AINV[grb.FP64]
+        xs = [grb.Vector.from_coo(grb.FP64, 4, [0, 2], [1.0, 2.0])
+              for _ in range(n)]
+        ys = [grb.Vector(grb.FP64, 4) for _ in range(n)]
+        before = grb.queue_stats()
+        for x, y in zip(xs, ys):
+            grb.apply(y, None, None, ainv, x)
+        # a collector pause scales with the whole heap, not with the
+        # planner's work: keep it out of the timed drain
+        gc.collect()
+        gc.disable()
+        try:
+            grb.wait()
+        finally:
+            gc.enable()
+        after = grb.queue_stats()
+        delta = {k: after[k] - before[k] for k in after}
+        assert delta["fused"] == delta["cse"] == delta["elided"] == 0
+        assert delta["executed"] == n and delta["drains"] == 1
+        return plan_times.pop()
+
+    def test_independent_drain_plans_in_linear_time(self, monkeypatch):
+        from repro.execution import sequence
+
+        build_plan, plan_times = sequence.build_plan, []
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            plan = build_plan(*args)
+            plan_times.append(time.perf_counter() - t0)
+            return plan
+
+        monkeypatch.setattr(sequence, "build_plan", timed)
+        grb.init(grb.Mode.NONBLOCKING)
+        # interleaved, so that a change in the host's speed hits both sizes
+        small, large = [], []
+        for _ in range(3):
+            small.append(self._drain_seconds(plan_times, 500))
+            large.append(self._drain_seconds(plan_times, 2000))
+        small, large = statistics.median(small), statistics.median(large)
+        assert large / small <= 6, f"500 ops: {small:.4f}s, 2000: {large:.4f}s"
+
+
+class TestCycleAcrossAnEarlierChain:
+    """A contraction re-points edges backwards, so a later cycle test must
+    see paths through an earlier chain whose members lie on both sides of
+    the pair it checks.  Here ``Y=mxm(W,B)`` fuses with ``V=apply(Y)``,
+    which leaves the chain both after ``X=mxm(C,V)`` (it rewrites V, which
+    that product reads) and before ``W=apply(X)`` (it read W).  Fusing the
+    product with its apply would close the loop, so it must not happen."""
+
+    def _build(self, rng):
+        s, ainv = grb.PLUS_TIMES[grb.INT64], grb.AINV[grb.INT64]
+        A, B, C, V, W = (random_matrix(rng, 5, 5, 0.5) for _ in range(5))
+        X, Y = grb.Matrix(grb.INT64, 5, 5), grb.Matrix(grb.INT64, 5, 5)
+        grb.mxm(Y, None, None, s, W, B)
+        grb.mxm(X, None, None, s, C, V)
+        grb.apply(W, None, None, ainv, X)
+        grb.apply(V, None, None, ainv, Y)
+        grb.apply(Y, None, None, ainv, A)
+        grb.apply(X, None, None, ainv, A)
+        return [V, W, X, Y]
+
+    def test_only_the_acyclic_pair_fuses(self):
+        want = [_snap(o) for o in self._build(np.random.default_rng(5))]
+        context._reset()
+        grb.init(grb.Mode.NONBLOCKING)
+        with diag_explain.collect() as col:
+            got = self._build(np.random.default_rng(5))
+            grb.wait()
+        (plan,) = col.record()["plans"]
+        assert plan["fused_chains"] == 1 and grb.queue_stats()["fused"] == 1
+        assert [n["label"] for n in plan["nodes"] if n["kind"] == "fused"] == [
+            "mxm+apply[fused]"
+        ]
+        for g, w in zip(got, want):
+            _assert_same(_snap(g), w)
