@@ -1,9 +1,11 @@
 """Differential fuzzing of the streaming ingest path.
 
 One scenario = one random graph plus a random edge-delta schedule pushed
-through :class:`repro.stream.EdgeBuffer`.  After every flush the merged
-matrix content is diffed against a dict last-writer-wins model of the
-whole edit history, and PageRank, BFS levels and connected components on
+through :class:`repro.stream.EdgeBuffer`.  A dict model replays the
+submitted ``set_edges`` / ``remove_edges`` arrays in append order, last
+writer wins.  After every flush the flush's delta is diffed against the
+model's change across the flush, the merged matrix content against the
+model, and PageRank, BFS levels and connected components on
 the flushed matrix are diffed against the same algorithms on a matrix
 built from scratch out of the model.  Every scenario runs under every
 fuzz :class:`~repro.fuzz.executor.ExecMode` it is given — the deferred
@@ -11,7 +13,9 @@ rebuild must be mode-invariant like any other operation.
 
 Oracles:
 
-* **ingest**: ``A.extract_tuples()`` equals the dict model exactly;
+* **ingest**: ``fr.delta`` lists exactly the edges whose presence or
+  value the model changed, with their old and new values, and
+  ``A.extract_tuples()`` equals the model;
 * **algorithms**: bit-identical to the scratch-built graph's results
   (NaN/Inf from degenerate weights included) — what the service relies
   on when it answers an ``algorithm`` request from a snapshot that a
@@ -95,8 +99,10 @@ def _scenario(seed: int) -> str | None:
 
     for round_no in range(int(rng.integers(2, 6))):
         buf = EdgeBuffer(A)
+        before = dict(model)
         # a flush may carry several append calls, including writes that
-        # overwrite each other within the batch (last writer must win)
+        # overwrite each other within the batch (last writer must win);
+        # the model applies the submitted arrays in append order
         for _ in range(int(rng.integers(1, 4))):
             k = int(rng.integers(1, max(2, n)))
             ri = rng.integers(0, n, k)
@@ -104,31 +110,42 @@ def _scenario(seed: int) -> str | None:
             if rng.random() < 0.7:
                 vals = _random_values(rng, k)
                 if symmetric and rng.random() < 0.8:
-                    buf.set_edges(
-                        np.concatenate([ri, ci]), np.concatenate([ci, ri]),
-                        np.concatenate([vals, vals]),
-                    )
-                else:
-                    buf.set_edges(ri, ci, vals)
+                    ri, ci = np.concatenate([ri, ci]), np.concatenate([ci, ri])
+                    vals = np.concatenate([vals, vals])
+                buf.set_edges(ri, ci, vals)
+                for i, j, v in zip(ri, ci, vals):
+                    model[(int(i), int(j))] = float(v)
             else:
                 if symmetric and rng.random() < 0.8:
-                    buf.remove_edges(
-                        np.concatenate([ri, ci]), np.concatenate([ci, ri])
-                    )
-                else:
-                    buf.remove_edges(ri, ci)
-        fr = buf.flush()
-        delta = fr.delta  # sequence point: forces the deferred rebuild
+                    ri, ci = np.concatenate([ri, ci]), np.concatenate([ci, ri])
+                buf.remove_edges(ri, ci)
+                for i, j in zip(ri, ci):
+                    model.pop((int(i), int(j)), None)
+        delta = buf.flush().delta  # sequence point: forces the rebuild
 
-        # oracle 1: the merged content is the dict model of the history
-        for i, j, om, ov, nm, nv in zip(
-            delta.rows, delta.cols, delta.old_mask, delta.old_values,
-            delta.new_mask, delta.new_values,
-        ):
-            if nm:
-                model[(int(i), int(j))] = float(nv)
-            else:
-                model.pop((int(i), int(j)), None)
+        # oracle 1: the delta is the model's diff across the flush, and
+        # the merged content is the model
+        want = {
+            key: (before.get(key), model.get(key))
+            for key in before.keys() | model.keys()
+            if before.get(key) != model.get(key)
+        }
+        seen = {
+            (int(i), int(j)): (float(ov) if om else None,
+                               float(nv) if nm else None)
+            for i, j, om, ov, nm, nv in zip(
+                delta.rows, delta.cols, delta.old_mask, delta.old_values,
+                delta.new_mask, delta.new_values,
+            )
+        }
+        if seen != want or delta.size != len(seen):
+            wrong = sorted(k for k in want.keys() | seen.keys()
+                           if want.get(k) != seen.get(k))
+            return (
+                f"round {round_no}: delta diverges from the model's diff "
+                f"(size {delta.size}, expected {len(want)}, "
+                f"first differing edges {wrong[:4]})"
+            )
         rr, cc, vv = A.extract_tuples()
         got = {
             (int(i), int(j)): float(v) for i, j, v in zip(rr, cc, vv)

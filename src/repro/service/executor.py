@@ -13,9 +13,14 @@ batch-final ``wait()`` drains them all, and the drain-time planner sees
 the union across request boundaries and applies dead-op elimination,
 fusion, CSE, and parallel scheduling to it.
 
-With batching disabled (``ServiceConfig.batching=False``) the executor
-waits after each request instead — no cross-request optimization; the
-load generator measures the difference.
+With batching disabled (``ServiceConfig.batching=False``) a worker pops
+one request per batch, so the same drain runs after every request — no
+cross-request optimization; the load generator measures the difference.
+
+The kind table :data:`KINDS` maps each data kind to its issue handler and
+to whether it mutates the store.  ``update`` and ``stream_mutate`` share
+one handler: both buffer their ``set`` / ``remove`` lists through one
+:class:`~repro.stream.EdgeBuffer` flush and differ only in their reply.
 
 Error attribution: an issue-phase error fails only its request.  Futures
 are fulfilled after the batch drain; an error surfacing there poisons the
@@ -28,12 +33,14 @@ from __future__ import annotations
 
 import contextlib
 import time
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
+from .. import algorithms as alg
 from .. import context, validation
-from ..containers.matrix import Matrix
+from ..containers.base import SparseCollection
 from ..containers.scalar import Scalar
 from ..containers.vector import Vector
 from ..fuzz.executor import build_decl, dispatch_call
@@ -49,30 +56,24 @@ from .errors import BadRequest, DeadlineExceeded, ObjectNotFound
 from .memo import build_entry, materialize
 from .session import SHARED_PREFIX, Session
 
-__all__ = ["run_batch", "ALGORITHMS", "jsonable", "plain"]
+__all__ = ["run_batch", "ALGORITHMS", "KINDS", "mutates", "jsonable", "plain"]
 
 
 # --------------------------------------------------------------------------
 # Algorithm registry
 # --------------------------------------------------------------------------
 
-def _algorithms() -> dict[str, Callable]:
-    from .. import algorithms as alg
-
-    return {
-        "pagerank": alg.pagerank,
-        "bfs_levels": alg.bfs_levels,
-        "bfs_parents": alg.bfs_parents,
-        "sssp": alg.sssp,
-        "triangle_count": alg.triangle_count,
-        "connected_components": alg.connected_components,
-        "betweenness_centrality": alg.betweenness_centrality,
-        "core_numbers": alg.core_numbers,
-        "greedy_coloring": alg.greedy_coloring,
-    }
-
-
-ALGORITHMS = _algorithms()
+ALGORITHMS: dict[str, Callable] = {
+    "pagerank": alg.pagerank,
+    "bfs_levels": alg.bfs_levels,
+    "bfs_parents": alg.bfs_parents,
+    "sssp": alg.sssp,
+    "triangle_count": alg.triangle_count,
+    "connected_components": alg.connected_components,
+    "betweenness_centrality": alg.betweenness_centrality,
+    "core_numbers": alg.core_numbers,
+    "greedy_coloring": alg.greedy_coloring,
+}
 
 
 def jsonable(v: Any) -> Any:
@@ -116,21 +117,14 @@ def _column(a: np.ndarray):
 
 def _contents(obj) -> dict:
     """Content of a collection (the ``fetch`` payload)."""
-    if isinstance(obj, Matrix):
-        rows, cols, vals = obj.extract_tuples()
+    if isinstance(obj, SparseCollection):
+        *index, vals = obj.extract_tuples()
+        kind, names = (("matrix", ("rows", "cols")) if len(index) == 2
+                       else ("vector", ("indices",)))
         return {
-            "kind": "matrix",
-            "shape": [obj.nrows, obj.ncols],
-            "rows": _column(rows),
-            "cols": _column(cols),
-            "values": _column(vals),
-        }
-    if isinstance(obj, Vector):
-        idx, vals = obj.extract_tuples()
-        return {
-            "kind": "vector",
-            "shape": [obj.size],
-            "indices": _column(idx),
+            "kind": kind,
+            "shape": list(obj.shape),
+            **{k: _column(a) for k, a in zip(names, index)},
             "values": _column(vals),
         }
     if isinstance(obj, Scalar):
@@ -197,11 +191,6 @@ def _cow(session: Session, ectx: _Exec, name: str):
     return obj
 
 
-def _mark_fresh(ectx: _Exec, name: str) -> None:
-    if ectx.fresh is not None:
-        ectx.fresh.add(name)
-
-
 def _get(session: Session, ns: dict, name: str):
     try:
         return ns[name]
@@ -219,12 +208,18 @@ def _check_writable(session: Session, name: str) -> None:
         )
 
 
-def _store(session: Session, name: str, obj, dtype_token: str | None = None) -> None:
+def _store(
+    session: Session, ectx: _Exec, name: str, obj, dtype_token: str | None = None
+) -> None:
+    """Bind a new object to *name*; on the shared session it is fresh,
+    so later edits in this publication need no copy."""
     _check_writable(session, name)
     if dtype_token is None:
         dtype_token = obj.type.name
     session.objects[name] = obj
     session.dtypes[name] = dtype_token
+    if ectx.fresh is not None:
+        ectx.fresh.add(name)
 
 
 # --------------------------------------------------------------------------
@@ -244,55 +239,50 @@ def _need(payload: dict, key: str):
         raise BadRequest(f"request payload is missing {key!r}") from None
 
 
-def _decl_from_payload(d: dict) -> Decl:
+def _declare(session: Session, d: dict, ectx: _Exec):
+    """Build declaration *d* into the session as a fresh object."""
     try:
-        return Decl.from_dict(
+        decl = Decl.from_dict(
             {"entries": [], **{k: d[k] for k in d if k in
                                ("name", "kind", "dtype", "shape", "entries")}}
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise BadRequest(f"malformed declaration: {exc}") from None
-
-
-def _issue_define(service, session: Session, payload: dict, ectx: _Exec):
-    decl = _decl_from_payload(payload)
-    _check_writable(session, decl.name)
     try:
         obj = build_decl(decl, session.env)
     except GraphBLASError:
         raise
     except Exception as exc:
         raise BadRequest(f"cannot build {decl.name!r}: {exc}") from None
-    _store(session, decl.name, obj, decl.dtype)
-    _mark_fresh(ectx, decl.name)
-    return {"name": decl.name, "nvals": obj.nvals()}
+    _store(session, ectx, decl.name, obj, decl.dtype)
+    return obj
 
-def _issue_upload(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_define(session: Session, payload: dict, ectx: _Exec):
+    obj = _declare(session, payload, ectx)
+    return {"name": payload["name"], "nvals": obj.nvals()}
+
+def _issue_upload(session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     blob = payload.get("blob")
     if not isinstance(blob, (bytes, bytearray)):
         raise BadRequest("upload needs a 'blob' (bytes) field")
     obj = deserialize(bytes(blob))
-    _store(session, name, obj)
-    _mark_fresh(ectx, name)
+    _store(session, ectx, name, obj)
     kind = type(obj).__name__.lower()
     return {"name": name, "kind": kind, "nvals": obj.nvals()}
 
-def _issue_download(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_download(session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
     return {"name": name, "blob": serialize(obj)}
 
-def _issue_program(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_program(session: Session, payload: dict, ectx: _Exec):
     raw_calls = _need(payload, "calls")
     declares = payload.get("declare", [])
     fetch = payload.get("fetch", [])
     for d in declares:
-        decl = _decl_from_payload(d)
-        _check_writable(session, decl.name)
-        _store(session, decl.name, build_decl(decl, session.env), decl.dtype)
-        _mark_fresh(ectx, decl.name)
+        _declare(session, d, ectx)
     ns, dtypes = _namespace(session, ectx)
     calls = []
     for c in raw_calls:
@@ -327,7 +317,7 @@ def _issue_program(service, session: Session, payload: dict, ectx: _Exec):
         }
     return out
 
-def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_algorithm(session: Session, payload: dict, ectx: _Exec):
     algo = _need(payload, "algo")
     fn = ALGORITHMS.get(algo)
     if fn is None:
@@ -349,91 +339,54 @@ def _issue_algorithm(service, session: Session, payload: dict, ectx: _Exec):
         result = Vector.from_coo(
             dom, len(result), np.arange(len(result)), result.astype(dom.np_dtype)
         )
-    if isinstance(result, (Matrix, Vector)):
+    if isinstance(result, SparseCollection):
         if store_as:
-            _check_writable(session, store_as)
-            _store(session, store_as, result)
-            _mark_fresh(ectx, store_as)
+            _store(session, ectx, store_as, result)
             return {"stored": store_as, "nvals": result.nvals()}
         return {"result": _contents(result)}
     if store_as:
         raise BadRequest(f"{algo!r} returns a plain value; cannot store_as")
     return {"result": jsonable(result)}
 
-def _issue_update(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_mutation(session: Session, payload: dict, ectx: _Exec, *, kind: str):
+    """The one handler of ``update`` and ``stream_mutate``: the request's
+    ``set`` / ``remove`` lists go into one :class:`~repro.stream.EdgeBuffer`
+    flush, a single deferred rebuild in the planner DAG.  Every entry is
+    checked before the flush is submitted, so a request that fails changes
+    nothing.  ``update`` replies the graph's ``nvals`` (a sequence point);
+    ``stream_mutate`` replies the accepted counts and leaves the rebuild
+    to the batch drain."""
     name = _need(payload, "graph")
     _check_writable(session, name)
     ns, _ = _namespace(session, ectx)
     obj = _get(session, ns, name)
+    if not isinstance(obj, SparseCollection):
+        raise BadRequest(f"cannot stream updates into {type(obj).__name__}")
+    dims = len(obj.shape)
+    if kind == "stream_mutate" and dims != 2:
+        raise BadRequest("stream_mutate requires a Matrix graph")
     if session.is_shared:
         # in-place edits must never reach a published version's object
         obj = _cow(session, ectx, name) or obj
-    sets = payload.get("set", [])
-    removes = payload.get("remove", [])
     env = session.env
     token = session.dtypes.get(name, obj.type.name)
-    if isinstance(obj, Matrix):
-        for i, j, v in sets:
-            obj.set_element(int(i), int(j), env.value(token, v))
-        for entry in removes:
-            i, j = entry[0], entry[1]
-            try:
-                obj.remove_element(int(i), int(j))
-            except NoValue:  # removing an absent edge is a no-op, not an error
-                pass
-    elif isinstance(obj, Vector):
-        for i, v in sets:
-            obj.set_element(int(i), env.value(token, v))
-        for entry in removes:
-            i = entry[0] if isinstance(entry, (list, tuple)) else entry
-            try:
-                obj.remove_element(int(i))
-            except NoValue:
-                pass
-    else:
-        raise BadRequest(f"cannot stream updates into {type(obj).__name__}")
-    return {"name": name, "nvals": obj.nvals()}
-
-def _issue_stream_mutate(
-    service, session: Session, payload: dict, ectx: _Exec
-):
-    """Batched edge mutation through the streaming ingest path.
-
-    The whole ``set``/``remove`` batch lands in one
-    :class:`~repro.stream.EdgeBuffer` flush — a single deferred rebuild in
-    the planner DAG — instead of ``update``'s per-element edits.
-    """
-    name = _need(payload, "graph")
-    _check_writable(session, name)
-    ns, _ = _namespace(session, ectx)
-    obj = _get(session, ns, name)
-    if session.is_shared:
-        obj = _cow(session, ectx, name) or obj
-    if not isinstance(obj, Matrix):
-        raise BadRequest("stream_mutate requires a Matrix graph")
-    sets = payload.get("set", []) or []
-    removes = payload.get("remove", []) or []
+    sets = payload.get("set") or []
+    # a vector's remove entry may be a bare index
+    removes = [e if isinstance(e, (list, tuple)) else [e]
+               for e in payload.get("remove") or []]
     buf = EdgeBuffer(obj)
-    if sets:
-        buf.set_edges(
-            [int(e[0]) for e in sets],
-            [int(e[1]) for e in sets],
-            [e[2] for e in sets],
-        )
-    if removes:
-        buf.remove_edges(
-            [int(e[0]) for e in removes],
-            [int(e[1]) for e in removes],
-        )
+    buf.set_edges(*([int(e[d]) for e in sets] for d in range(dims)),
+                  [env.value(token, e[dims]) for e in sets])
+    buf.remove_edges(*([int(e[d]) for e in removes] for d in range(dims)))
     buf.flush()
+    if kind == "update":
+        return {"name": name, "nvals": obj.nvals()}
     metrics.registry.inc("service.stream_mutate")
-    return {
-        "name": name,
-        "accepted": {"set": len(sets), "remove": len(removes)},
-    }
+    return {"name": name,
+            "accepted": {"set": len(sets), "remove": len(removes)}}
 
 
-def _issue_query(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_query(session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     what = payload.get("what", "nvals")
     ns, _ = _namespace(session, ectx)
@@ -443,21 +396,17 @@ def _issue_query(service, session: Session, payload: dict, ectx: _Exec):
     if what == "tuples":
         return _contents(obj)
     if what == "element":
+        if not isinstance(obj, SparseCollection):
+            raise BadRequest("element query needs a matrix or vector")
+        at = ("row", "col") if len(obj.shape) == 2 else ("index",)
         try:
-            if isinstance(obj, Matrix):
-                v = obj.extract_element(
-                    int(_need(payload, "row")), int(_need(payload, "col"))
-                )
-            elif isinstance(obj, Vector):
-                v = obj.extract_element(int(_need(payload, "index")))
-            else:
-                raise BadRequest("element query needs a matrix or vector")
+            v = obj.extract_element(*(int(_need(payload, k)) for k in at))
         except NoValue:
             return {"value": None, "stored": False}
         return {"value": jsonable(v), "stored": True}
     raise BadRequest(f"unknown query {what!r} (nvals | tuples | element)")
 
-def _issue_free(service, session: Session, payload: dict, ectx: _Exec):
+def _issue_free(session: Session, payload: dict, ectx: _Exec):
     name = _need(payload, "name")
     _check_writable(session, name)
     if name not in session.objects:
@@ -471,40 +420,45 @@ def _issue_free(service, session: Session, payload: dict, ectx: _Exec):
     return {"freed": name}
 
 
-_ISSUE = {
-    "define": _issue_define,
-    "upload": _issue_upload,
-    "download": _issue_download,
-    "program": _issue_program,
-    "algorithm": _issue_algorithm,
-    "update": _issue_update,
-    "stream_mutate": _issue_stream_mutate,
-    "query": _issue_query,
-    "free": _issue_free,
+def _program_writes(payload: dict) -> bool:
+    if payload.get("declare"):
+        return True
+    return any(
+        (c.get("out") if isinstance(c, dict) else getattr(c, "out", None))
+        is not None
+        for c in payload.get("calls", []) or []
+    )
+
+
+#: Every data kind: its issue handler, and whether a request of the kind
+#: changes the objects it names — True, False, or a test of the payload.
+#: On the shared session a True answer publishes a snapshot version after
+#: the request runs.
+KINDS: dict[str, tuple[Callable, bool | Callable[[dict], bool]]] = {
+    "define": (_issue_define, True),
+    "upload": (_issue_upload, True),
+    "download": (_issue_download, False),
+    "program": (_issue_program, _program_writes),
+    "algorithm": (_issue_algorithm, lambda p: p.get("store_as") is not None),
+    "update": (partial(_issue_mutation, kind="update"), True),
+    "stream_mutate": (partial(_issue_mutation, kind="stream_mutate"), True),
+    "query": (_issue_query, False),
+    "free": (_issue_free, True),
 }
+
+
+def mutates(kind: str, payload: dict | None = None) -> bool:
+    """Does a request of *kind* with *payload* change the store?  Without
+    a payload, True only for the kinds that always do."""
+    writes = KINDS[kind][1]
+    if isinstance(writes, bool):
+        return writes
+    return payload is not None and writes(payload)
 
 
 # --------------------------------------------------------------------------
 # The batch driver
 # --------------------------------------------------------------------------
-
-def _mutates(kind: str, payload: dict) -> bool:
-    """Does this shared-session request change the shared store?  A True
-    answer triggers a snapshot publication after it executes."""
-    if kind in ("define", "upload", "update", "stream_mutate", "free"):
-        return True
-    if kind == "program":
-        if payload.get("declare"):
-            return True
-        for c in payload.get("calls", []) or []:
-            out = c.get("out") if isinstance(c, dict) else getattr(c, "out", None)
-            if out is not None:
-                return True
-        return False
-    if kind == "algorithm":
-        return payload.get("store_as") is not None
-    return False
-
 
 def _writer_reset(service, session: Session) -> None:
     """Discard a failed shared mutation's partial working state.
@@ -521,7 +475,8 @@ def _writer_reset(service, session: Session) -> None:
     session.dtypes = dict(current.dtypes)
 
 
-def _fail(service, req, exc: BaseException) -> None:
+def _fail(service, session: Session, req, exc: BaseException) -> None:
+    session.failed += 1
     req.release_version()
     if req.future.done():  # pragma: no cover - defensive
         return
@@ -541,7 +496,8 @@ def _fail(service, req, exc: BaseException) -> None:
     req.future.set_exception(exc)
 
 
-def _fulfil(service, req, result: dict) -> None:
+def _fulfil(service, session: Session, req, result: dict) -> None:
+    session.completed += 1
     req.release_version()
     reg = metrics.registry
     reg.inc("service.completed")
@@ -574,7 +530,6 @@ def run_batch(service, session: Session, batch: list) -> None:
     reg = metrics.registry
     sink = spans.current()
     reg.inc("service.batches")
-    batching = service.config.batching
     is_writer = session.is_shared
     memo = service.memo
     snapshots = service.snapshots
@@ -596,10 +551,8 @@ def run_batch(service, session: Session, batch: list) -> None:
             if sink is not None
             else None
         )
-        # (req, result, issue_us, own_drain_us, meta) — own_drain_us is the
-        # per-request wait when batching is off; the batched drain is
-        # apportioned by the accounting below instead.  meta carries the
-        # snapshot/cache facts of the request for the timing response.
+        # (req, result, issue_us, meta) — meta carries the snapshot/cache
+        # facts of the request for the timing response
         issued: list[tuple] = []
         try:
             for req in batch:
@@ -609,7 +562,6 @@ def run_batch(service, session: Session, batch: list) -> None:
                 )
                 if req.expired(req.t_start):
                     reg.inc("service.deadline_exceeded")
-                    session.failed += 1
                     diag.trigger_dump(
                         "deadline",
                         detail={
@@ -620,20 +572,20 @@ def run_batch(service, session: Session, batch: list) -> None:
                             ),
                         },
                     )
-                    _fail(service, req, DeadlineExceeded(
+                    _fail(service, session, req, DeadlineExceeded(
                         f"request {req.rid} ({req.kind}) expired in queue"
                     ))
                     continue
-                span_kw: dict = {"session": session.name, "rid": req.rid}
-                if req.trace is not None:
-                    # set provenance on the request span so every child —
-                    # including sequence-point drains forced mid-issue —
-                    # inherits the originating ids
-                    span_kw["trace_id"] = req.trace.trace_id
-                    span_kw["request_ids"] = [str(req.trace.request_id)]
-                    span_kw["trace_ids"] = [req.trace.trace_id]
+                # provenance on the request span: every child — including
+                # sequence-point drains forced mid-issue — inherits the ids
+                # (admission minted a trace for every request)
+                tid = req.trace.trace_id
                 rsp = (
-                    sink.open(f"request:{req.kind}", "request", **span_kw)
+                    sink.open(
+                        f"request:{req.kind}", "request", session=session.name,
+                        rid=req.rid, trace_id=tid,
+                        request_ids=[str(req.trace.request_id)], trace_ids=[tid],
+                    )
                     if sink is not None
                     else None
                 )
@@ -647,7 +599,8 @@ def run_batch(service, session: Session, batch: list) -> None:
                     t_i0 = time.perf_counter()
                     with tracing.use(req.trace):
                         decision = entry = None
-                        if memo is not None and not is_writer and req.version is not None:
+                        # every reader request pinned a version at admission
+                        if memo is not None and not is_writer:
                             decision = req.memo_decision
                             if decision.cacheable:
                                 entry = memo.lookup(
@@ -660,10 +613,10 @@ def run_batch(service, session: Session, batch: list) -> None:
                         if entry is not None:
                             result = materialize(entry, decision, session)
                         else:
-                            result = _ISSUE[req.kind](
-                                service, session, req.payload, ectx
+                            result = KINDS[req.kind][0](
+                                session, req.payload, ectx
                             )
-                            if is_writer and _mutates(req.kind, req.payload):
+                            if is_writer and mutates(req.kind, req.payload):
                                 # freeze this mutation's effects, then make
                                 # them visible to future admissions
                                 context.wait()
@@ -681,11 +634,7 @@ def run_batch(service, session: Session, batch: list) -> None:
                                         if prev.objects.get(k) is not o
                                     } | (set(prev.objects) - set(v.objects))
                                     memo.on_publish(v.vid, changed=changed)
-                            if (
-                                decision is not None
-                                and decision.cacheable
-                                and memo is not None
-                            ):
+                            if decision is not None and decision.cacheable:
                                 # building the entry serializes the declared
                                 # outputs — a sequence point that forces this
                                 # request's ops, so the blobs capture exactly
@@ -697,29 +646,15 @@ def run_batch(service, session: Session, batch: list) -> None:
                                     build_entry(decision, session, result),
                                 )
                     issue_us = (time.perf_counter() - t_i0) * 1e6
-                    own_drain_us = 0.0
-                    if not batching:
-                        # no cross-request batch → the whole drain is this
-                        # request's; no apportioning needed
-                        t_d0 = time.perf_counter()
-                        context.wait()
-                        own_drain_us = (time.perf_counter() - t_d0) * 1e6
-                        reg.observe("service.drain_us", own_drain_us)
                     reg.observe("service.issue_us", issue_us)
-                    issued.append((req, result, issue_us, own_drain_us, meta))
-                except GraphBLASError as exc:
-                    session.failed += 1
-                    if is_writer:
-                        _writer_reset(service, session)
-                    _fail(service, req, exc)
-                    if rsp is not None:
-                        rsp.attrs["error"] = type(exc).__name__
+                    issued.append((req, result, issue_us, meta))
                 except Exception as exc:
-                    session.failed += 1
                     if is_writer:
                         _writer_reset(service, session)
-                    _fail(service, req, BadRequest(
-                        f"request {req.rid} ({req.kind}) failed: {exc!r}"
+                    _fail(service, session, req, (
+                        exc if isinstance(exc, GraphBLASError) else BadRequest(
+                            f"request {req.rid} ({req.kind}) failed: {exc!r}"
+                        )
                     ))
                     if rsp is not None:
                         rsp.attrs["error"] = type(exc).__name__
@@ -732,48 +667,42 @@ def run_batch(service, session: Session, batch: list) -> None:
                             rsp.attrs["cache"] = meta["cache"]
                         sink.close(rsp)
 
+            # one drain for the whole batch: install accounting so the
+            # planner bills each scheduled node's wall/flops to the requests
+            # whose deferred ops it runs, then apportion the measured drain
+            # wall-clock by those tallies
             drain_error: GraphBLASError | None = None
-            shares: dict[str, float] = {}
-            if batching:
-                # one drain for the whole batch: install accounting so the
-                # planner bills each scheduled node's wall/flops to the
-                # requests whose deferred ops it runs, then apportion the
-                # measured drain wall-clock by those tallies
-                acc = tracing.DrainAccounting()
-                t_d0 = time.perf_counter()
-                try:
-                    with tracing.accounting(acc):
-                        context.wait()
-                except GraphBLASError as exc:
-                    drain_error = exc
-                drain_wall = time.perf_counter() - t_d0
-                reg.observe("service.drain_us", drain_wall * 1e6)
-                shares = {
-                    rid: s * 1e6 for rid, s in acc.shares(drain_wall).items()
-                }
+            acc = tracing.DrainAccounting()
+            t_d0 = time.perf_counter()
+            try:
+                with tracing.accounting(acc):
+                    context.wait()
+            except GraphBLASError as exc:
+                drain_error = exc
+                if is_writer:
+                    _writer_reset(service, session)
+            drain_wall = time.perf_counter() - t_d0
+            reg.observe("service.drain_us", drain_wall * 1e6)
+            shares = {
+                rid: s * 1e6 for rid, s in acc.shares(drain_wall).items()
+            }
 
             # futures are fulfilled only after the drain: an error surfacing
             # at the batch wait() poisons the failed op's outputs and the
             # un-run tail (section V), so it fails every request whose
             # deferred work may be involved — the same over-approximation
             # GrB_wait itself makes
-            for req, result, issue_us, own_drain_us, meta in issued:
+            for req, result, issue_us, meta in issued:
                 if drain_error is not None:
-                    session.failed += 1
-                    _fail(service, req, drain_error)
+                    _fail(service, session, req, drain_error)
                     continue
-                rid_key = (
-                    str(req.trace.request_id) if req.trace is not None
-                    else str(req.rid)
-                )
-                drain_share_us = (
-                    shares.get(rid_key, 0.0) if batching else own_drain_us
-                )
+                rid_key = str(req.trace.request_id)
+                drain_share_us = shares.get(rid_key, 0.0)
                 reg.observe("service.drain_share_us", drain_share_us)
                 if req.timing:
                     result = dict(result)
                     result["timing"] = {
-                        "trace_id": req.trace.trace_id if req.trace else None,
+                        "trace_id": req.trace.trace_id,
                         "request_id": rid_key,
                         "queue_wait_us": (req.t_start - req.t_submit) * 1e6,
                         "issue_us": issue_us,
@@ -792,8 +721,7 @@ def run_batch(service, session: Session, batch: list) -> None:
                     record["text"] = diag_explain.render_text(record)
                     result = dict(result)
                     result["explain"] = record
-                session.completed += 1
-                _fulfil(service, req, result)
+                _fulfil(service, session, req, result)
             if col is not None:
                 # the wire `explain` command replays the last collected
                 # batch, so opted-in runs are inspectable after the fact

@@ -32,11 +32,15 @@ import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
+from functools import partial
 
 from .. import obs
 from ..obs.export import timeline_html
 from ..obs.metrics import Histogram, percentile
+from .client import Client, TCPClient
 from .errors import QueueFull
+from .executor import mutates
 from .service import Service, ServiceConfig
 from .session import SHARED_PREFIX, SHARED_SESSION
 
@@ -121,22 +125,15 @@ def _op_algorithm(rng: random.Random, graph: str, n: int) -> tuple[str, dict]:
     return ("algorithm", payload)
 
 
-def _op_update(rng: random.Random, graph: str, n: int) -> tuple[str, dict]:
+def _op_mutate(rng: random.Random, kind: str, graph: str, n: int) -> tuple[str, dict]:
+    # a stream_mutate carries a bigger batch than an update: the reply does
+    # not read the graph, so the rebuild stays deferred to the batch drain
+    nset, nrem = ((1, 4), (0, 3)) if kind == "update" else ((2, 9), (0, 5))
     sets = [[rng.randrange(n), rng.randrange(n), round(rng.uniform(0.5, 2.0), 3)]
-            for _ in range(rng.randrange(1, 4))]
+            for _ in range(rng.randrange(*nset))]
     removes = [[rng.randrange(n), rng.randrange(n)]
-               for _ in range(rng.randrange(0, 3))]
-    return ("update", {"graph": graph, "set": sets, "remove": removes})
-
-
-def _op_stream_mutate(rng: random.Random, graph: str, n: int) -> tuple[str, dict]:
-    # bigger batches than the point-update path: the whole batch is one
-    # deferred rebuild, and on the shared graph one snapshot publish
-    sets = [[rng.randrange(n), rng.randrange(n), round(rng.uniform(0.5, 2.0), 3)]
-            for _ in range(rng.randrange(2, 9))]
-    removes = [[rng.randrange(n), rng.randrange(n)]
-               for _ in range(rng.randrange(0, 5))]
-    return ("stream_mutate", {"graph": graph, "set": sets, "remove": removes})
+               for _ in range(rng.randrange(*nrem))]
+    return (kind, {"graph": graph, "set": sets, "remove": removes})
 
 
 def _op_query(rng: random.Random, graph: str) -> tuple[str, dict]:
@@ -174,10 +171,8 @@ def build_streams(seed: int, clients: int, requests: int) -> list[list]:
                         rng, SHARED_PREFIX + "G", _SHARED_N
                     ))
             elif r < 0.85:
-                if rng.random() < 0.5:
-                    ops.append(_op_update(rng, "g", _GRAPH_N))
-                else:
-                    ops.append(_op_stream_mutate(rng, "g", _GRAPH_N))
+                kind = "update" if rng.random() < 0.5 else "stream_mutate"
+                ops.append(_op_mutate(rng, kind, "g", _GRAPH_N))
             else:
                 ops.append(_op_query(rng, "g"))
         streams.append(ops)
@@ -282,13 +277,10 @@ def build_zipf_streams(
         ops: list = []
         for _ in range(per_client):
             if rng.random() < write_rate:
-                # mostly batched streaming mutations (one rebuild + one
-                # publish), with per-element point updates mixed in
-                if rng.random() < 0.7:
-                    kind, payload = _op_stream_mutate(rng, "G", _SHARED_N)
-                else:
-                    kind, payload = _op_update(rng, "G", _SHARED_N)
-                ops.append((kind, payload, True))
+                # mostly stream_mutate batches, with updates mixed in; each
+                # is one rebuild and one publish
+                kind = "stream_mutate" if rng.random() < 0.7 else "update"
+                ops.append((*_op_mutate(rng, kind, "G", _SHARED_N), True))
             else:
                 kind, payload = templates[_zipf_pick(rng, cdf)]
                 ops.append((kind, payload, False))
@@ -300,8 +292,65 @@ def build_zipf_streams(
 # Runners
 # --------------------------------------------------------------------------
 
-def _setup_shared(svc: Service, seed: int) -> None:
-    svc.request(SHARED_SESSION, "define", shared_graph_payload(seed))
+def _drive(streams: list[list], connect, pipeline: int, seed: int) -> dict:
+    """The one client loop of both transports: define the shared graph,
+    then a thread per stream keeps up to *pipeline* requests in flight,
+    and on ``QueueFull`` settles what it has in flight, then retries.
+    ``connect(session)`` opens one connection and returns its ``(submit,
+    close)`` pair, where ``submit(kind, payload, **kw)`` returns a future."""
+    submit, close = connect(SHARED_SESSION)
+    try:
+        submit("define", shared_graph_payload(seed)).result(timeout=120)
+    finally:
+        close()
+    results: list[list] = [[] for _ in streams]
+    errors: list[tuple] = []
+    lock = threading.Lock()
+
+    def client_fn(ci: int) -> None:
+        conns: dict = {}
+        inflight: deque = deque()
+
+        def settle(n: int) -> None:
+            while len(inflight) > n:
+                kind, fut = inflight.popleft()
+                try:
+                    results[ci].append(fut.result(timeout=120))
+                except Exception as exc:
+                    results[ci].append({"__error__": type(exc).__name__})
+                    with lock:
+                        errors.append((ci, kind, exc))
+
+        try:
+            for kind, payload, *rest in streams[ci]:
+                target = SHARED_SESSION if (rest and rest[0]) else f"lg{ci}"
+                if target not in conns:
+                    conns[target] = connect(target)
+                while True:
+                    try:
+                        fut = conns[target][0](kind, payload, timing=True)
+                        break
+                    except QueueFull:
+                        settle(0)       # backpressure: drain, then retry
+                        time.sleep(0.001)
+                inflight.append((kind, fut))
+                settle(pipeline)
+            settle(0)
+        finally:
+            for _submit, close in conns.values():
+                close()
+
+    t0 = time.perf_counter()
+    threads = [
+        threading.Thread(target=client_fn, args=(i,), name=f"lg-client-{i}")
+        for i in range(len(streams))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return {"results": results, "errors": errors,
+            "elapsed_s": time.perf_counter() - t0}
 
 
 def run_direct(
@@ -322,117 +371,46 @@ def run_direct(
         backend=backend, shard_workers=shard_workers, diag_dir=diag_dir,
     ))
     try:
-        _setup_shared(svc, seed)
-        results: list[list] = [[] for _ in streams]
-        errors: list[tuple] = []
-        lock = threading.Lock()
-
-        def client_fn(ci: int) -> None:
-            sess = svc.open_session(f"lg{ci}")
-            inflight: deque = deque()
-
-            def settle(n: int) -> None:
-                while len(inflight) > n:
-                    kind, fut = inflight.popleft()
-                    try:
-                        results[ci].append(fut.result(timeout=120))
-                    except Exception as exc:
-                        results[ci].append({"__error__": type(exc).__name__})
-                        with lock:
-                            errors.append((ci, kind, exc))
-
-            for kind, payload, *rest in streams[ci]:
-                target = SHARED_SESSION if (rest and rest[0]) else sess
-                while True:
-                    try:
-                        fut = svc.submit(target, kind, payload, timing=True)
-                        break
-                    except QueueFull:
-                        settle(0)       # backpressure: drain, then retry
-                        time.sleep(0.001)
-                inflight.append((kind, fut))
-                settle(pipeline)
-            settle(0)
-
-        t0 = time.perf_counter()
-        threads = [
-            threading.Thread(target=client_fn, args=(i,), name=f"lg-client-{i}")
-            for i in range(len(streams))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - t0
-        stats = svc.stats()
-        diag_st = svc.diag_stats()
+        out = _drive(
+            streams, lambda name: (Client(svc, name).submit, lambda: None),
+            pipeline, seed,
+        )
+        out["stats"] = svc.stats()
+        out["diag"] = svc.diag_stats()
     finally:
         svc.shutdown()
-    return {
-        "results": results,
-        "errors": errors,
-        "elapsed_s": elapsed,
-        "stats": stats,
-        "diag": diag_st,
-    }
+    return out
+
+
+def _completed(call, kind: str, payload: dict, **kw) -> Future:
+    """A synchronous wire call as a resolved future.  ``QueueFull`` is
+    raised, as :meth:`Service.submit` raises it, so the retry applies."""
+    fut: Future = Future()
+    try:
+        fut.set_result(call(kind, payload, **kw))
+    except QueueFull:
+        raise
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
 
 
 def run_tcp(streams: list[list], *, seed: int, host: str, port: int) -> dict:
-    """Run the streams against a live TCP server (one connection each)."""
-    from .client import TCPClient
+    """Run the streams against a live TCP server (one connection per client
+    and session)."""
 
-    shared = TCPClient(host, port, session=SHARED_SESSION)
-    try:
-        shared.call("define", shared_graph_payload(seed))
-    finally:
-        shared.close(close_session=False)
+    def connect(name: str):
+        cli = TCPClient(host, port, session=name)
+        return (partial(_completed, cli.call),
+                lambda: cli.close(close_session=False))
 
-    results: list[list] = [[] for _ in streams]
-    errors: list[tuple] = []
-    lock = threading.Lock()
-
-    def client_fn(ci: int) -> None:
-        cli = TCPClient(host, port, session=f"lg{ci}")
-        shared_cli = None
-        try:
-            for kind, payload, *rest in streams[ci]:
-                if rest and rest[0]:
-                    if shared_cli is None:
-                        shared_cli = TCPClient(
-                            host, port, session=SHARED_SESSION
-                        )
-                    conn = shared_cli
-                else:
-                    conn = cli
-                try:
-                    results[ci].append(conn.call(kind, payload, timing=True))
-                except Exception as exc:
-                    results[ci].append({"__error__": type(exc).__name__})
-                    with lock:
-                        errors.append((ci, kind, exc))
-        finally:
-            cli.close(close_session=False)
-            if shared_cli is not None:
-                shared_cli.close(close_session=False)
-
-    t0 = time.perf_counter()
-    threads = [
-        threading.Thread(target=client_fn, args=(i,), name=f"lg-client-{i}")
-        for i in range(len(streams))
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - t0
-
+    out = _drive(streams, connect, 8, seed)
     probe = TCPClient(host, port)
     try:
-        stats = probe.stats()
+        out["stats"] = probe.stats()
     finally:
         probe.close()
-    return {"results": results, "errors": errors, "elapsed_s": elapsed,
-            "stats": stats}
+    return out
 
 
 def replay_versioned(
@@ -456,7 +434,7 @@ def replay_versioned(
     problems: list[tuple] = []
     out: list[list] = [[None] * len(s) for s in streams]
     try:
-        _setup_shared(svc, seed)
+        svc.request(SHARED_SESSION, "define", shared_graph_payload(seed))
         writers: dict[int, tuple] = {}
         pending: list[deque] = []
         for ci, stream in enumerate(streams):
@@ -549,10 +527,6 @@ def diff_results(live: list[list], ref: list[list]) -> list[tuple]:
     return out
 
 
-#: request kinds that mutate graph state (everything else is a read)
-_MUTATE_KINDS = frozenset(("define", "upload", "update", "stream_mutate", "free"))
-
-
 def _aggregate_timings(rows: list[dict]) -> dict:
     if not rows:
         return {"count": 0}
@@ -588,8 +562,6 @@ def timing_summary(results: list[list], streams: list[list] | None = None) -> di
     hides the asymmetry a mixed workload actually serves.
     """
     rows: list[dict] = []
-    read_rows: list[dict] = []
-    mutate_rows: list[dict] = []
     kind_rows: dict[str, list[dict]] = {}
     for ci, stream in enumerate(results):
         for oi, r in enumerate(stream):
@@ -599,18 +571,16 @@ def timing_summary(results: list[list], streams: list[list] | None = None) -> di
             rows.append(row)
             if streams is not None and ci < len(streams) \
                     and oi < len(streams[ci]):
-                kind = streams[ci][oi][0]
-                (mutate_rows if kind in _MUTATE_KINDS else read_rows).append(row)
-                kind_rows.setdefault(kind, []).append(row)
+                kind_rows.setdefault(streams[ci][oi][0], []).append(row)
     out = _aggregate_timings(rows)
     if streams is not None and rows:
-        out["by_kind"] = {
-            "read": _aggregate_timings(read_rows),
-            "mutate": _aggregate_timings(mutate_rows),
-        }
-        # the coarse read/mutate split hides that a stream_mutate pays for
-        # a whole deferred rebuild while an update pays per element — keep
-        # every submitted kind separately addressable
+        split: dict[str, list[dict]] = {"read": [], "mutate": []}
+        for kind, krows in kind_rows.items():
+            split["mutate" if mutates(kind) else "read"] += krows
+        out["by_kind"] = {g: _aggregate_timings(r) for g, r in split.items()}
+        # the coarse read/mutate split hides that a stream_mutate leaves
+        # its rebuild to the batch drain while an update reads the graph at
+        # once — keep every submitted kind separately addressable
         out["by_request_kind"] = {
             kind: _aggregate_timings(krows)
             for kind, krows in sorted(kind_rows.items())

@@ -39,9 +39,6 @@ from ..session import SHARED_PREFIX
 
 __all__ = ["CacheDecision", "analyze_request", "CACHEABLE_KINDS"]
 
-#: request kinds the cache may serve (the pure / freshly-declaring reads)
-CACHEABLE_KINDS = frozenset(("program", "algorithm", "query"))
-
 #: argument keys holding operand *names* (everything else is structural)
 _NAME_KEYS = ("a", "b", "u", "mask")
 
@@ -202,6 +199,8 @@ _ANALYZERS = {
     "algorithm": _analyze_algorithm,
     "query": _analyze_query,
 }
+#: request kinds the cache may serve (the pure / freshly-declaring reads)
+CACHEABLE_KINDS = frozenset(_ANALYZERS)
 
 
 def analyze_request(kind: str, payload: dict) -> CacheDecision:

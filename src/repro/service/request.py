@@ -19,14 +19,17 @@ Data kinds (queued per session, executed by the worker pool):
                ``declare`` for new outputs, ``fetch`` to return contents)
 ``algorithm``  run a registered graph algorithm (``algo``, ``graph``,
                optional ``args`` and ``store_as``)
-``update``     point graph mutation: ``set`` / ``remove`` edge lists applied
-               one element at a time
-``stream_mutate``  batched streaming mutation: ``set`` / ``remove`` edge
-               lists buffered through :class:`repro.stream.EdgeBuffer` and
-               rebuilt as one deferred planner op
+``update``     graph mutation: ``set`` / ``remove`` entry lists of a Matrix
+               or a Vector, buffered through :class:`repro.stream.EdgeBuffer`
+               and merged as one deferred planner op; replies ``nvals``
+``stream_mutate``  the same mutation of a Matrix; replies the accepted
+               counts without reading the graph
 ``query``      read ``nvals`` / ``tuples`` / ``element`` of a named object
 ``free``       drop a named object
 =============  ==============================================================
+
+The data kinds are the keys of :data:`repro.service.executor.KINDS`,
+which also holds each kind's handler and whether it mutates the store.
 
 Admin kinds (``open_session``, ``close_session``, ``metrics``, ``stats``,
 ``health``, ``validate``, ``ping``) are executed synchronously by the
@@ -49,13 +52,11 @@ from typing import Any
 
 from ..obs.tracing import TraceContext
 from .errors import BadRequest
+from .executor import KINDS
 
 __all__ = ["Request", "DATA_KINDS", "ADMIN_KINDS", "new_request"]
 
-DATA_KINDS = frozenset(
-    ("define", "upload", "download", "program", "algorithm", "update",
-     "stream_mutate", "query", "free")
-)
+DATA_KINDS = frozenset(KINDS)
 ADMIN_KINDS = frozenset(
     ("open_session", "close_session", "metrics", "stats", "health",
      "validate", "ping", "dump", "explain")

@@ -204,7 +204,9 @@ class Server:
         return {"dump": path}
 
     def handle_plain(self, cmd: str) -> str:
-        """Answer a bare plaintext ``metrics`` / ``health`` probe line."""
+        """Answer a bare plaintext probe line: ``metrics`` as Prometheus
+        text, a collected ``explain`` record rendered, and any other admin
+        command as its JSON reply on one line."""
         if cmd == "metrics":
             h = self.service.health()
             gauges = {
@@ -225,21 +227,14 @@ class Server:
                 gauges["service.cache_hit_rate"] = cache["hit_rate"]
             return prometheus_text(self.service.metrics_snapshot(),
                                    gauges=gauges)
-        if cmd == "health":
-            return json.dumps(self.service.health()) + "\n"
-        if cmd == "dump":
-            try:
-                return json.dumps(self._dump("wire")) + "\n"
-            except ServiceError as exc:
-                return json.dumps({"error": str(exc)}) + "\n"
-        if cmd == "explain":
-            record = self.service.last_explain
-            if record is None:
-                return json.dumps({"error": "no EXPLAIN record yet"}) + "\n"
+        if cmd == "explain" and self.service.last_explain is not None:
             from ..obs.diag.explain import render_text
 
-            return render_text(record)
-        raise BadRequest(f"unknown plain command {cmd!r}")  # pragma: no cover
+            return render_text(self.service.last_explain)
+        try:
+            return json.dumps(self._admin(cmd, None, {})) + "\n"
+        except ServiceError as exc:
+            return json.dumps({"error": str(exc)}) + "\n"
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> "Server":

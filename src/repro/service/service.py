@@ -64,7 +64,8 @@ class ServiceConfig:
     queue_capacity: int = 64
     #: most requests one batch may drain from a session's queue
     max_batch: int = 32
-    #: batch each drained queue through the planner (False → per-request wait)
+    #: batch each drained queue through the planner (False → one request
+    #: per batch)
     batching: bool = True
     #: default per-request timeout in seconds (None → no deadline)
     default_timeout: float | None = None
@@ -380,8 +381,9 @@ class Service:
                 if self._stopped and not self._ready:
                     return
                 sess = self._ready.popleft()
+                limit = self.config.max_batch if self.config.batching else 1
                 batch = []
-                while sess.pending and len(batch) < self.config.max_batch:
+                while sess.pending and len(batch) < limit:
                     batch.append(sess.pending.popleft())
             try:
                 if batch:

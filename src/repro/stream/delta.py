@@ -63,16 +63,6 @@ class EdgeDelta:
     def is_empty(self) -> bool:
         return self.size == 0
 
-    @classmethod
-    def empty(cls, nrows: int, ncols: int, base_nnz: int) -> "EdgeDelta":
-        z = np.empty(0, dtype=np.int64)
-        b = np.empty(0, dtype=bool)
-        return cls(
-            nrows=nrows, ncols=ncols, rows=z, cols=z,
-            old_mask=b, old_values=np.empty(0), new_mask=b.copy(),
-            new_values=np.empty(0), base_nnz=int(base_nnz),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<EdgeDelta {self.size} edges "

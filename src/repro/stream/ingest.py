@@ -1,10 +1,11 @@
-"""Batched edge ingest: a COO append buffer with a deferred CSR rebuild.
+"""Batched edge ingest: a COO append buffer with a deferred rebuild.
 
-``Matrix.set_element`` pays an O(nnz) ``np.insert`` per edge — fine for
-point updates, hopeless for streams.  :class:`EdgeBuffer` instead appends
-edge writes (sets and removes) into flat COO chunks and, on
-:meth:`~EdgeBuffer.flush`, submits **one** merge-rebuild for the whole
-batch: an O((nnz + b)·log) last-writer-wins sorted merge.
+``set_element`` pays an O(nnz) ``np.insert`` per element — fine for one
+point update, hopeless for streams.  :class:`EdgeBuffer` instead appends
+element writes (sets and removes) to any matrix or vector into flat key
+chunks and, on :meth:`~EdgeBuffer.flush`, submits **one** merge-rebuild
+for the whole batch: a last-writer-wins positional merge against the
+sorted content, O(b·log b + nnz) for b buffered writes.
 
 The rebuild is not a side door around the execution model — it is
 submitted through :func:`repro.operations.common.submit_standard_op` like
@@ -33,10 +34,9 @@ import numpy as np
 
 from .. import context
 from .._sparseutil import positions
-from ..containers.formats import check_indices
-from ..containers.matrix import Matrix
+from ..containers.base import SparseCollection
 from ..descriptor import Flags
-from ..info import InvalidValue
+from ..info import DimensionMismatch, InvalidValue
 from ..obs import metrics, spans
 from ..operations.common import submit_standard_op
 from .delta import EdgeDelta
@@ -54,7 +54,7 @@ class FlushResult:
 
     __slots__ = ("_matrix", "_delta")
 
-    def __init__(self, matrix: Matrix, delta: EdgeDelta | None = None):
+    def __init__(self, matrix: SparseCollection, delta: EdgeDelta | None = None):
         self._matrix = matrix
         self._delta = delta
 
@@ -71,20 +71,21 @@ class FlushResult:
 
 
 class EdgeBuffer:
-    """COO append buffer over one matrix, flushed as a deferred rebuild.
+    """COO append buffer over one matrix or vector, flushed as a deferred
+    rebuild.
 
     Within a buffer *and* against the existing content, the last write to
-    an edge wins: ``set`` then ``remove`` deletes, ``remove`` then ``set``
-    stores, two sets keep the newer value.  Removing an absent edge is a
-    no-op (matching ``GrB_Matrix_removeElement`` service semantics).
+    an element wins: ``set`` then ``remove`` deletes, ``remove`` then
+    ``set`` stores, two sets keep the newer value.  Removing an absent
+    element is a no-op (matching ``GrB_Matrix_removeElement`` service
+    semantics).  Index and value checks run at the append, so a batch that
+    reaches :meth:`flush` applies whole.
     """
 
-    def __init__(self, matrix: Matrix):
-        if not isinstance(matrix, Matrix):
-            raise InvalidValue("EdgeBuffer requires a Matrix")
+    def __init__(self, matrix: SparseCollection):
+        if not isinstance(matrix, SparseCollection):
+            raise InvalidValue("EdgeBuffer requires a Matrix or a Vector")
         matrix._check_valid()
-        if matrix.type.is_udt:
-            raise InvalidValue("streaming ingest supports built-in types only")
         self._matrix = matrix
         self._keys: list[np.ndarray] = []
         self._vals: list[np.ndarray] = []
@@ -93,45 +94,38 @@ class EdgeBuffer:
 
     # ------------------------------------------------------------- appends
     @property
-    def matrix(self) -> Matrix:
-        return self._matrix
-
-    @property
     def pending(self) -> int:
         """Edge writes buffered since the last flush."""
         return self._pending
 
-    def set_edges(self, rows, cols, values) -> "EdgeBuffer":
-        """Buffer ``A(i, j) = v`` for each (i, j, v); scalar v broadcasts."""
-        m = self._matrix
-        ri = check_indices(rows, m.nrows, "row")
-        ci = check_indices(cols, m.ncols, "column")
-        vals = np.asarray(values)
-        if vals.ndim == 0:
-            vals = np.broadcast_to(vals, (len(ri),))
-        if len(ri) != len(ci) or len(vals) != len(ri):
-            raise InvalidValue("set_edges arrays differ in length")
-        if len(ri) == 0:
-            return self
-        self._keys.append(ri * np.int64(m.ncols) + ci)
-        self._vals.append(vals.astype(m.type.np_dtype, copy=True))
-        self._dels.append(np.zeros(len(ri), dtype=bool))
-        self._pending += len(ri)
-        return self
+    def set_edges(self, *index_and_values) -> "EdgeBuffer":
+        """Buffer ``A(i, j) = v`` for each (i, j, v) — ``set_edges(rows,
+        cols, values)`` on a matrix, ``set_edges(indices, values)`` on a
+        vector; a scalar value broadcasts."""
+        *index, values = index_and_values
+        return self._append(index, values, False)
 
-    def remove_edges(self, rows, cols) -> "EdgeBuffer":
-        """Buffer deletion of each (i, j); absent edges are no-ops."""
+    def remove_edges(self, *index) -> "EdgeBuffer":
+        """Buffer deletion of each (i, j) — or each i of a vector; absent
+        elements are no-ops."""
+        return self._append(index, None, True)
+
+    def _append(self, index, values, delete: bool) -> "EdgeBuffer":
         m = self._matrix
-        ri = check_indices(rows, m.nrows, "row")
-        ci = check_indices(cols, m.ncols, "column")
-        if len(ri) != len(ci):
-            raise InvalidValue("remove_edges arrays differ in length")
-        if len(ri) == 0:
-            return self
-        self._keys.append(ri * np.int64(m.ncols) + ci)
-        self._vals.append(np.zeros(len(ri), dtype=m.type.np_dtype))
-        self._dels.append(np.ones(len(ri), dtype=bool))
-        self._pending += len(ri)
+        if len(index) != len(m.shape):
+            raise InvalidValue(f"{type(m).__name__} edges take "
+                               f"{len(m.shape)} index arrays")
+        try:
+            keys = m._keys_of(*index)
+            vals = (np.zeros(len(keys), dtype=m._type.np_dtype) if delete
+                    else m._coerce_values(values, len(keys)))
+        except DimensionMismatch as exc:
+            raise InvalidValue(f"edge arrays differ in length: {exc}") from None
+        if len(keys):
+            self._keys.append(keys)
+            self._vals.append(vals)
+            self._dels.append(np.full(len(keys), delete))
+            self._pending += len(keys)
         return self
 
     # --------------------------------------------------------------- flush
@@ -145,8 +139,11 @@ class EdgeBuffer:
         """
         m = self._matrix
         m._check_valid()
+        nrows, ncols = (*m.shape, 1)[:2]  # a vector reads as one column
         if self._pending == 0:
-            return FlushResult(m, EdgeDelta.empty(m.nrows, m.ncols, 0))
+            # an empty batch changes nothing: its delta is ready at once
+            z = np.empty(0, dtype=np.int64)
+            return FlushResult(m, _merge_batch(z, z, z, z, z == 0, nrows, ncols)[2])
         batch_keys = np.concatenate(self._keys)
         batch_vals = np.concatenate(self._vals)
         batch_dels = np.concatenate(self._dels)
@@ -154,7 +151,6 @@ class EdgeBuffer:
         batch = self._pending
         self._pending = 0
         result = FlushResult(m)
-        nrows, ncols = m.nrows, m.ncols
 
         def kernel(_mask_view):
             with spans.span("stream.rebuild", "kernel"):
@@ -199,47 +195,43 @@ def _merge_batch(
 ) -> tuple[np.ndarray, np.ndarray, EdgeDelta]:
     """Last-writer-wins merge of a COO batch into sorted flat-key content.
 
+    The batch is deduplicated (the last write per key survives), each
+    surviving key is looked up once in the sorted old keys, and that one
+    lookup places every write: an overwrite, a deletion or an insertion.
+    The cost is O(b·log b) for the batch plus O(nnz) for the copies.
     Returns the merged (keys, values) plus the exact :class:`EdgeDelta`
-    of materially changed edges.
+    of materially changed elements.
     """
-    # dedup the batch: stable sort keeps append order within a key, the
-    # last occurrence is the surviving write
+    # a stable sort keeps append order within a key: the last occurrence
+    # is the surviving write
     order = np.argsort(batch_keys, kind="stable")
     bk = batch_keys[order]
-    bv = batch_vals[order]
-    bd = batch_dels[order]
-    if len(bk):
-        last = np.empty(len(bk), dtype=bool)
-        np.not_equal(bk[1:], bk[:-1], out=last[:-1])
-        last[-1] = True
-        bk, bv, bd = bk[last], bv[last], bd[last]
+    last = np.ones(len(bk), dtype=bool)
+    np.not_equal(bk[1:], bk[:-1], out=last[:-1])
+    order = order[last]
+    bk, bv, bd = bk[last], batch_vals[order], batch_dels[order]
 
-    # merge with the existing content; batch entries follow old entries,
-    # so the stable sort's last occurrence per key is the batch's write
-    all_keys = np.concatenate([old_keys, bk])
-    all_vals = np.concatenate([old_values, bv])
-    all_dels = np.concatenate([np.zeros(len(old_keys), dtype=bool), bd])
-    order = np.argsort(all_keys, kind="stable")
-    k = all_keys[order]
-    v = all_vals[order]
-    dl = all_dels[order]
-    if len(k):
-        last = np.empty(len(k), dtype=bool)
-        np.not_equal(k[1:], k[:-1], out=last[:-1])
-        last[-1] = True
-        k, v, dl = k[last], v[last], dl[last]
-    keep = ~dl
-    new_keys, new_vals = k[keep], v[keep]
-
-    # the delta: each surviving batch write against the old content
-    old_pos = positions(bk, old_keys)
-    old_has = old_pos >= 0
-    old_v = np.zeros(len(bk), dtype=old_values.dtype)
-    if old_has.any():
-        old_v[old_has] = old_values[old_pos[old_has]]
+    pos = positions(bk, old_keys)
+    old_has = pos >= 0
     new_has = ~bd
-    # no-ops: deleting an absent edge, or rewriting an unchanged value
-    noop = (~old_has & ~new_has) | (old_has & new_has & (old_v == bv))
+    old_v = np.zeros(len(bk), dtype=old_values.dtype)
+    old_v[old_has] = old_values[pos[old_has]]
+
+    add = ~old_has & new_has
+    at = np.searchsorted(old_keys, bk[add])
+    keys = np.insert(old_keys, at, bk[add])  # np.insert always copies
+    vals = np.insert(old_values, at, bv[add])
+    # an old position moves right by the insertions placed before it
+    moved = pos + np.searchsorted(at, pos, side="right")
+    put = old_has & new_has
+    vals[moved[put]] = bv[put]
+    drop = moved[old_has & bd]
+    if len(drop):
+        keys = np.delete(keys, drop)
+        vals = np.delete(vals, drop)
+
+    # no-ops: deleting an absent element, or rewriting an unchanged value
+    noop = (~old_has & ~new_has) | (put & (old_v == bv))
     sel = ~noop
     delta = EdgeDelta(
         nrows=nrows,
@@ -252,4 +244,4 @@ def _merge_batch(
         new_values=bv[sel],
         base_nnz=len(old_keys),
     )
-    return new_keys, new_vals, delta
+    return keys, vals, delta

@@ -27,7 +27,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.loadgen import (
-    _op_update,
+    _op_mutate,
     _shared_read_pool,
     shared_graph_payload,
 )
@@ -47,7 +47,7 @@ def _schedule(seed: int) -> list[tuple[str, str, dict]]:
         r = rng.random()
         sess = f"s{rng.randrange(_SESSIONS)}"
         if r < 0.22:
-            kind, payload = _op_update(rng, "G", _SHARED_N)
+            kind, payload = _op_mutate(rng, "update", "G", _SHARED_N)
             ops.append((SHARED_SESSION, kind, payload))
             # the write -> immediately-read edge: the very next request
             # reads the shared graph and must see the new version, never

@@ -235,6 +235,23 @@ class TestAdmissionControl:
         svc.shutdown(drain=True)
         assert [f.result(timeout=5)["nvals"] for f in futs] == [1] * 10
 
+    def test_batching_off_runs_one_request_per_batch(self):
+        # five queued requests drain as five batches of one, and every
+        # timed reply carries its share of its batch's drain
+        svc = Service(workers=1, queue_capacity=8, batching=False,
+                      autostart=False)
+        s = svc.open_session()
+        futs = [svc.submit(s, "define", {
+            "name": f"m{k}", "kind": "matrix", "dtype": "FP64",
+            "shape": [3, 3], "entries": [[0, 1, float(k)]],
+        }, timing=True) for k in range(5)]
+        before = svc.stats()["batches"]
+        svc.start()
+        replies = [f.result(timeout=30) for f in futs]
+        svc.shutdown()
+        assert svc.stats()["batches"] - before == 5
+        assert all("drain_share_us" in r["timing"] for r in replies)
+
 
 class TestObservability:
     def test_stats_shape(self, svc):

@@ -10,6 +10,7 @@ import pytest
 
 from repro import algorithms
 from repro.containers import Matrix
+from repro.info import IndexOutOfBounds
 from repro.service import (
     SHARED_PREFIX,
     SHARED_SESSION,
@@ -78,6 +79,94 @@ class TestStreamMutate:
             "graph": "G", "set": [[4, 4, 1.0]], "remove": [],
         })
         assert svc.stats()["snapshots"]["published"] == before + 1
+
+
+def _content(svc, sess, name):
+    return svc.request(sess, "query", {"name": name, "what": "tuples"})
+
+
+def _graph_session(svc, shared, payload):
+    """Define *payload* in a fresh private session, or in the shared one;
+    returns (session the mutation goes to, session that reads, name)."""
+    if shared:
+        svc.request(SHARED_SESSION, "define", payload)
+        return SHARED_SESSION, svc.open_session(), SHARED_PREFIX + payload["name"]
+    sess = svc.open_session()
+    svc.request(sess, "define", payload)
+    return sess, sess, payload["name"]
+
+
+class TestMutationPath:
+    """``update`` and ``stream_mutate`` run one buffered merge: the same
+    payload leaves the same content, and a request that fails leaves the
+    graph as it was (section V: an API error has no effect)."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+    @pytest.mark.parametrize("kind", ["update", "stream_mutate"])
+    @pytest.mark.parametrize("bad,error", [
+        ({"set": [[1, 1, 5.0], [9, 9, 1.0]]}, IndexOutOfBounds),
+        ({"set": [[1, 1, 5.0]], "remove": [[0, 1], [-1, 0]]}, IndexOutOfBounds),
+        ({"set": [[1, 1, 5.0], [2, 2]]}, BadRequest),       # entry too short
+        ({"set": [[1, 1, 5.0], ["x", 2, 1.0]]}, BadRequest),  # not an index
+    ], ids=["out-of-range", "negative-remove", "short-entry", "bad-index"])
+    def test_failed_mutation_changes_nothing(self, svc, shared, kind, bad, error):
+        writer, reader, name = _graph_session(svc, shared, _G)
+        before = _content(svc, reader, name)
+        published = svc.stats()["snapshots"]["published"]
+        with pytest.raises(error):
+            svc.request(writer, kind, {"graph": "G", **bad})
+        assert _content(svc, reader, name) == before
+        assert svc.stats()["snapshots"]["published"] == published
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+    @pytest.mark.parametrize("edits,want", [
+        # duplicate keys in set: the last one wins
+        ({"set": [[3, 3, 1.0], [3, 3, 2.0], [0, 1, 4.0], [0, 1, 6.0]]},
+         [(0, 1, 6.0), (1, 2, 2.0), (2, 0, 3.0), (3, 3, 2.0)]),
+        # set and remove of one edge in one request: it ends up removed
+        ({"set": [[4, 4, 1.0], [0, 1, 8.0]], "remove": [[4, 4], [0, 1]]},
+         [(1, 2, 2.0), (2, 0, 3.0)]),
+        # removing an absent edge is a no-op
+        ({"set": [], "remove": [[5, 6], [7, 7]]},
+         [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]),
+    ], ids=["last-set-wins", "set-then-remove", "remove-absent"])
+    def test_update_equals_stream_mutate(self, svc, shared, edits, want):
+        got = []
+        for kind in ("update", "stream_mutate"):
+            g = dict(_G, name=f"G_{kind}")
+            writer, reader, name = _graph_session(svc, shared, g)
+            svc.request(writer, kind, {"graph": g["name"], **edits})
+            tup = _content(svc, reader, name)
+            got.append(sorted(zip(tup["rows"], tup["cols"], tup["values"])))
+        assert got[0] == got[1] == want
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+    def test_update_on_a_vector(self, svc, shared):
+        v = {"name": "v", "kind": "vector", "dtype": "INT64", "shape": [6],
+             "entries": [[0, 1], [2, 3], [4, 5]]}
+        writer, reader, name = _graph_session(svc, shared, v)
+        rsp = svc.request(writer, "update", {
+            "graph": "v",
+            "set": [[1, 7], [1, 8], [5, 9], [3, 1]],
+            "remove": [[0], 2, [3], 5.0, [4]],          # [i] and bare i
+        })
+        assert rsp == {"name": "v", "nvals": 1}
+        tup = _content(svc, reader, name)
+        assert list(zip(tup["indices"], tup["values"])) == [(1, 8)]
+
+    def test_update_keeps_user_defined_domains(self, svc):
+        # the buffer stores any domain the store does: a set-valued UDT
+        p = {"name": "p", "kind": "matrix", "dtype": "PSET", "shape": [3, 3],
+             "entries": [[0, 1, [1, 2]]]}
+        writer, reader, name = _graph_session(svc, False, p)
+        svc.request(writer, "update", {
+            "graph": "p", "set": [[1, 1, [3]], [2, 2, [4]], [0, 1, [5]]],
+            "remove": [[2, 2]],
+        })
+        tup = _content(svc, reader, name)
+        assert list(zip(tup["rows"], tup["cols"], tup["values"])) == [
+            (0, 1, [5]), (1, 1, [3])
+        ]
 
 
 class TestHandleLifecycle:
