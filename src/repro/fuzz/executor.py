@@ -729,11 +729,13 @@ def run_service_cached(program, service) -> tuple[Snapshot, str | None]:
 
 def check_memo_conformance(program, service) -> str | None:
     """The cache-consistency differential: reference oracle vs the cached
-    service, cold (miss/bypass) *and* warm (hit, from a different session).
+    service, each run from a fresh session — cold (a miss the memo does
+    not admit, or a bypass), admitting (the second sighting, which
+    inserts) and warm (a hit).
 
-    A cacheable program must produce identical results on both service
-    runs, the warm run must actually hit, and a bypass decision must be
-    deterministic.  None means conformant.
+    A cacheable program must produce identical results on all three
+    service runs, the warm run must actually hit, and a bypass decision
+    must be deterministic.  None means conformant.
     """
     ref = run_reference(program)
 
@@ -748,24 +750,22 @@ def check_memo_conformance(program, service) -> str | None:
             ]
         return snap
 
-    try:
-        cold, st_cold = run_service_cached(program, service)
-    except Exception as exc:
-        return f"cold service run raised {type(exc).__name__}: {exc}"
-    try:
-        warm, st_warm = run_service_cached(program, service)
-    except Exception as exc:
-        return f"warm service run raised {type(exc).__name__}: {exc}"
-    msgs = compare_snapshots(program, ref, _normalize(cold))
-    if msgs:
-        return f"cold ({st_cold}) vs reference: " + "; ".join(msgs)
-    msgs = compare_snapshots(program, ref, _normalize(warm))
-    if msgs:
-        return f"warm ({st_warm}) vs reference: " + "; ".join(msgs)
+    runs = []
+    for label in ("cold", "admitting", "warm"):
+        try:
+            snap, status = run_service_cached(program, service)
+        except Exception as exc:
+            return f"{label} service run raised {type(exc).__name__}: {exc}"
+        runs.append((label, snap, status))
+    for label, snap, status in runs:
+        msgs = compare_snapshots(program, ref, _normalize(snap))
+        if msgs:
+            return f"{label} ({status}) vs reference: " + "; ".join(msgs)
+    st_cold, st_admitting, st_warm = (status for _, _, status in runs)
     if st_cold == "miss" and st_warm != "hit":
         return (
-            "cacheable program missed on identical resubmission "
-            f"(cold={st_cold!r}, warm={st_warm!r})"
+            "cacheable program missed on its third identical submission "
+            f"(cold={st_cold!r}, admitting={st_admitting!r}, warm={st_warm!r})"
         )
     if st_cold == "bypass" and st_warm != "bypass":
         return f"bypass decision not deterministic ({st_cold!r} then {st_warm!r})"

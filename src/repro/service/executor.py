@@ -634,12 +634,17 @@ def run_batch(service, session: Session, batch: list) -> None:
                                         if prev.objects.get(k) is not o
                                     } | (set(prev.objects) - set(v.objects))
                                     memo.on_publish(v.vid, changed=changed)
-                            if decision is not None and decision.cacheable:
-                                # building the entry serializes the declared
-                                # outputs — a sequence point that forces this
-                                # request's ops, so the blobs capture exactly
-                                # its view; errors propagate like any other
-                                # failure of this request's deferred work
+                            # a first sighting only records the text and
+                            # runs the cache-off path; a second one builds
+                            # the entry, which serializes the declared
+                            # outputs — a sequence point that forces this
+                            # request's ops, so the blobs capture exactly
+                            # its view; errors propagate like any other
+                            # failure of this request's deferred work
+                            if (
+                                decision is not None and decision.cacheable
+                                and memo.admit(decision.digest)
+                            ):
                                 memo.insert(
                                     req.version.vid,
                                     decision.digest,

@@ -5,7 +5,7 @@ drain*; this package is the same idea lifted across requests, sessions,
 and time.  A cacheable request is keyed on its exact text
 (:mod:`.hashing`), paired with the shared-store snapshot version it was
 admitted against, and looked up in an LRU byte-budgeted store
-(:mod:`.cache`).  A hit replays the original request's observable
+(:mod:`.cache`) that admits a text on its second sighting.  A hit replays the original request's observable
 effects — response and declared session objects — without touching the
 planner at all.
 """

@@ -14,6 +14,14 @@ writer publishing version *n+1* makes every version-*n* entry
 unreachable by construction.  :meth:`ResultCache.on_publish` carries
 over the version-*n* entries the publish left untouched and reclaims the
 rest (counted as invalidations).
+
+Admission is on a request text's second sighting: a first miss only
+records the text's fingerprint (:meth:`ResultCache.admit`), so a read
+that never repeats builds, charges and keeps nothing.  The filter is
+version-blind — a text seen once before a publish is admitted on its
+first miss after it — and advisory only: lookups stay keyed on the full
+``(version, text)``, so a fingerprint collision can move an admission,
+never serve a wrong entry.
 """
 
 from __future__ import annotations
@@ -37,6 +45,16 @@ from ..session import Session
 from .hashing import CacheDecision
 
 __all__ = ["CacheEntry", "ResultCache", "build_entry", "materialize"]
+
+#: slots of the admission filter — one 64-bit fingerprint each (512 KiB)
+_FILTER_SLOTS = 1 << 16
+
+
+def _fingerprint(digest: str) -> int:
+    """A 64-bit fingerprint of a request text; its low bits pick the
+    filter slot.  Python caches a string's hash, and the lookup that
+    missed has already computed it."""
+    return hash(digest)
 
 
 @dataclass
@@ -167,13 +185,16 @@ def materialize(
 
 
 class ResultCache:
-    """Thread-safe LRU over ``(version id, digest)`` with a byte budget."""
+    """Thread-safe LRU over ``(version id, digest)`` with a byte budget,
+    behind a second-sighting admission filter."""
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024):
         self.max_bytes = max_bytes
         self._mu = threading.Lock()
         self._entries: OrderedDict[tuple[int, str], CacheEntry] = OrderedDict()
         self._bytes = 0
+        #: slot → fingerprint of the last digest that missed there
+        self._seen = np.zeros(_FILTER_SLOTS, dtype=np.int64)
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -195,6 +216,18 @@ class ResultCache:
             self.hits += 1
             reg.inc("service.cache.hit")
             return entry
+
+    def admit(self, digest: str) -> bool:
+        """Whether a missed *digest* is worth an entry: True when its
+        fingerprint is already in the filter (a second sighting), else
+        record it there and return False."""
+        fp = _fingerprint(digest)
+        slot = fp & (_FILTER_SLOTS - 1)
+        with self._mu:
+            if self._seen[slot] == fp:
+                return True
+            self._seen[slot] = fp
+            return False
 
     def insert(self, vid: int, digest: str, entry: CacheEntry) -> None:
         if entry.nbytes > self.max_bytes:
@@ -268,6 +301,7 @@ class ResultCache:
         with self._mu:
             self._entries.clear()
             self._bytes = 0
+            self._seen.fill(0)
 
     # ----------------------------------------------------------------- intro
     def stats(self) -> dict:

@@ -11,6 +11,14 @@ from repro.ops import AINV, binary, index_unary
 from tests.conftest import random_matrix, random_vector
 
 
+def _negate_queued(obj, exec_mode):
+    """Queue ``obj = -obj`` and check it is still deferred in nonblocking
+    mode, so the call under test is the sequence point that runs it."""
+    grb.apply(obj, None, None, AINV[obj.type], obj)
+    queued = grb.context.current_context().queue.involves(obj)
+    assert queued == (exec_mode == "nonblocking_planner")
+
+
 class TestResize:
     def test_matrix_shrink_drops_out_of_bounds(self, rng):
         A = random_matrix(rng, 8, 8, 0.5)
@@ -113,6 +121,16 @@ class TestDiag:
         back = grb.Vector.from_diag(grb.Matrix.diag(v))
         assert dict(iter(back)) == dict(iter(v))
 
+    def test_diag_after_deferred_writer(self, exec_mode):
+        v = grb.Vector.from_coo(grb.INT64, 3, [0, 2], [4, 5])
+        _negate_queued(v, exec_mode)
+        D = grb.Matrix.diag(v, 1)
+        assert {(i, j): int(x) for i, j, x in D} == {(0, 1): -4, (2, 3): -5}
+        A = grb.Matrix.from_coo(grb.INT64, 3, 3, [0, 1, 2], [0, 2, 2], [1, 2, 3])
+        _negate_queued(A, exec_mode)
+        d = grb.Vector.from_diag(A)
+        assert {i: int(x) for i, x in d} == {0: -1, 2: -3}
+
 
 class TestImportExport:
     def test_csr_round_trip(self, rng):
@@ -160,6 +178,38 @@ class TestImportExport:
         with pytest.raises(grb.IndexOutOfBounds):
             grb.Vector.import_sparse(grb.INT64, 5, [7], [1])
 
+    def test_export_csr_after_deferred_writer(self, exec_mode):
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [2, 1], [7, 4])
+        _negate_queued(A, exec_mode)
+        indptr, cols, vals = A.export_csr()
+        assert indptr.tolist() == [0, 1, 2]
+        assert cols.tolist() == [2, 1]
+        assert vals.tolist() == [-7, -4]
+
+    def test_import_over_object_with_queued_writer(self, exec_mode):
+        # A is replaced by an import of its own export while its writer is
+        # queued: the import holds the written content, and a queued reader
+        # of the import keeps it even when the caller edits its arrays
+        A = grb.Matrix.from_coo(grb.INT64, 2, 3, [0, 1], [2, 1], [7, 4])
+        _negate_queued(A, exec_mode)
+        indptr, cols, vals = A.export_csr()
+        A = grb.Matrix.import_csr(grb.INT64, 2, 3, indptr, cols, vals)
+        C = grb.Matrix(grb.INT64, 2, 3)
+        grb.apply(C, None, None, AINV[grb.INT64], A)
+        cols[:], vals[:] = 0, 99
+        v = grb.Vector.from_coo(grb.INT64, 4, [1, 3], [8, 9])
+        _negate_queued(v, exec_mode)
+        idx, xs = v.export_sparse()
+        v = grb.Vector.import_sparse(grb.INT64, 4, idx, xs)
+        w = grb.Vector(grb.INT64, 4)
+        grb.apply(w, None, None, AINV[grb.INT64], v)
+        idx[:], xs[:] = 0, 99
+        grb.wait()
+        assert {(i, j): int(x) for i, j, x in A} == {(0, 2): -7, (1, 1): -4}
+        assert {(i, j): int(x) for i, j, x in C} == {(0, 2): 7, (1, 1): 4}
+        assert {i: int(x) for i, x in v} == {1: -8, 3: -9}
+        assert {i: int(x) for i, x in w} == {1: 8, 3: 9}
+
 
 class TestSerialization:
     def test_matrix_round_trip(self, rng):
@@ -204,6 +254,19 @@ class TestSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(grb.InvalidValue):
             deserialize(b"not a blob")
+
+    def test_serialize_after_deferred_writer(self, exec_mode):
+        A = grb.Matrix.from_coo(grb.FP64, 2, 3, [0, 1], [2, 1], [1.5, 4.0])
+        _negate_queued(A, exec_mode)
+        B = deserialize(serialize(A))
+        assert {(i, j): float(x) for i, j, x in B} == {
+            (0, 2): -1.5, (1, 1): -4.0,
+        }
+        v = grb.Vector.from_coo(grb.INT32, 5, [0, 4], [3, 2])
+        _negate_queued(v, exec_mode)
+        assert {i: int(x) for i, x in deserialize(serialize(v))} == {
+            0: -3, 4: -2,
+        }
 
 
 class TestEWiseUnion:

@@ -32,6 +32,7 @@ from repro.service.loadgen import (
     shared_graph_payload,
 )
 from repro.service.memo import CacheEntry, ResultCache
+from repro.service.memo import cache as memo_cache
 
 _SHARED_N = 32
 _SESSIONS = 3
@@ -155,9 +156,12 @@ def test_write_then_immediately_read_is_not_served_stale():
             "shape": [4, 4], "entries": [[0, 1, 1.0]],
         })
         first = svc.request("t0", *probe, timing=True)
+        # the second sighting of the text is the one the memo admits
+        admitting = svc.request("t0", *probe, timing=True)
         again = svc.request("t1", *probe, timing=True)
         assert first["nvals"] == 1
         assert first["timing"]["cache"] == "miss"
+        assert admitting["timing"]["cache"] == "miss"
         assert again["timing"]["cache"] == "hit"
 
         svc.request(SHARED_SESSION, "update",
@@ -193,6 +197,13 @@ def test_editing_a_miss_reply_does_not_change_a_later_hit():
         assert miss["timing"]["cache"] == "miss"
         miss["fetched"]["v"]["values"][0] = 999.0
         miss["scalars"].append("junk")
+        # the second sighting builds the entry from its reply: editing
+        # that reply must not reach the entry either
+        admitting = svc.request(svc.open_session(), "program", payload,
+                                timing=True)
+        assert admitting["timing"]["cache"] == "miss"
+        admitting["fetched"]["v"]["values"][0] = 999.0
+        admitting["scalars"].append("junk")
         hit = svc.request(svc.open_session(), "program", payload, timing=True)
         # a hit reply shares nothing with the entry either, on both the
         # synchronous and the future path
@@ -207,3 +218,98 @@ def test_editing_a_miss_reply_does_not_change_a_later_hit():
     assert later["fetched"]["v"] == {"kind": "vector", "shape": [4],
                                      "indices": [1], "values": [2.0]}
     assert later["scalars"] == [2.0]
+
+
+def _two_hop(src: int, val: float) -> dict:
+    """``t2 = G·(G·v)`` over the shared graph for a one-entry ``v``."""
+    g = SHARED_PREFIX + "G"
+    vec = {"kind": "vector", "dtype": "FP64", "shape": [_SHARED_N]}
+    semiring = "GrB_PLUS_TIMES_SEMIRING_FP64"
+    return {
+        "declare": [{"name": "v", **vec, "entries": [[src, val]]},
+                    {"name": "t", **vec}, {"name": "t2", **vec}],
+        "calls": [
+            {"kind": "mxv", "out": "t",
+             "args": {"a": g, "u": "v", "semiring": semiring}},
+            {"kind": "mxv", "out": "t2",
+             "args": {"a": g, "u": "t", "semiring": semiring}},
+        ],
+        "fetch": ["t2"],
+    }
+
+
+def _shared_service() -> Service:
+    svc = Service(ServiceConfig(workers=2, cache=True))
+    svc.request(SHARED_SESSION, "define", shared_graph_payload(0))
+    return svc
+
+
+def test_never_repeating_reads_build_no_entries():
+    with _shared_service() as svc:
+        sess = svc.open_session()
+        for k in range(300):
+            r = svc.request(sess, "program",
+                            _two_hop(k % _SHARED_N, 1.0 + k), timing=True)
+            assert r["timing"]["cache"] == "miss"
+        cache = svc.stats()["cache"]
+    assert cache["misses"] == 300
+    assert (cache["entries"], cache["bytes"], cache["inserts"]) == (0, 0, 0)
+
+
+def test_repeated_text_is_inserted_on_its_second_sighting():
+    payload = _two_hop(3, 1.5)
+    with _shared_service() as svc:
+        seen, fetched = [], []
+        for _ in range(3):
+            r = svc.request(svc.open_session(), "program", payload,
+                            timing=True)
+            cache = svc.stats()["cache"]
+            seen.append((r["timing"]["cache"], cache["inserts"],
+                         cache["entries"]))
+            fetched.append(r["fetched"])
+    assert seen == [("miss", 0, 0), ("miss", 1, 1), ("hit", 1, 1)]
+    assert fetched[0] == fetched[1] == fetched[2]
+
+
+@pytest.mark.parametrize(
+    "same_fingerprint", [False, True], ids=["same_slot", "same_fingerprint"]
+)
+def test_slot_collision_moves_admission_never_the_result(
+    monkeypatch, same_fingerprint
+):
+    """Two texts forced into one filter slot.  With different fingerprints,
+    alternating sightings keep replacing each other's (admission is
+    delayed); with equal ones, the second text is admitted on its first
+    sighting.  Either way each request is served its own result."""
+    texts = {"a": _two_hop(1, 2.0), "b": _two_hop(5, 3.0)}
+    with Service(ServiceConfig(workers=2, cache=False)) as ref:
+        ref.request(SHARED_SESSION, "define", shared_graph_payload(0))
+        want = {
+            k: ref.request(ref.open_session(), "program", p)["fetched"]
+            for k, p in texts.items()
+        }
+    assert want["a"] != want["b"]
+
+    fps: dict[str, int] = {}
+
+    def fingerprint(digest: str) -> int:
+        # slot 7 for both; the high bits tell them apart unless forced equal
+        return 7 if same_fingerprint else fps.setdefault(
+            digest, 7 + ((len(fps) + 1) << 16)
+        )
+
+    monkeypatch.setattr(memo_cache, "_fingerprint", fingerprint)
+    if same_fingerprint:
+        order, expect = "abaaabbbab", ["miss"] * 3 + ["hit"] * 7
+    else:
+        order = "ababaaabbbab"
+        expect = ["miss"] * 6 + ["hit"] + ["miss"] * 2 + ["hit"] * 3
+    statuses = []
+    with _shared_service() as svc:
+        for k in order:
+            r = svc.request(svc.open_session(), "program", texts[k],
+                            timing=True)
+            assert r["fetched"] == want[k], (k, statuses)
+            statuses.append(r["timing"]["cache"])
+        assert svc.stats()["cache"]["inserts"] == 2
+    assert statuses == expect

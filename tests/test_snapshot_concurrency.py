@@ -323,6 +323,9 @@ class TestMutationBursts:
             probe = ("query", {"name": SHARED_PREFIX + "H", "what": "nvals"})
             first = svc.request(sess, *probe, timing=True)
             assert first["timing"]["cache"] == "miss"
+            # the second sighting of the text is the one the memo admits
+            assert svc.request(sess, *probe, timing=True)[
+                "timing"]["cache"] == "miss"
             assert svc.request(sess, *probe, timing=True)[
                 "timing"]["cache"] == "hit"
 
